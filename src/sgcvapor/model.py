@@ -28,9 +28,10 @@ components.
 Everything is linear in rho, so the flow is dx/dt = L x on the real
 16-vector x = (rho11, rho22, rho33, rho44, Re rho12, Im rho12, ...,
 Re rho34, Im rho34) with pairs ordered (1,2), (1,3), (1,4), (2,3), (2,4),
-(3,4).  ``build_generator`` assembles L entry by entry from the expanded
-real equations, independently of the complex-arithmetic ``eom_rhs``, so the
-two routes cross-check each other.
+(3,4).  ``build_generator`` scatters L from a table of the terms of the
+expanded real equations, independently of the complex-arithmetic
+``eom_rhs``, so the two routes cross-check each other; for a sequence of
+operating points it builds the (N, 16, 16) stack in one scatter.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ IDX_RE24, IDX_IM24 = 12, 13
 IDX_RE34, IDX_IM34 = 14, 15
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# flat (row-major 4x4) positions of the diagonal, of rho_ij for each pair
+# in _PAIRS, and of rho_ji
+_FLAT_DIAG = np.arange(4) * 5
+_FLAT_UPPER = np.array([4 * i + j for i, j in _PAIRS])
+_FLAT_LOWER = np.array([4 * j + i for i, j in _PAIRS])
 
 #: real components that flip sign under p -> -p (coherences involving |3>)
 LEVEL3_COHERENCE_INDICES = (IDX_RE13, IDX_IM13, IDX_RE23, IDX_IM23,
@@ -74,14 +80,18 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
 
 
 def unvectorize(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize`; output is Hermitian by construction."""
+    """Inverse of :func:`vectorize`; output is Hermitian by construction.
+
+    A stack of vectors (..., 16) gives the stack of matrices (..., 4, 4).
+    """
     x = np.asarray(x, dtype=float)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[np.diag_indices(4)] = x[:4]
-    for k, (i, j) in enumerate(_PAIRS):
-        rho[i, j] = x[4 + 2 * k] + 1j * x[5 + 2 * k]
-        rho[j, i] = x[4 + 2 * k] - 1j * x[5 + 2 * k]
-    return rho
+    rho = np.zeros(x.shape[:-1] + (16,), dtype=complex)
+    re = x[..., 4::2]
+    i_im = 1j * x[..., 5::2]
+    rho[..., _FLAT_DIAG] = x[..., :4]
+    rho[..., _FLAT_UPPER] = re + i_im
+    rho[..., _FLAT_LOWER] = re - i_im
+    return rho.reshape(x.shape[:-1] + (4, 4))
 
 
 class DensityMatrix:
@@ -187,90 +197,117 @@ def eom_rhs(params: SystemParams, rho) -> np.ndarray:
     return out
 
 
-def build_generator(params: SystemParams) -> GeneratorMatrix:
-    """Real 16x16 generator L with dx/dt = L x.
+# Per-point values that every entry of L is a fixed multiple of. "s3" is
+# the sign-carrying rate of the rho33 self term: -g3 (corrected) or +g3
+# (PAPER_LITERAL), so the term is 2*s3.
+_RATE_NAMES = ("g2", "g3", "g4", "g2+g3", "g2+g4", "g3+g4", "s3",
+               "w1", "wp", "q", "d")
 
-    Assembled entry by entry from the real/imaginary expansion of the
-    equations of motion (not by probing :func:`eom_rhs`), so the two
-    implementations stay independent cross-checks of each other.
-    """
-    g2, g3, g4 = params.gamma2, params.gamma3, params.gamma4
-    w1, wp = params.omega1, params.omegap
-    q = params.sgc_rate
-    d = params.delta_p
-    literal = params.equation_variant is EquationVariant.PAPER_LITERAL
-
-    L = np.zeros((16, 16))
-
+# L[row, column] = coefficient * rate, one entry per term of the real and
+# imaginary expansion of the equations of motion (the rho22 row is derived
+# from the others in build_generator). Multiplying by +-1 or +-2 is exact,
+# so every entry, signed zeros included, equals the plain expression it
+# stands for (-q, 2*g2, ...).
+_TERMS = (
     # populations
-    L[IDX_N1, IDX_N2] = 2 * g2
-    L[IDX_N1, IDX_IM12] = 2 * w1
-    L[IDX_N3, IDX_N3] = 2 * g3 if literal else -2 * g3
-    L[IDX_N3, IDX_RE34] = -2 * q
-    L[IDX_N4, IDX_N4] = -2 * g4
-    L[IDX_N4, IDX_RE34] = -2 * q
-    L[IDX_N4, IDX_IM24] = -2 * wp
-    # trace-conserving completion of the rho22 row
-    L[IDX_N2, :] = -(L[IDX_N1, :] + L[IDX_N3, :] + L[IDX_N4, :])
+    (IDX_N1, IDX_N2, "g2", 2.0),
+    (IDX_N1, IDX_IM12, "w1", 2.0),
+    (IDX_N3, IDX_N3, "s3", 2.0),
+    (IDX_N3, IDX_RE34, "q", -2.0),
+    (IDX_N4, IDX_N4, "g4", -2.0),
+    (IDX_N4, IDX_RE34, "q", -2.0),
+    (IDX_N4, IDX_IM24, "wp", -2.0),
 
     # rho12: -g2*r12 + i*w1*(n2 - n1) - i*wp*r14
-    L[IDX_RE12, IDX_RE12] = -g2
-    L[IDX_RE12, IDX_IM14] = wp
-    L[IDX_IM12, IDX_IM12] = -g2
-    L[IDX_IM12, IDX_N2] = w1
-    L[IDX_IM12, IDX_N1] = -w1
-    L[IDX_IM12, IDX_RE14] = -wp
+    (IDX_RE12, IDX_RE12, "g2", -1.0),
+    (IDX_RE12, IDX_IM14, "wp", 1.0),
+    (IDX_IM12, IDX_IM12, "g2", -1.0),
+    (IDX_IM12, IDX_N2, "w1", 1.0),
+    (IDX_IM12, IDX_N1, "w1", -1.0),
+    (IDX_IM12, IDX_RE14, "wp", -1.0),
 
     # rho13: -g3*r13 + i*w1*r23 - q*r14
-    L[IDX_RE13, IDX_RE13] = -g3
-    L[IDX_RE13, IDX_IM23] = -w1
-    L[IDX_RE13, IDX_RE14] = -q
-    L[IDX_IM13, IDX_IM13] = -g3
-    L[IDX_IM13, IDX_RE23] = w1
-    L[IDX_IM13, IDX_IM14] = -q
+    (IDX_RE13, IDX_RE13, "g3", -1.0),
+    (IDX_RE13, IDX_IM23, "w1", -1.0),
+    (IDX_RE13, IDX_RE14, "q", -1.0),
+    (IDX_IM13, IDX_IM13, "g3", -1.0),
+    (IDX_IM13, IDX_RE23, "w1", 1.0),
+    (IDX_IM13, IDX_IM14, "q", -1.0),
 
     # rho14: -(g4 - i*d)*r14 - q*r13 + i*w1*r24 - i*wp*r12
-    L[IDX_RE14, IDX_RE14] = -g4
-    L[IDX_RE14, IDX_IM14] = -d
-    L[IDX_RE14, IDX_RE13] = -q
-    L[IDX_RE14, IDX_IM24] = -w1
-    L[IDX_RE14, IDX_IM12] = wp
-    L[IDX_IM14, IDX_RE14] = d
-    L[IDX_IM14, IDX_IM14] = -g4
-    L[IDX_IM14, IDX_IM13] = -q
-    L[IDX_IM14, IDX_RE24] = w1
-    L[IDX_IM14, IDX_RE12] = -wp
+    (IDX_RE14, IDX_RE14, "g4", -1.0),
+    (IDX_RE14, IDX_IM14, "d", -1.0),
+    (IDX_RE14, IDX_RE13, "q", -1.0),
+    (IDX_RE14, IDX_IM24, "w1", -1.0),
+    (IDX_RE14, IDX_IM12, "wp", 1.0),
+    (IDX_IM14, IDX_RE14, "d", 1.0),
+    (IDX_IM14, IDX_IM14, "g4", -1.0),
+    (IDX_IM14, IDX_IM13, "q", -1.0),
+    (IDX_IM14, IDX_RE24, "w1", 1.0),
+    (IDX_IM14, IDX_RE12, "wp", -1.0),
 
     # rho23: -(g2 + g3)*r23 + i*w1*r13 + i*wp*conj(r34) - q*r24
-    L[IDX_RE23, IDX_RE23] = -(g2 + g3)
-    L[IDX_RE23, IDX_IM13] = -w1
-    L[IDX_RE23, IDX_IM34] = wp
-    L[IDX_RE23, IDX_RE24] = -q
-    L[IDX_IM23, IDX_IM23] = -(g2 + g3)
-    L[IDX_IM23, IDX_RE13] = w1
-    L[IDX_IM23, IDX_RE34] = wp
-    L[IDX_IM23, IDX_IM24] = -q
+    (IDX_RE23, IDX_RE23, "g2+g3", -1.0),
+    (IDX_RE23, IDX_IM13, "w1", -1.0),
+    (IDX_RE23, IDX_IM34, "wp", 1.0),
+    (IDX_RE23, IDX_RE24, "q", -1.0),
+    (IDX_IM23, IDX_IM23, "g2+g3", -1.0),
+    (IDX_IM23, IDX_RE13, "w1", 1.0),
+    (IDX_IM23, IDX_RE34, "wp", 1.0),
+    (IDX_IM23, IDX_IM24, "q", -1.0),
 
     # rho24: -(g2 + g4 - i*d)*r24 + i*wp*(n4 - n2) + i*w1*r14 - q*r23
-    L[IDX_RE24, IDX_RE24] = -(g2 + g4)
-    L[IDX_RE24, IDX_IM24] = -d
-    L[IDX_RE24, IDX_IM14] = -w1
-    L[IDX_RE24, IDX_RE23] = -q
-    L[IDX_IM24, IDX_RE24] = d
-    L[IDX_IM24, IDX_IM24] = -(g2 + g4)
-    L[IDX_IM24, IDX_N4] = wp
-    L[IDX_IM24, IDX_N2] = -wp
-    L[IDX_IM24, IDX_RE14] = w1
-    L[IDX_IM24, IDX_IM23] = -q
+    (IDX_RE24, IDX_RE24, "g2+g4", -1.0),
+    (IDX_RE24, IDX_IM24, "d", -1.0),
+    (IDX_RE24, IDX_IM14, "w1", -1.0),
+    (IDX_RE24, IDX_RE23, "q", -1.0),
+    (IDX_IM24, IDX_RE24, "d", 1.0),
+    (IDX_IM24, IDX_IM24, "g2+g4", -1.0),
+    (IDX_IM24, IDX_N4, "wp", 1.0),
+    (IDX_IM24, IDX_N2, "wp", -1.0),
+    (IDX_IM24, IDX_RE14, "w1", 1.0),
+    (IDX_IM24, IDX_IM23, "q", -1.0),
 
     # rho34: -(g3 + g4 - i*d)*r34 - i*wp*conj(r23) - q*(n3 + n4)
-    L[IDX_RE34, IDX_RE34] = -(g3 + g4)
-    L[IDX_RE34, IDX_IM34] = -d
-    L[IDX_RE34, IDX_IM23] = -wp
-    L[IDX_RE34, IDX_N3] = -q
-    L[IDX_RE34, IDX_N4] = -q
-    L[IDX_IM34, IDX_RE34] = d
-    L[IDX_IM34, IDX_IM34] = -(g3 + g4)
-    L[IDX_IM34, IDX_RE23] = -wp
+    (IDX_RE34, IDX_RE34, "g3+g4", -1.0),
+    (IDX_RE34, IDX_IM34, "d", -1.0),
+    (IDX_RE34, IDX_IM23, "wp", -1.0),
+    (IDX_RE34, IDX_N3, "q", -1.0),
+    (IDX_RE34, IDX_N4, "q", -1.0),
+    (IDX_IM34, IDX_RE34, "d", 1.0),
+    (IDX_IM34, IDX_IM34, "g3+g4", -1.0),
+    (IDX_IM34, IDX_RE23, "wp", -1.0),
+)
+_TERM_FLAT = np.array([16 * row + col for row, col, _, _ in _TERMS])
+_TERM_RATES = np.array([_RATE_NAMES.index(name) for _, _, name, _ in _TERMS])
+_TERM_COEFS = np.array([coef for _, _, _, coef in _TERMS])
 
-    return L
+
+def _rates(params: SystemParams) -> tuple:
+    """The values named in _RATE_NAMES at one operating point."""
+    g2, g3, g4 = params.gamma2, params.gamma3, params.gamma4
+    literal = params.equation_variant is EquationVariant.PAPER_LITERAL
+    return (g2, g3, g4, g2 + g3, g2 + g4, g3 + g4, g3 if literal else -g3,
+            params.omega1, params.omegap, params.sgc_rate, params.delta_p)
+
+
+def build_generator(params) -> GeneratorMatrix:
+    """Real 16x16 generator L with dx/dt = L x.
+
+    ``params`` is one SystemParams, or a sequence of N of them for the
+    (N, 16, 16) stack of their generators; each matrix of the stack is
+    bitwise the one its point gives alone. The entries are scattered from
+    the term table above, the real/imaginary expansion of the equations of
+    motion (not a probe of :func:`eom_rhs`), so the two implementations
+    stay independent cross-checks of each other.
+    """
+    single = isinstance(params, SystemParams)
+    points = (params,) if single else params
+    rates = np.array([_rates(p) for p in points], dtype=float)
+    rates = rates.reshape(len(points), len(_RATE_NAMES))   # also for no points
+    L = np.zeros((len(points), 16 * 16))
+    L[:, _TERM_FLAT] = rates[:, _TERM_RATES] * _TERM_COEFS
+    L = L.reshape(len(points), 16, 16)
+    # trace-conserving completion of the rho22 row
+    L[:, IDX_N2, :] = -(L[:, IDX_N1, :] + L[:, IDX_N3, :] + L[:, IDX_N4, :])
+    return L[0] if single else L

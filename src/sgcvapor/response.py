@@ -162,16 +162,41 @@ def classify_handedness(eps_r: complex, mu_r: complex) -> Handedness:
     return Handedness.RIGHT_HANDED
 
 
-def response_at(params: SystemParams) -> ResponseRecord:
+_DEGENERATE = "response is undefined at |p_align| = 1"
+
+
+def response_at(params):
     """Solve the steady state and map it to the macroscopic response.
 
     Propagates SingularSystem / NonPhysicalState from the solver,
     DegenerateProbe at |p_align| = 1, and LocalFieldPole at a
     Clausius-Mossotti divergence.
+
+    ``params`` may also be a sequence of SystemParams, whose steady states
+    are solved as one stack: the result is then a list whose item i is the
+    record of point i, or the exception it would raise alone, returned
+    instead of raised.
     """
-    if abs(params.p_align) >= 1.0:
-        raise DegenerateProbe("response is undefined at |p_align| = 1")
-    rho = steady_state(params)
+    if isinstance(params, SystemParams):
+        if abs(params.p_align) >= 1.0:
+            raise DegenerateProbe(_DEGENERATE)
+        return _record(params, steady_state(params))
+    out = [DegenerateProbe(_DEGENERATE) if abs(p.p_align) >= 1.0 else None for p in params]
+    live = [i for i, o in enumerate(out) if o is None]
+    for i, state in zip(live, steady_state([params[i] for i in live])):
+        if isinstance(state, Exception):
+            out[i] = state
+            continue
+        try:
+            out[i] = _record(params[i], state)
+        except (DegenerateProbe, LocalFieldPole) as exc:
+            # its traceback would hold this frame, and so ``out``, in a cycle
+            out[i] = exc.with_traceback(None)
+    return out
+
+
+def _record(params: SystemParams, rho) -> ResponseRecord:
+    """The response at ``params`` of its steady state ``rho``."""
     rho24 = rho.rho24
     rho32 = rho.rho32
     ge = electric_polarizability(rho24, params)

@@ -6,6 +6,15 @@ replaces the rho11 row (the most redundant one under trace conservation)
 with the constraint rho11 + rho22 + rho33 + rho44 = 1 and solves the
 resulting square system by dense LU with partial pivoting.
 
+The solve is array-valued: ``steady_state`` also takes a sequence of
+operating points, assembles their generators as one (N, 16, 16) stack and
+makes one batched condition estimate and one batched LU solve for it. The
+gates (condition, residual, trace, populations) are applied row by row,
+and a row that fails one of them gets its SingularSystem or
+NonPhysicalState as its item of the result instead of a state; the other
+rows are unaffected. A single SystemParams is the one-point case, and its
+exception is raised.
+
 ``evolve`` integrates the same equations of motion with classical
 fixed-step fourth-order Runge-Kutta and serves as an independent check: for
 a linear system the RK4 iteration has the continuous fixed point as its
@@ -15,11 +24,13 @@ solve's answer to roundoff.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
-from .model import DensityMatrix, IDX_N1, IDX_N2, IDX_N3, IDX_N4, build_generator, vectorize
+from .model import (DensityMatrix, IDX_N1, IDX_N2, IDX_N3, IDX_N4, build_generator,
+                    unvectorize, vectorize)
 from .params import SystemParams, EquationVariant, ValidationError
 
 # Populations this far outside [0, 1] mean the fixed point is unphysical.
@@ -57,56 +68,127 @@ class StepUnstable(RuntimeError):
     """Time integration diverged (a component magnitude exceeded 10)."""
 
 
-def _solve_trace_normalized(L: np.ndarray) -> np.ndarray:
-    """Solve L x = 0 subject to unit trace via rho11-row replacement."""
-    A = L.copy()
-    A[IDX_N1, :] = 0.0
-    A[IDX_N1, [IDX_N1, IDX_N2, IDX_N3, IDX_N4]] = 1.0
-    b = np.zeros(16)
-    b[IDX_N1] = 1.0
+def _solve_trace_normalized(L: np.ndarray):
+    """Solve L x = 0 subject to unit trace via rho11-row replacement.
+
+    For one generator (16, 16), returns x or raises SingularSystem. For a
+    stack (N, 16, 16), returns a list whose item i is the x of row i or
+    its SingularSystem, returned rather than raised, so one bad row costs
+    the others nothing. The condition numbers and the LU solve are one
+    batched call each, and only rows that pass the condition gate are
+    solved; the gates themselves are applied row by row in the arithmetic
+    of a single solve, so each row's x is bitwise its lone solve's.
+    """
+    single = L.ndim == 2
+    stack = L[None] if single else L
+    A = stack.copy()
+    A[:, IDX_N1, :] = 0.0
+    A[:, IDX_N1, [IDX_N1, IDX_N2, IDX_N3, IDX_N4]] = 1.0
+    out = [None] * len(A)
     try:
-        cond = np.linalg.cond(A, 1)
+        conds = np.linalg.cond(A, 1).tolist()
     except np.linalg.LinAlgError:
-        raise SingularSystem("condition estimate failed; system is singular")
-    if not np.isfinite(cond) or cond > CONDITION_FAIL:
-        raise SingularSystem(f"trace-constrained system is rank-deficient (cond ~ {cond:.2e})")
-    if cond > CONDITION_WARN:
-        warnings.warn(f"steady-state solve is ill-conditioned (cond ~ {cond:.2e})",
-                      RuntimeWarning, stacklevel=3)
-    try:
-        x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"LU solve failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystem("solution has non-finite entries")
-    # residual on the 15 rows that still belong to L
-    resid = L @ x
-    resid[IDX_N1] = 0.0
-    scale = np.linalg.norm(L)
-    if np.linalg.norm(resid) > RESIDUAL_TOL * scale:
-        raise SingularSystem(
-            f"steady-state residual {np.linalg.norm(resid):.2e} exceeds {RESIDUAL_TOL:.0e} * ||L||")
-    return x
+        # raised for the stack as a whole (a singular row gives cond = inf)
+        out = [SingularSystem("condition estimate failed; system is singular") for _ in A]
+        conds = []
+    passed = []
+    for i, cond in enumerate(conds):
+        if not math.isfinite(cond) or cond > CONDITION_FAIL:
+            out[i] = SingularSystem(
+                f"trace-constrained system is rank-deficient (cond ~ {cond:.2e})")
+            continue
+        if cond > CONDITION_WARN:
+            warnings.warn(f"steady-state solve is ill-conditioned (cond ~ {cond:.2e})",
+                          RuntimeWarning, stacklevel=3)
+        passed.append(i)
+
+    X = np.empty((0, 16))
+    lu_errors = {}
+    if passed:
+        # b as an (n, 16, 1) stack: numpy 1.x rejects a 1-D b against a stack
+        b = np.zeros((len(passed), 16, 1))
+        b[:, IDX_N1, 0] = 1.0
+        try:
+            X = np.linalg.solve(A[passed], b)[..., 0]
+        except np.linalg.LinAlgError:
+            # the error names no row: solve the rows one at a time
+            X = np.full((len(passed), 16), np.nan)
+            for k, i in enumerate(passed):
+                try:
+                    X[k] = np.linalg.solve(A[i], b[k, :, 0])
+                except np.linalg.LinAlgError as exc:
+                    lu_errors[i] = str(exc)
+
+    # Euclidean norms as np.linalg.norm takes them, sqrt(v @ v), without
+    # its per-call overhead; L is flattened for its Frobenius norm
+    flat = stack.reshape(len(stack), -1)
+    for i, x, finite in zip(passed, X, np.isfinite(X).all(axis=1)):
+        if i in lu_errors:
+            out[i] = SingularSystem(f"LU solve failed: {lu_errors[i]}")
+        elif not finite:
+            out[i] = SingularSystem("solution has non-finite entries")
+        else:
+            # residual on the 15 rows that still belong to L
+            resid = stack[i] @ x
+            resid[IDX_N1] = 0.0
+            norm = math.sqrt(resid @ resid)
+            if norm > RESIDUAL_TOL * math.sqrt(flat[i] @ flat[i]):
+                out[i] = SingularSystem(
+                    f"steady-state residual {norm:.2e} exceeds {RESIDUAL_TOL:.0e} * ||L||")
+            else:
+                out[i] = x
+    return _only(out) if single else out
 
 
-def steady_state(params: SystemParams) -> DensityMatrix:
+def steady_state(params):
     """Steady-state density matrix at the given operating point.
 
     Raises SingularSystem if the trace-constrained system is degenerate and
     NonPhysicalState if a population of the fixed point leaves [0, 1] by
     more than 1e-6 (the PAPER_LITERAL fixed point often does).
+
+    ``params`` may also be a sequence of SystemParams, solved as one stack:
+    the result is then a list whose item i is the state of point i, or the
+    exception it would raise alone, returned instead of raised.
     """
-    L = build_generator(params)
-    x = _solve_trace_normalized(L)
-    # renormalize the trace (the solve already puts the sum at 1 to
-    # roundoff; dividing pins it there)
-    x = x / (x[IDX_N1] + x[IDX_N2] + x[IDX_N3] + x[IDX_N4])
-    rho = DensityMatrix.from_vector(x, check=False)
-    pops = rho.m.diagonal().real
-    if pops.min() < -POPULATION_BOUND_TOL or pops.max() > 1.0 + POPULATION_BOUND_TOL:
-        raise NonPhysicalState(
-            f"fixed-point populations outside [0, 1]: {pops}", rho)
-    return rho
+    single = isinstance(params, SystemParams)
+    points = [params] if single else params
+    if not points:
+        return []
+    states = _solve_trace_normalized(build_generator(points))
+    rows = [i for i, x in enumerate(states) if not isinstance(x, SingularSystem)]
+    if rows:
+        X = np.array([states[i] for i in rows])
+        # renormalize the trace (the solve already puts the sum at 1 to
+        # roundoff; dividing pins it there)
+        X = X / (X[:, IDX_N1] + X[:, IDX_N2] + X[:, IDX_N3] + X[:, IDX_N4])[:, None]
+        pops = X[:, IDX_N1:IDX_N4 + 1]
+        unphysical = ((pops.min(axis=1) < -POPULATION_BOUND_TOL)
+                      | (pops.max(axis=1) > 1.0 + POPULATION_BOUND_TOL))
+        for i, m, bad in zip(rows, unvectorize(X), unphysical):
+            rho = DensityMatrix(m, check=False)
+            states[i] = (NonPhysicalState(
+                f"fixed-point populations outside [0, 1]: {rho.m.diagonal().real}", rho)
+                if bad else rho)
+    return _only(states) if single else states
+
+
+def _only(outcomes: list):
+    """The result of a one-point call: the only item of ``outcomes``,
+    returned, or raised if it is an exception.
+
+    The item is taken out of the list and the local dropped before the
+    exception leaves, so no frame in its traceback refers back to it: a
+    reference cycle would keep every raised exception, and the arrays its
+    frames hold, alive until a full garbage collection.
+    """
+    outcome = outcomes.pop()
+    if not isinstance(outcome, Exception):
+        return outcome
+    try:
+        raise outcome
+    finally:
+        del outcome
 
 
 def _make_step(params: SystemParams):

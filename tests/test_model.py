@@ -13,6 +13,17 @@ NO_FIELDS = SystemParams(omega1_bare=0.0, omegap_bare=0.0, p_align=0.0)
 DEFAULTS_P05 = SystemParams(p_align=0.5)
 
 
+def _unvectorize_reference(x):
+    """Element-by-element inverse of vectorize, the reference for unvectorize."""
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[np.diag_indices(4)] = x[:4]
+    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    for k, (i, j) in enumerate(pairs):
+        rho[i, j] = x[4 + 2 * k] + 1j * x[5 + 2 * k]
+        rho[j, i] = x[4 + 2 * k] - 1j * x[5 + 2 * k]
+    return rho
+
+
 class TestDensityMatrix:
     def test_ground_state_is_valid(self):
         rho = DensityMatrix.ground()
@@ -34,6 +45,18 @@ class TestDensityMatrix:
         x = vectorize(rho)
         assert x[model.IDX_RE24] == 0.25
         assert x[model.IDX_IM24] == 0.125
+
+    def test_unvectorize_matches_elementwise_reference_bitwise(self):
+        # signed zeros included: rho_ji = Re - 1j*Im turns Im = 0.0 into
+        # +0.0, not -0.0, and the CSV output keeps such signs
+        rng = np.random.default_rng(9)
+        X = rng.choice([0.0, -0.0, 0.5, -0.5, 1e-300, -3.0], size=(200, 16))
+        stacked = unvectorize(X)
+        assert stacked.shape == (200, 4, 4)
+        for x, m in zip(X, stacked):
+            ref = _unvectorize_reference(x)
+            assert unvectorize(x).tobytes() == ref.tobytes()
+            assert m.tobytes() == ref.tobytes()
 
     def test_unvectorize_is_hermitian_by_construction(self):
         rng = np.random.default_rng(8)

@@ -1,11 +1,13 @@
 import cmath
+import gc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sgcvapor import (DegenerateProbe, DensityMatrix, Handedness,
-                      LocalFieldPole, SystemParams, classify_handedness,
+from sgcvapor import (DegenerateProbe, DensityMatrix, EquationVariant,
+                      Handedness, LocalFieldPole, NonPhysicalState,
+                      SystemParams, classify_handedness,
                       electric_polarizability, evolve, magnetic_polarizability,
                       magnetic_polarizability_from_permeability, permeability,
                       permittivity, refractive_index, response_at)
@@ -160,6 +162,29 @@ class TestResponseAt:
     def test_degenerate_probe_rejected(self):
         with pytest.raises(DegenerateProbe):
             response_at(SystemParams(p_align=1.0))
+
+    def test_sequence_returns_each_point_or_its_exception(self):
+        points = [SystemParams(p_align=1.0),
+                  SystemParams(p_align=0.5, delta_p=3.0),
+                  SystemParams(p_align=0.5, equation_variant=EquationVariant.PAPER_LITERAL)]
+        degenerate, record, unphysical = response_at(points)
+        assert isinstance(degenerate, DegenerateProbe)
+        assert record == response_at(points[1])
+        assert isinstance(unphysical, NonPhysicalState)
+        assert response_at([]) == []
+
+    def test_sequence_errors_leave_no_reference_cycles(self):
+        # omegap_bare = 0 solves, then fails in the mapping
+        points = [SystemParams(omegap_bare=0.0, delta_p=d) for d in (-1.0, 0.0, 1.0)]
+        gc.collect()
+        gc.disable()
+        try:
+            out = response_at(points)
+            assert all(isinstance(o, DegenerateProbe) for o in out)
+            del out
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_far_detuned_point_matches_integration_pipeline(self):
         # independent route: settle the state by time integration, then

@@ -1,9 +1,13 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
 from sgcvapor import (DensityMatrix, EquationVariant, NonPhysicalState,
                       SingularSystem, StepUnstable, SystemParams,
-                      ValidationError, eom_rhs, evolve, steady_state)
+                      ValidationError, build_generator, eom_rhs, evolve,
+                      steady_state)
 from sgcvapor.steady import _solve_trace_normalized
 
 from conftest import ORACLE_DETUNINGS, ORACLE_P_VALUES
@@ -87,6 +91,36 @@ class TestSteadyState:
         L = np.diag([0.0, -1.0, -1.0, -1.0] + [-1e-13] * 12)
         with pytest.warns(RuntimeWarning, match="ill-conditioned"):
             _solve_trace_normalized(L)
+
+    def test_stacked_rows_fail_and_warn_independently(self):
+        regular = build_generator(SystemParams(p_align=0.5, delta_p=3.0))
+        ill = np.diag([0.0, -1.0, -1.0, -1.0] + [-1e-13] * 12)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = _solve_trace_normalized(np.stack([regular, np.zeros((16, 16)), ill]))
+        assert len(out) == 3
+        assert out[0].tobytes() == _solve_trace_normalized(regular).tobytes()
+        assert [isinstance(x, SingularSystem) for x in out] == [False, True, False]
+        ill_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)
+                        and "ill-conditioned" in str(w.message)]
+        assert len(ill_warnings) == 1
+
+
+    def test_raised_errors_leave_no_reference_cycles(self):
+        # a cycle through the traceback would keep every raised exception,
+        # and the arrays its frames hold, alive until a full collection
+        literal = SystemParams(p_align=0.5, equation_variant=EquationVariant.PAPER_LITERAL)
+        calls = ((lambda: steady_state(literal), NonPhysicalState),
+                 (lambda: _solve_trace_normalized(np.zeros((16, 16))), SingularSystem))
+        gc.collect()
+        gc.disable()
+        try:
+            for call, error in calls:
+                with pytest.raises(error):
+                    call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestEvolve:

@@ -1,11 +1,15 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from sgcvapor import (EmptyTable, EquationVariant, Handedness, ResponseRecord,
-                      SweepAxis, SweepTable, SystemParams, ValidationError,
-                      classify_handedness, detect_bands, find_extrema,
-                      response_at, sweep_alignment, sweep_detuning)
+from sgcvapor import (DegenerateProbe, EmptyTable, EquationVariant, Handedness,
+                      LocalFieldPole, NonPhysicalState, ResponseRecord,
+                      SingularSystem, SweepAxis, SweepTable, SystemParams,
+                      ValidationError, build_generator, classify_handedness,
+                      detect_bands, find_extrema, response_at,
+                      sweep_alignment, sweep_detuning)
+from sgcvapor.sweep import ALIGNMENT_GUARD, CHUNK_POINTS
 
 
 def make_record(axis_value, eps=-1 + 0.1j, mu=-1 + 0.1j, n=-1 + 0.01j):
@@ -155,3 +159,70 @@ class TestSweepAlignment:
             t = sweep_detuning(replace(calibrated_base, p_align=p), -20.0, 20.0, 401)
             minima.append(find_extrema(t).min_re_n)
         assert minima[0] > minima[1] > minima[2]
+
+
+# what a sweep records as a SweepFailure instead of aborting
+POINT_ERRORS = (SingularSystem, NonPhysicalState, DegenerateProbe, LocalFieldPole)
+
+
+def record_bits(record):
+    """Every field of a record, floats as float.hex, complex as two."""
+    out = []
+    for f in fields(record):
+        v = getattr(record, f.name)
+        if isinstance(v, complex):
+            out.append((v.real.hex(), v.imag.hex()))
+        elif isinstance(v, float):
+            out.append(v.hex())
+        else:
+            out.append(v)
+    return out
+
+
+class TestStackedSweepMatchesPointwise:
+    """A sweep solves its grid in stacks of CHUNK_POINTS; every point must
+    come out as response_at gives it alone, bit for bit."""
+
+    STEPS = 2 * CHUNK_POINTS + 1   # two full chunks and a one-point chunk
+
+    @pytest.mark.parametrize("axis,p,variant", [
+        ("delta_p", 0.5, EquationVariant.CORRECTED),
+        ("delta_p", 0.99, EquationVariant.CORRECTED),
+        ("p_align", None, EquationVariant.CORRECTED),    # from q = 0: signed zeros
+        ("delta_p", 0.5, EquationVariant.PAPER_LITERAL),  # ~2/3 NonPhysicalState
+    ])
+    def test_records_failures_and_generators(self, calibrated_base, axis, p, variant):
+        base = replace(calibrated_base, equation_variant=variant)
+        if axis == "delta_p":
+            base = replace(base, p_align=p)
+            table = sweep_detuning(base, -20.0, 20.0, self.STEPS)
+        else:
+            base = replace(base, delta_p=1e-16)
+            table = sweep_alignment(base, 0.0, 1.0 - ALIGNMENT_GUARD, self.STEPS)
+        assert len(table.grid) == self.STEPS
+
+        failures = []
+        for g, record in zip(table.grid, table.records):
+            try:
+                expected = response_at(replace(base, **{axis: g}))
+            except POINT_ERRORS as exc:
+                failures.append((g, type(exc).__name__, str(exc)))
+                assert record is None
+            else:
+                assert record_bits(record) == record_bits(expected)
+        assert [(f.axis_value, f.kind, f.message) for f in table.failures] == failures
+        if variant is EquationVariant.PAPER_LITERAL:
+            assert len(failures) > self.STEPS // 2
+            assert {kind for _, kind, _ in failures} == {"NonPhysicalState"}
+
+        points = [replace(base, **{axis: g}) for g in table.grid]
+        stack = build_generator(points)
+        for point, L in zip(points, stack):
+            alone = build_generator(point)
+            assert np.array_equal(L, alone)
+            assert np.array_equal(np.signbit(L), np.signbit(alone))
+
+    def test_non_finite_grid_value_is_rejected(self):
+        # as the per-point SystemParams of the grid value rejects it
+        with pytest.raises(ValidationError):
+            sweep_detuning(SystemParams(), -np.inf, 0.0, 1)
