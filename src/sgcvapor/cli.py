@@ -222,8 +222,7 @@ def _oracle_checks(config: RunConfig, table: SweepTable) -> list:
     """Cross-check the linear solve against time integration.
 
     Point mode checks its single point; sweeps check the first, middle,
-    and last successful grid points (full-grid integration would dominate
-    the runtime without adding information).
+    and last successful grid points.
     """
     pairs = table.ok_records()
     if not pairs:

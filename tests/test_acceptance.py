@@ -98,7 +98,7 @@ def test_steady_state_residuals(oracle_grid):
            "200/gamma horizon leaves a ~2e-4 transient; the same "
            "integration settles to <1e-6 of the linear solve by 800/gamma "
            "(test_steady.py covers that), and the other eight grid points "
-           "pass at machine precision")
+           "pass to ~1e-12")
 def test_time_integration_matches_linear_solve_at_fixed_horizon(oracle_grid):
     """Every (p, delta_p) grid point must settle to 1e-6 within 200/gamma."""
     gaps = {point: float(np.max(np.abs(solved - settled)))

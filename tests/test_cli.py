@@ -150,7 +150,10 @@ class TestRun:
         meta = json.loads((tmp_path / "pt.csv.meta.json").read_text())
         checks = meta["oracle_checks"]
         assert len(checks) == 1
-        assert float(checks[0]["max_abs_diff"]) < 1e-6
+        # the README's `--mode point --oracle` point relaxes fast, so the
+        # integration lands on the linear solve to roundoff, well inside
+        # the oracle tolerance of 1e-6
+        assert float(checks[0]["max_abs_diff"]) < 1e-11
 
     def test_near_resonant_alignment_sweep_reproduces_reference_features(
             self, tmp_path, calibrated):

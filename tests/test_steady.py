@@ -8,9 +8,10 @@ from sgcvapor import (DensityMatrix, EquationVariant, NonPhysicalState,
                       SingularSystem, StepUnstable, SystemParams,
                       ValidationError, build_generator, eom_rhs, evolve,
                       steady_state)
+from sgcvapor.model import unvectorize, vectorize
 from sgcvapor.steady import _solve_trace_normalized
 
-from conftest import ORACLE_DETUNINGS, ORACLE_P_VALUES
+from conftest import ORACLE_DETUNINGS, ORACLE_P_VALUES, random_hermitian
 
 NO_FIELDS = SystemParams(omega1_bare=0.0, omegap_bare=0.0, p_align=0.0)
 
@@ -82,6 +83,19 @@ class TestSteadyState:
         # the offending state rides on the exception for inspection
         pops = info.value.state.m.diagonal().real
         assert pops.min() < -1e-6
+
+    def test_nonphysical_message_formatted_from_the_state_on_demand(self):
+        params = SystemParams(p_align=0.5,
+                              equation_variant=EquationVariant.PAPER_LITERAL)
+        error = steady_state([params])[0]
+        assert error.args == (None,)
+        expected = ("fixed-point populations outside [0, 1]: "
+                    f"{error.state.m.diagonal().real}")
+        assert repr(error) == f"NonPhysicalState({expected!r})"
+        assert str(error) == expected
+        assert error.args == (expected,)
+        # an explicit message is kept as given
+        assert str(NonPhysicalState("in range", error.state)) == "in range"
 
     def test_singular_system_detected(self):
         with pytest.raises(SingularSystem):
@@ -158,5 +172,46 @@ class TestEvolve:
         params = SystemParams(p_align=0.5,
                               equation_variant=EquationVariant.PAPER_LITERAL)
         rho0 = DensityMatrix.from_populations(0.99, 0.0, 0.01, 0.0)
-        with pytest.raises(StepUnstable):
+        with pytest.raises(StepUnstable, match=r"t = 5\.000/gamma "):
             evolve(params, rho0, 200.0)
+
+    @pytest.mark.parametrize("step", [1e100, 1e200])
+    def test_non_finite_divergence_is_detected(self, step):
+        # the components overflow to inf and NaN, which compare false
+        # against any bound
+        with pytest.raises(StepUnstable):
+            evolve(SystemParams(), DensityMatrix.ground(), step, dt=step)
+
+    @pytest.mark.parametrize("variant", list(EquationVariant))
+    @pytest.mark.parametrize("p,delta", [(0.0, 0.0), (0.5, -3.0), (0.99, 10.0)])
+    def test_one_step_is_textbook_rk4_on_the_complex_equations(self, variant, p, delta):
+        params = SystemParams(p_align=p, delta_p=delta, equation_variant=variant)
+        x0 = vectorize(random_hermitian(np.random.default_rng(3)))
+
+        def rhs(x):
+            return vectorize(eom_rhs(params, unvectorize(x)))
+
+        expected = _textbook_rk4_step(rhs, x0, 0.005)
+        rho0 = DensityMatrix.from_vector(x0, check=False)
+        got = evolve(params, rho0, 0.005, dt=0.005).vector()
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_blocks_leftover_steps_and_partial_step_match_stepwise_rk4(self):
+        # 1.2345/gamma at dt = 0.005: one block of 200 steps, 46 leftover
+        # steps and a final partial step of 0.0045
+        params = SystemParams(p_align=0.7, delta_p=2.0)
+        L = build_generator(params)
+        x = DensityMatrix.ground().vector()
+        for _ in range(246):
+            x = _textbook_rk4_step(lambda v: L @ v, x, 0.005)
+        x = _textbook_rk4_step(lambda v: L @ v, x, 1.2345 - 246 * 0.005)
+        got = evolve(params, DensityMatrix.ground(), 1.2345).vector()
+        assert np.max(np.abs(got - x)) < 1e-13
+
+
+def _textbook_rk4_step(rhs, x, h):
+    k1 = rhs(x)
+    k2 = rhs(x + 0.5 * h * k1)
+    k3 = rhs(x + 0.5 * h * k2)
+    k4 = rhs(x + h * k3)
+    return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
