@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import tempfile
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,8 +37,6 @@ class ParseError(ValueError):
 
 MODES = ("point", "sweep-detuning", "sweep-p")
 FORMATS = ("csv", "json")
-VARIANTS = {"corrected": EquationVariant.CORRECTED,
-            "paper": EquationVariant.PAPER_LITERAL}
 
 CSV_COLUMNS = ("axis_value", "re_eps", "im_eps", "re_mu", "im_mu", "re_n",
                "im_n", "re_rho24", "im_rho24", "re_rho32", "im_rho32",
@@ -46,20 +45,9 @@ CSV_COLUMNS = ("axis_value", "re_eps", "im_eps", "re_mu", "im_mu", "re_n",
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run configuration (physical parameters plus run controls)."""
+    """Resolved run configuration: the operating point plus run controls."""
 
-    gamma_unit: float = 1.0e8
-    gamma2: float = 0.8
-    gamma3: float = 0.8
-    gamma4: float = 0.8
-    omega1_bare: float = 10.0
-    omegap_bare: float = 0.2
-    p_align: float = 0.5
-    delta_p: float = 0.0
-    density_n: float = 5.0e24
-    d42: float = 1.0e-29
-    mu23: float = 9.274e-24
-    equations: str = "corrected"
+    params: SystemParams = dataclasses.field(default_factory=SystemParams)
     mode: str = "point"
     d_min: float = -20.0
     d_max: float = 20.0
@@ -75,28 +63,20 @@ class RunConfig:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.format not in FORMATS:
             raise ValidationError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if self.equations not in VARIANTS:
-            raise ValidationError(f"equations must be one of {tuple(VARIANTS)}, got {self.equations!r}")
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
-        self.system_params()  # SystemParams invariants
-
-    def system_params(self) -> SystemParams:
-        return SystemParams(
-            gamma_unit=self.gamma_unit, gamma2=self.gamma2, gamma3=self.gamma3,
-            gamma4=self.gamma4, omega1_bare=self.omega1_bare,
-            omegap_bare=self.omegap_bare, p_align=self.p_align,
-            delta_p=self.delta_p, density_n=self.density_n, d42=self.d42,
-            mu23=self.mu23, equation_variant=VARIANTS[self.equations])
 
 
-_FLOAT_KEYS = ("gamma_unit", "gamma2", "gamma3", "gamma4", "omega1_bare",
-               "omegap_bare", "p_align", "delta_p", "density_n", "d42",
-               "mu23", "d_min", "d_max", "p_min", "p_max")
-_STR_KEYS = ("equations", "mode", "out", "format")
-_INT_KEYS = ("steps",)
-_BOOL_KEYS = ("oracle",)
-_ALL_KEYS = _FLOAT_KEYS + _STR_KEYS + _INT_KEYS + _BOOL_KEYS
+# The config keys, in order: the SystemParams fields, with ``equations``
+# for equation_variant (valued by EquationVariant's values), then the run
+# controls. Each key parses as its field's annotated type.
+_PHYSICAL = {("equations" if f.name == "equation_variant" else f.name): f.name
+             for f in dataclasses.fields(SystemParams)}
+_PARAM_TYPES = typing.get_type_hints(SystemParams)
+_KEY_TYPES = {key: _PARAM_TYPES[name] for key, name in _PHYSICAL.items()}
+_KEY_TYPES.update(typing.get_type_hints(RunConfig))
+del _KEY_TYPES["params"]
+_EQUATIONS = tuple(variant.value for variant in EquationVariant)
 
 
 def _fmt(value) -> str:
@@ -104,6 +84,8 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
+    if isinstance(value, EquationVariant):
+        return value.value
     return str(value)
 
 
@@ -111,13 +93,9 @@ def config_mapping(config: RunConfig) -> dict:
     """All config keys with canonically formatted string values (the
     representation stored in the metadata sidecar; parsing it back yields
     an identical RunConfig)."""
-    out = {}
-    for key in _ALL_KEYS:
-        value = getattr(config, key)
-        if value is None:
-            continue
-        out[key] = _fmt(value)
-    return out
+    values = {key: getattr(config.params, _PHYSICAL[key]) if key in _PHYSICAL
+              else getattr(config, key) for key in _KEY_TYPES}
+    return {key: _fmt(value) for key, value in values.items() if value is not None}
 
 
 def config_text(config: RunConfig) -> str:
@@ -126,15 +104,14 @@ def config_text(config: RunConfig) -> str:
 
 
 def _convert(key: str, raw: str, where: str):
+    kind = _KEY_TYPES[key]
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             if raw not in ("true", "false"):
                 raise ValueError("expected true or false")
             return raw == "true"
+        if kind in (float, int):
+            return kind(raw)
         return raw
     except ValueError as exc:
         raise ParseError(f"{where}: bad value for {key!r}: {raw!r} ({exc})") from exc
@@ -150,10 +127,17 @@ def _parse_config_text(text: str) -> dict:
             raise ParseError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         values[key] = _convert(key, raw, f"line {lineno}")
     return values
+
+
+def _equation_variant(value) -> EquationVariant:
+    try:
+        return EquationVariant(value)
+    except ValueError:
+        raise ValidationError(f"equations must be one of {_EQUATIONS}, got {value!r}") from None
 
 
 def parse_config(text: str | None = None, flags: dict | None = None) -> RunConfig:
@@ -168,11 +152,14 @@ def parse_config(text: str | None = None, flags: dict | None = None) -> RunConfi
         values.update(_parse_config_text(text))
     if flags:
         for key, value in flags.items():
-            if key not in _ALL_KEYS:
+            if key not in _KEY_TYPES:
                 raise ParseError(f"flag: unknown key {key!r}")
             if value is not None:
                 values[key] = value
-    config = RunConfig(**values)
+    physical = {name: values.pop(key) for key, name in _PHYSICAL.items() if key in values}
+    if "equation_variant" in physical:
+        physical["equation_variant"] = _equation_variant(physical["equation_variant"])
+    config = RunConfig(params=SystemParams(**physical), **values)
     config.validate()
     return config
 
@@ -231,10 +218,9 @@ def _oracle_checks(config: RunConfig, table: SweepTable) -> list:
         chosen = pairs
     else:
         chosen = [pairs[0], pairs[len(pairs) // 2], pairs[-1]]
-    field = "delta_p" if table.axis is SweepAxis.DETUNING else "p_align"
     checks = []
     for axis_value, _record in chosen:
-        params = dataclasses.replace(config.system_params(), **{field: axis_value})
+        params = dataclasses.replace(config.params, **{table.axis.field: axis_value})
         entry = {"axis_value": _fmt(axis_value)}
         try:
             settled = evolve(params, DensityMatrix.ground(), DEFAULT_T_FINAL, DEFAULT_DT)
@@ -279,11 +265,11 @@ def run(config: RunConfig) -> int:
     config.validate()
     if config.out is None:
         raise ValidationError("an output path is required (out = <path> or --out)")
-    params = config.system_params()
+    params = config.params
 
     if config.mode == "point":
         record = response_at(params)  # fatal errors propagate in point mode
-        table = SweepTable(axis=SweepAxis.DETUNING, grid=(config.delta_p,),
+        table = SweepTable(axis=SweepAxis.DETUNING, grid=(params.delta_p,),
                            records=(record,), bands=(), failures=())
         table = dataclasses.replace(table, bands=tuple(detect_bands(table)))
     elif config.mode == "sweep-detuning":
@@ -317,8 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p-min", type=float, default=None, dest="p_min")
     parser.add_argument("--p-max", type=float, default=None, dest="p_max")
     parser.add_argument("--steps", type=int, default=None)
-    parser.add_argument("--equations", choices=tuple(VARIANTS), default=None,
-                        help="equation variant (default: corrected)")
+    parser.add_argument("--equations", choices=_EQUATIONS, default=None,
+                        help=f"equation variant (default: {SystemParams.equation_variant.value})")
     parser.add_argument("--oracle", action="store_true", default=None,
                         help="cross-check the linear solve against time integration")
     parser.add_argument("--config", type=Path, default=None,
@@ -332,7 +318,7 @@ def main(argv: list | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text = args.config.read_text(encoding="utf-8") if args.config else None
-        flags = {key: getattr(args, key) for key in _ALL_KEYS if hasattr(args, key)}
+        flags = {key: getattr(args, key) for key in _KEY_TYPES if hasattr(args, key)}
         config = parse_config(text, flags)
         return run(config)
     except (ParseError, ValidationError) as exc:

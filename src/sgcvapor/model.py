@@ -70,12 +70,12 @@ GeneratorMatrix = np.ndarray  # real (16, 16); dx/dt = L @ x
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
     """Map a Hermitian 4x4 matrix to the real 16-vector layout."""
-    rho = np.asarray(rho)
+    flat = np.asarray(rho).reshape(16)
+    upper = flat[_FLAT_UPPER]
     x = np.empty(16)
-    x[:4] = rho.diagonal().real
-    for k, (i, j) in enumerate(_PAIRS):
-        x[4 + 2 * k] = rho[i, j].real
-        x[5 + 2 * k] = rho[i, j].imag
+    x[:4] = flat[_FLAT_DIAG].real
+    x[4::2] = upper.real
+    x[5::2] = upper.imag
     return x
 
 

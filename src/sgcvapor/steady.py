@@ -48,6 +48,9 @@ RESIDUAL_TOL = 1e-10
 DEFAULT_T_FINAL = 200.0   # gamma units
 DEFAULT_DT = 0.005
 DIVERGENCE_BOUND = 10.0   # any |component| beyond this is divergence
+# evolve takes fewer steps than this: floats stop representing every
+# integer at 2**53, so t_final / dt could not be split into whole steps
+MAX_STEPS = 2 ** 53
 
 
 class SingularSystem(RuntimeError):
@@ -233,19 +236,24 @@ def evolve(params: SystemParams, rho0: DensityMatrix, t_final: float,
     final time. The steps are the RK4 propagator of build_generator's L,
     applied a block of steps at a time as one matrix power. Hermiticity is
     exact in the real-component representation; the trace is preserved to
-    about 1e-12.
+    about 1e-12. Raises ValidationError unless dt is positive and finite,
+    t_final non-negative and finite, and t_final / dt below MAX_STEPS.
     """
-    if not dt > 0.0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    if t_final < 0.0:
-        raise ValidationError(f"t_final must be non-negative, got {t_final}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValidationError(f"dt must be positive and finite, got {dt}")
+    if not (t_final >= 0.0 and math.isfinite(t_final)):
+        raise ValidationError(f"t_final must be non-negative and finite, got {t_final}")
 
     n_full, remainder = divmod(t_final, dt)
-    n_full = int(round(n_full))
+    if not n_full < MAX_STEPS:
+        raise ValidationError(
+            f"t_final / dt = {n_full:.3g} steps, must be below 2**53")
+    n_full = int(n_full)
     if remainder < 1e-12 * max(t_final, dt):
         remainder = 0.0
 
-    check_every = max(1, int(round(1.0 / dt)))  # roughly once per 1/gamma
+    # about once per 1/gamma; past MAX_STEPS (1/dt may overflow) no block fits
+    check_every = max(1, round(min(1.0 / dt, MAX_STEPS)))
 
     L = build_generator(params)
     x = vectorize(rho0.m)

@@ -41,6 +41,11 @@ class SweepAxis(enum.Enum):
     DETUNING = "detuning"
     ALIGNMENT = "alignment"
 
+    @property
+    def field(self) -> str:
+        """The SystemParams field the axis sweeps."""
+        return "delta_p" if self is SweepAxis.DETUNING else "p_align"
+
 
 @dataclass(frozen=True)
 class SweepFailure:
@@ -95,12 +100,11 @@ def _uniform_grid(lo: float, hi: float, steps: int) -> np.ndarray:
 
 
 def _run_sweep(axis: SweepAxis, base: SystemParams, grid: np.ndarray) -> SweepTable:
-    field = "delta_p" if axis is SweepAxis.DETUNING else "p_align"
     records = []
     failures = []
     for start in range(0, len(grid), CHUNK_POINTS):
         values = grid[start:start + CHUNK_POINTS]
-        points = [replace(base, **{field: float(value)}) for value in values]
+        points = [replace(base, **{axis.field: float(value)}) for value in values]
         for value, outcome in zip(values, response_at(points)):
             if isinstance(outcome, ResponseRecord):
                 records.append(outcome)

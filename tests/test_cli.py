@@ -1,43 +1,47 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from sgcvapor import ValidationError
-from sgcvapor.cli import (CSV_COLUMNS, ParseError, config_text, main,
-                          parse_config, run)
+from sgcvapor import EquationVariant, SystemParams, ValidationError
+from sgcvapor.cli import (CSV_COLUMNS, ParseError, RunConfig, config_mapping,
+                          config_text, main, parse_config, run)
+
+RUN_CONTROLS = ["mode", "d_min", "d_max", "p_min", "p_max", "steps", "out",
+                "format", "oracle"]
 
 
 class TestParseConfig:
     def test_empty_input_yields_pure_defaults(self):
         cfg = parse_config()
-        assert cfg.gamma_unit == 1.0e8
-        assert cfg.omega1_bare == 10.0
-        assert cfg.omegap_bare == 0.2
-        assert cfg.gamma2 == cfg.gamma3 == cfg.gamma4 == 0.8
-        assert cfg.density_n == 5.0e24
-        assert cfg.p_align == 0.5
-        assert cfg.delta_p == 0.0
-        assert cfg.equations == "corrected"
+        assert cfg.params.gamma_unit == 1.0e8
+        assert cfg.params.omega1_bare == 10.0
+        assert cfg.params.omegap_bare == 0.2
+        assert cfg.params.gamma2 == cfg.params.gamma3 == cfg.params.gamma4 == 0.8
+        assert cfg.params.density_n == 5.0e24
+        assert cfg.params.p_align == 0.5
+        assert cfg.params.delta_p == 0.0
+        assert cfg.params.equation_variant is EquationVariant.CORRECTED
         assert cfg.mode == "point"
         assert cfg.format == "csv"
         assert cfg.oracle is False
 
     def test_file_values_override_defaults(self):
         cfg = parse_config("p_align = 0.2\nsteps = 11\n# comment\n\nmode = sweep-p\n")
-        assert cfg.p_align == 0.2
+        assert cfg.params.p_align == 0.2
         assert cfg.steps == 11
         assert cfg.mode == "sweep-p"
 
     def test_flags_override_file(self):
         cfg = parse_config("p_align = 0.2\ndelta_p = 4", {"p_align": 0.3})
-        assert cfg.p_align == 0.3
-        assert cfg.delta_p == 4.0
+        assert cfg.params.p_align == 0.3
+        assert cfg.params.delta_p == 4.0
 
     def test_none_flags_do_not_override(self):
         cfg = parse_config("p_align = 0.2", {"p_align": None, "steps": None})
-        assert cfg.p_align == 0.2
+        assert cfg.params.p_align == 0.2
 
     def test_alignment_bound_enforced(self):
         with pytest.raises(ValidationError, match="p_align"):
@@ -73,6 +77,37 @@ class TestParseConfig:
     def test_round_trip_of_defaults(self):
         cfg = parse_config()
         assert parse_config(config_text(cfg)) == cfg
+
+    def test_keys_are_system_params_fields_plus_run_controls(self):
+        physical = [f.name for f in dataclasses.fields(SystemParams)]
+        assert physical[-1] == "equation_variant"
+        expected = physical[:-1] + ["equations"] + RUN_CONTROLS
+        # out has no default, so it is absent until set
+        assert list(config_mapping(parse_config())) == [k for k in expected if k != "out"]
+        assert list(config_mapping(parse_config("out = x.csv"))) == expected
+
+    def test_physical_defaults_come_from_system_params(self):
+        mapping = config_mapping(parse_config())
+        for f in dataclasses.fields(SystemParams):
+            default = getattr(SystemParams(), f.name)
+            if f.name == "equation_variant":
+                assert mapping["equations"] == default.value
+            else:
+                assert mapping[f.name] == f"{default:.17g}"
+
+    def test_each_key_parses_as_its_field_type(self):
+        cfg = parse_config("gamma2 = 1\nsteps = 7\noracle = true\nequations = paper\n")
+        assert cfg.params.gamma2 == 1.0 and type(cfg.params.gamma2) is float
+        assert cfg.steps == 7 and type(cfg.steps) is int
+        assert cfg.oracle is True
+        assert cfg.params.equation_variant is EquationVariant.PAPER_LITERAL
+        assert cfg == RunConfig(params=SystemParams(
+            gamma2=1.0, equation_variant=EquationVariant.PAPER_LITERAL), steps=7, oracle=True)
+
+    def test_unknown_equations_in_file_rejected(self):
+        with pytest.raises(ValidationError,
+                           match=r"^equations must be one of \('corrected', 'paper'\), got 'foo'$"):
+            parse_config("equations = foo\n")
 
 
 class TestRun:

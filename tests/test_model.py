@@ -24,6 +24,17 @@ def _unvectorize_reference(x):
     return rho
 
 
+def _vectorize_reference(rho):
+    """Element-by-element vectorize, the reference for vectorize."""
+    x = np.empty(16)
+    x[:4] = rho.diagonal().real
+    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    for k, (i, j) in enumerate(pairs):
+        x[4 + 2 * k] = rho[i, j].real
+        x[5 + 2 * k] = rho[i, j].imag
+    return x
+
+
 class TestDensityMatrix:
     def test_ground_state_is_valid(self):
         rho = DensityMatrix.ground()
@@ -57,6 +68,16 @@ class TestDensityMatrix:
             ref = _unvectorize_reference(x)
             assert unvectorize(x).tobytes() == ref.tobytes()
             assert m.tobytes() == ref.tobytes()
+
+    def test_vectorize_matches_elementwise_reference_bitwise(self):
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            rho = random_hermitian(rng)
+            assert vectorize(rho).tobytes() == _vectorize_reference(rho).tobytes()
+        # signed zeros survive the gather
+        X = rng.choice([0.0, -0.0, 0.5, -0.5, 1e-300, -3.0], size=(200, 16))
+        for rho in unvectorize(X):
+            assert vectorize(rho).tobytes() == _vectorize_reference(rho).tobytes()
 
     def test_unvectorize_is_hermitian_by_construction(self):
         rng = np.random.default_rng(8)

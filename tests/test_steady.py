@@ -167,6 +167,17 @@ class TestEvolve:
             evolve(p, DensityMatrix.ground(), 1.0, dt=0.0)
         with pytest.raises(ValidationError):
             evolve(p, DensityMatrix.ground(), -1.0)
+        for t_final, dt in [(float("nan"), 0.005), (float("inf"), 0.005),
+                            (1.0, float("nan")), (1.0, float("inf")),
+                            (1e300, 1e-10), (1e20, 1e-3), (1.0, 1e-320)]:
+            with pytest.raises(ValidationError):
+                evolve(p, DensityMatrix.ground(), t_final, dt=dt)
+
+    def test_no_steps_for_a_zero_horizon(self):
+        # 1/dt overflows here; no step is taken and rho0 comes back
+        rho0 = DensityMatrix.from_populations(0.5, 0.25, 0.125, 0.125)
+        rho = evolve(SystemParams(), rho0, 0.0, dt=1e-320)
+        assert np.array_equal(rho.m, rho0.m)
 
     def test_paper_literal_diverges_from_populated_upper_level(self):
         params = SystemParams(p_align=0.5,
