@@ -44,9 +44,9 @@ def effective_rabi(omega_bare: float, p_align: float) -> float:
     Each field acts on a single transition only, which costs a factor
     sqrt(1 - p^2): the coupling vanishes at full alignment |p| = 1.
 
-    Raises ValidationError if |p_align| > 1.
+    Raises ValidationError unless |p_align| <= 1 (NaN included).
     """
-    if abs(p_align) > 1.0:
+    if not abs(p_align) <= 1.0:
         raise ValidationError(f"|p_align| must be <= 1, got {p_align}")
     if abs(p_align) == 1.0:
         return 0.0
@@ -88,7 +88,7 @@ class SystemParams:
                 raise ValidationError(f"{name} must be finite")
         if self.omega1_bare < 0.0 or self.omegap_bare < 0.0:
             raise ValidationError("bare Rabi frequencies must be non-negative")
-        if abs(self.p_align) > 1.0:
+        if not abs(self.p_align) <= 1.0:
             raise ValidationError(f"|p_align| must be <= 1, got {self.p_align}")
         if not isinstance(self.equation_variant, EquationVariant):
             raise ValidationError(f"equation_variant must be an EquationVariant, got {self.equation_variant!r}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import SystemParams
-from .steady import steady_state
+from .steady import _only, steady_state
 
 # CODATA 2018 / SI 2019 exact-based values.
 HBAR = 1.054571817e-34       # J s
@@ -40,8 +40,9 @@ LOCAL_FIELD_POLE_TOL = 1e-12
 
 
 class DegenerateProbe(ZeroDivisionError):
-    """|p_align| = 1 makes the effective probe coupling vanish; the
-    response per unit probe field is undefined there."""
+    """The effective probe coupling vanishes (at |p_align| = 1 or
+    omegap_bare = 0); the response per unit probe field is undefined
+    there."""
 
 
 class LocalFieldPole(ArithmeticError):
@@ -76,12 +77,25 @@ class ResponseRecord:
     handedness: Handedness
 
 
-def electric_polarizability(rho24: complex, params: SystemParams) -> complex:
-    """Electric polarizability volume (m^3) from the 2-4 coherence."""
+def _probe_rabi_si(params: SystemParams) -> float:
+    """The effective probe Rabi frequency in SI rad/s, the field per unit
+    of which the polarizabilities are taken; DegenerateProbe names why it
+    is zero."""
     omegap_si = params.omegap_si
     if omegap_si == 0.0:
-        raise DegenerateProbe("effective probe Rabi frequency is zero at |p_align| = 1")
-    return 2.0 * params.d42 ** 2 * rho24 / (EPSILON_0 * HBAR * omegap_si)
+        if abs(params.p_align) == 1.0:
+            cause = "at |p_align| = 1"
+        elif params.omegap_bare == 0.0:
+            cause = "at omegap_bare = 0"
+        else:
+            cause = "by underflow of omegap_bare * sqrt(1 - p_align^2) * gamma_unit"
+        raise DegenerateProbe(f"effective probe Rabi frequency is zero {cause}")
+    return omegap_si
+
+
+def electric_polarizability(rho24: complex, params: SystemParams) -> complex:
+    """Electric polarizability volume (m^3) from the 2-4 coherence."""
+    return 2.0 * params.d42 ** 2 * rho24 / (EPSILON_0 * HBAR * _probe_rabi_si(params))
 
 
 def magnetic_polarizability(rho32: complex, params: SystemParams) -> complex:
@@ -90,10 +104,8 @@ def magnetic_polarizability(rho32: complex, params: SystemParams) -> complex:
     Uses the probe magnetic amplitude B_p = E_p/c with E_p = hbar*Omega_p/d42,
     so the electric dipole moment enters the conversion.
     """
-    omegap_si = params.omegap_si
-    if omegap_si == 0.0:
-        raise DegenerateProbe("effective probe Rabi frequency is zero at |p_align| = 1")
-    return 2.0 * MU_0 * params.mu23 * rho32 * C_LIGHT * params.d42 / (HBAR * omegap_si)
+    return (2.0 * MU_0 * params.mu23 * rho32 * C_LIGHT * params.d42
+            / (HBAR * _probe_rabi_si(params)))
 
 
 def permittivity(gamma_e: complex, density_n: float) -> complex:
@@ -177,22 +189,23 @@ def response_at(params):
     record of point i, or the exception it would raise alone, returned
     instead of raised.
     """
-    if isinstance(params, SystemParams):
-        if abs(params.p_align) >= 1.0:
-            raise DegenerateProbe(_DEGENERATE)
-        return _record(params, steady_state(params))
-    out = [DegenerateProbe(_DEGENERATE) if abs(p.p_align) >= 1.0 else None for p in params]
+    single = isinstance(params, SystemParams)
+    points = [params] if single else params
+    out = [DegenerateProbe(_DEGENERATE) if abs(p.p_align) >= 1.0 else None for p in points]
     live = [i for i, o in enumerate(out) if o is None]
-    for i, state in zip(live, steady_state([params[i] for i in live])):
+    for i, state in zip(live, steady_state([points[i] for i in live])):
         if isinstance(state, Exception):
             out[i] = state
             continue
         try:
-            out[i] = _record(params[i], state)
+            out[i] = _record(points[i], state)
         except (DegenerateProbe, LocalFieldPole) as exc:
             # its traceback would hold this frame, and so ``out``, in a cycle
             out[i] = exc.with_traceback(None)
-    return out
+    # the traceback of the exception _only raises holds this frame: it must
+    # not refer back to that exception
+    state = None
+    return _only(out) if single else out
 
 
 def _record(params: SystemParams, rho) -> ResponseRecord:

@@ -87,31 +87,23 @@ class StepUnstable(RuntimeError):
     was not finite)."""
 
 
-def _solve_trace_normalized(L: np.ndarray):
+def _solve_trace_normalized(L: np.ndarray) -> list:
     """Solve L x = 0 subject to unit trace via rho11-row replacement.
 
-    For one generator (16, 16), returns x or raises SingularSystem. For a
-    stack (N, 16, 16), returns a list whose item i is the x of row i or
-    its SingularSystem, returned rather than raised, so one bad row costs
-    the others nothing. The condition numbers and the LU solve are one
-    batched call each, and only rows that pass the condition gate are
-    solved; the gates themselves are applied row by row in the arithmetic
-    of a single solve, so each row's x is bitwise its lone solve's.
+    ``L`` is a stack (N, 16, 16) of generators. Returns a list whose item
+    i is the x of row i or its SingularSystem, returned rather than
+    raised, so one bad row costs the others nothing. The condition numbers
+    and the LU solve are one batched call each, and only rows that pass
+    the condition gate are solved; the gates themselves are applied row by
+    row in the arithmetic of a single solve, so each row's x is bitwise
+    its solve as a stack of one.
     """
-    single = L.ndim == 2
-    stack = L[None] if single else L
-    A = stack.copy()
+    A = L.copy()
     A[:, IDX_N1, :] = 0.0
     A[:, IDX_N1, [IDX_N1, IDX_N2, IDX_N3, IDX_N4]] = 1.0
     out = [None] * len(A)
-    try:
-        conds = np.linalg.cond(A, 1).tolist()
-    except np.linalg.LinAlgError:
-        # raised for the stack as a whole (a singular row gives cond = inf)
-        out = [SingularSystem("condition estimate failed; system is singular") for _ in A]
-        conds = []
     passed = []
-    for i, cond in enumerate(conds):
+    for i, cond in enumerate(np.linalg.cond(A, 1).tolist()):
         if not math.isfinite(cond) or cond > CONDITION_FAIL:
             out[i] = SingularSystem(
                 f"trace-constrained system is rank-deficient (cond ~ {cond:.2e})")
@@ -122,33 +114,23 @@ def _solve_trace_normalized(L: np.ndarray):
         passed.append(i)
 
     X = np.empty((0, 16))
-    lu_errors = {}
     if passed:
         # b as an (n, 16, 1) stack: numpy 1.x rejects a 1-D b against a stack
         b = np.zeros((len(passed), 16, 1))
         b[:, IDX_N1, 0] = 1.0
-        try:
-            X = np.linalg.solve(A[passed], b)[..., 0]
-        except np.linalg.LinAlgError:
-            # the error names no row: solve the rows one at a time
-            X = np.full((len(passed), 16), np.nan)
-            for k, i in enumerate(passed):
-                try:
-                    X[k] = np.linalg.solve(A[i], b[k, :, 0])
-                except np.linalg.LinAlgError as exc:
-                    lu_errors[i] = str(exc)
+        # cond(A, 1) inverts each row by the same LU (gesv) as this solve,
+        # and a zero pivot there makes cond inf: every row left here solves
+        X = np.linalg.solve(A[passed], b)[..., 0]
 
     # Euclidean norms as np.linalg.norm takes them, sqrt(v @ v), without
     # its per-call overhead; L is flattened for its Frobenius norm
-    flat = stack.reshape(len(stack), -1)
+    flat = L.reshape(len(L), -1)
     for i, x, finite in zip(passed, X, np.isfinite(X).all(axis=1)):
-        if i in lu_errors:
-            out[i] = SingularSystem(f"LU solve failed: {lu_errors[i]}")
-        elif not finite:
+        if not finite:
             out[i] = SingularSystem("solution has non-finite entries")
         else:
             # residual on the 15 rows that still belong to L
-            resid = stack[i] @ x
+            resid = L[i] @ x
             resid[IDX_N1] = 0.0
             norm = math.sqrt(resid @ resid)
             if norm > RESIDUAL_TOL * math.sqrt(flat[i] @ flat[i]):
@@ -156,7 +138,7 @@ def _solve_trace_normalized(L: np.ndarray):
                     f"steady-state residual {norm:.2e} exceeds {RESIDUAL_TOL:.0e} * ||L||")
             else:
                 out[i] = x
-    return _only(out) if single else out
+    return out
 
 
 def steady_state(params):

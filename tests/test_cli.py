@@ -232,6 +232,13 @@ class TestMain:
         assert code == 2
         assert "p_align" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["point", "sweep-detuning"])
+    def test_nan_alignment_exit_two(self, tmp_path, capsys, mode):
+        out = tmp_path / "x.csv"
+        assert main(["--mode", mode, "--p", "nan", "--out", str(out)]) == 2
+        assert "|p_align| must be <= 1, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_out_exit_two(self, capsys):
         assert main(["--mode", "point"]) == 2
 

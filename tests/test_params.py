@@ -20,6 +20,11 @@ class TestEffectiveRabi:
         with pytest.raises(ValidationError):
             effective_rabi(1.0, 1.5)
 
+    def test_nan_alignment_rejected(self):
+        # NaN fails every comparison, so a bound written as abs(p) > 1 lets it by
+        with pytest.raises(ValidationError, match="got nan"):
+            effective_rabi(1.0, math.nan)
+
     def test_even_in_p(self):
         assert effective_rabi(3.0, 0.4) == effective_rabi(3.0, -0.4)
 
@@ -49,7 +54,7 @@ class TestSystemParams:
         dict(gamma2=0.0), dict(gamma3=-0.1), dict(density_n=0.0),
         dict(d42=-1e-29), dict(mu23=0.0), dict(p_align=1.0001),
         dict(p_align=-2.0), dict(omega1_bare=-1.0),
-        dict(delta_p=math.inf), dict(gamma_unit=math.nan),
+        dict(delta_p=math.inf), dict(gamma_unit=math.nan), dict(p_align=math.nan),
     ])
     def test_invariant_violations_rejected(self, bad):
         with pytest.raises(ValidationError):

@@ -173,6 +173,18 @@ class TestResponseAt:
         assert isinstance(unphysical, NonPhysicalState)
         assert response_at([]) == []
 
+    def test_zero_bare_probe_names_its_cause(self):
+        with pytest.raises(DegenerateProbe,
+                           match=r"^effective probe Rabi frequency is zero at omegap_bare = 0$"):
+            response_at(SystemParams(omegap_bare=0.0, p_align=0.5))
+        # the |p_align| = 1 check before the solve keeps its own text
+        with pytest.raises(DegenerateProbe, match=r"^response is undefined at \|p_align\| = 1$"):
+            response_at(SystemParams(omegap_bare=0.0, p_align=1.0))
+        with pytest.raises(DegenerateProbe, match=r"at \|p_align\| = 1$"):
+            electric_polarizability(0j, SystemParams(p_align=-1.0))
+        with pytest.raises(DegenerateProbe, match="underflow"):
+            magnetic_polarizability(0j, SystemParams(gamma_unit=5e-324))
+
     def test_sequence_errors_leave_no_reference_cycles(self):
         # omegap_bare = 0 solves, then fails in the mapping
         points = [SystemParams(omegap_bare=0.0, delta_p=d) for d in (-1.0, 0.0, 1.0)]
@@ -182,6 +194,22 @@ class TestResponseAt:
             out = response_at(points)
             assert all(isinstance(o, DegenerateProbe) for o in out)
             del out
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_single_point_errors_leave_no_reference_cycles(self):
+        # raised from the solve, from the check before it, and from the mapping
+        calls = [(SystemParams(p_align=0.5, equation_variant=EquationVariant.PAPER_LITERAL),
+                  NonPhysicalState),
+                 (SystemParams(p_align=1.0), DegenerateProbe),
+                 (SystemParams(omegap_bare=0.0), DegenerateProbe)]
+        gc.collect()
+        gc.disable()
+        try:
+            for params, error in calls:
+                with pytest.raises(error):
+                    response_at(params)
             assert gc.collect() == 0
         finally:
             gc.enable()

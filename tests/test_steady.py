@@ -8,6 +8,7 @@ from sgcvapor import (DensityMatrix, EquationVariant, NonPhysicalState,
                       SingularSystem, StepUnstable, SystemParams,
                       ValidationError, build_generator, eom_rhs, evolve,
                       steady_state)
+from sgcvapor import steady
 from sgcvapor.model import unvectorize, vectorize
 from sgcvapor.steady import _solve_trace_normalized
 
@@ -98,13 +99,13 @@ class TestSteadyState:
         assert str(NonPhysicalState("in range", error.state)) == "in range"
 
     def test_singular_system_detected(self):
-        with pytest.raises(SingularSystem):
-            _solve_trace_normalized(np.zeros((16, 16)))
+        (error,) = _solve_trace_normalized(np.zeros((1, 16, 16)))
+        assert isinstance(error, SingularSystem)
 
     def test_ill_conditioned_solve_warns(self):
         L = np.diag([0.0, -1.0, -1.0, -1.0] + [-1e-13] * 12)
         with pytest.warns(RuntimeWarning, match="ill-conditioned"):
-            _solve_trace_normalized(L)
+            _solve_trace_normalized(L[None])
 
     def test_stacked_rows_fail_and_warn_independently(self):
         regular = build_generator(SystemParams(p_align=0.5, delta_p=3.0))
@@ -113,19 +114,42 @@ class TestSteadyState:
             warnings.simplefilter("always")
             out = _solve_trace_normalized(np.stack([regular, np.zeros((16, 16)), ill]))
         assert len(out) == 3
-        assert out[0].tobytes() == _solve_trace_normalized(regular).tobytes()
+        assert out[0].tobytes() == _solve_trace_normalized(regular[None])[0].tobytes()
         assert [isinstance(x, SingularSystem) for x in out] == [False, True, False]
         ill_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)
                         and "ill-conditioned" in str(w.message)]
         assert len(ill_warnings) == 1
 
+    def test_degenerate_rows_fail_the_condition_gate_without_raising(self):
+        # the gate is what keeps the batched LU from raising: a row it
+        # passes has no zero pivot, so every kind of bad row must fail it
+        regular = build_generator(SystemParams(p_align=0.5, delta_p=3.0))
+        # a zero column: np.linalg.solve raises for this row alone
+        rank_deficient = regular.copy()
+        rank_deficient[:, 5] = 0.0
+        stack = np.stack([np.zeros((16, 16)), np.full((16, 16), np.nan),
+                          np.full((16, 16), np.inf), rank_deficient, regular])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            *bad, x = _solve_trace_normalized(stack)
+        for error in bad:
+            assert isinstance(error, SingularSystem)
+            assert str(error).startswith("trace-constrained system is rank-deficient")
+        assert x.tobytes() == _solve_trace_normalized(regular[None])[0].tobytes()
 
-    def test_raised_errors_leave_no_reference_cycles(self):
+    def test_raised_errors_leave_no_reference_cycles(self, monkeypatch):
         # a cycle through the traceback would keep every raised exception,
         # and the arrays its frames hold, alive until a full collection
         literal = SystemParams(p_align=0.5, equation_variant=EquationVariant.PAPER_LITERAL)
+
+        def singular():
+            with monkeypatch.context() as patch:
+                patch.setattr(steady, "build_generator",
+                              lambda points: np.zeros((len(points), 16, 16)))
+                steady_state(SystemParams())
+
         calls = ((lambda: steady_state(literal), NonPhysicalState),
-                 (lambda: _solve_trace_normalized(np.zeros((16, 16))), SingularSystem))
+                 (singular, SingularSystem))
         gc.collect()
         gc.disable()
         try:
