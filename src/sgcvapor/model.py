@@ -31,14 +31,17 @@ Re rho34, Im rho34) with pairs ordered (1,2), (1,3), (1,4), (2,3), (2,4),
 (3,4).  ``build_generator`` scatters L from a table of the terms of the
 expanded real equations, independently of the complex-arithmetic
 ``eom_rhs``, so the two routes cross-check each other; for a sequence of
-operating points it builds the (N, 16, 16) stack in one scatter.
+operating points it builds the (N, 16, 16) stack in one scatter. The
+scatter works from an (N, 11) table of per-point rates; for a sweep's
+``PointsAlong`` only the columns that vary along the sweep are computed,
+and no SystemParams is built per point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .params import SystemParams, EquationVariant, ValidationError
+from .params import PointsAlong, SystemParams, EquationVariant, ValidationError
 
 # Vectorization layout: 4 populations then Re/Im of the 6 upper coherences.
 IDX_N1, IDX_N2, IDX_N3, IDX_N4 = 0, 1, 2, 3
@@ -123,6 +126,14 @@ class DensityMatrix:
     def from_vector(cls, x: np.ndarray, check: bool = True) -> "DensityMatrix":
         return cls(unvectorize(x), check=check)
 
+    @classmethod
+    def _view(cls, m: np.ndarray) -> "DensityMatrix":
+        """An unchecked state on the complex 4x4 array ``m`` itself, not on
+        a copy (``steady_state`` hands out rows of one stack this way)."""
+        state = cls.__new__(cls)
+        state.m = m
+        return state
+
     def vector(self) -> np.ndarray:
         return vectorize(self.m)
 
@@ -142,12 +153,12 @@ class DensityMatrix:
     @property
     def rho24(self) -> complex:
         """Coherence driving the electric dipole response."""
-        return complex(self.m[1, 3])
+        return self.m.item(1, 3)
 
     @property
     def rho32(self) -> complex:
         """Coherence driving the magnetic dipole response (= conj(rho23))."""
-        return complex(self.m[2, 1])
+        return self.m.item(2, 1)
 
     def __repr__(self) -> str:
         pops = ", ".join(f"{v:.6f}" for v in self.m.diagonal().real)
@@ -291,6 +302,24 @@ def _rates(params: SystemParams) -> tuple:
             params.omega1, params.omegap, params.sgc_rate, params.delta_p)
 
 
+# the columns of _RATE_NAMES that vary from point to point along a sweep,
+# and the SystemParams attribute each one is
+_POINT_RATES = tuple((_RATE_NAMES.index(name), attr) for name, attr in
+                     (("w1", "omega1"), ("wp", "omegap"), ("q", "sgc_rate"), ("d", "delta_p")))
+
+
+def _rate_table(points) -> np.ndarray:
+    """The (N, 11) table of _rates of a sequence of N SystemParams."""
+    if isinstance(points, PointsAlong):
+        rates = np.empty((len(points), len(_RATE_NAMES)))
+        rates[:] = _rates(points.base)
+        for col, attr in _POINT_RATES:
+            rates[:, col] = points.column(attr)
+        return rates
+    rates = np.array([_rates(p) for p in points], dtype=float)
+    return rates.reshape(len(points), len(_RATE_NAMES))   # also for no points
+
+
 def build_generator(params) -> GeneratorMatrix:
     """Real 16x16 generator L with dx/dt = L x.
 
@@ -302,12 +331,10 @@ def build_generator(params) -> GeneratorMatrix:
     stay independent cross-checks of each other.
     """
     single = isinstance(params, SystemParams)
-    points = (params,) if single else params
-    rates = np.array([_rates(p) for p in points], dtype=float)
-    rates = rates.reshape(len(points), len(_RATE_NAMES))   # also for no points
-    L = np.zeros((len(points), 16 * 16))
+    rates = _rate_table((params,) if single else params)
+    L = np.zeros((len(rates), 16 * 16))
     L[:, _TERM_FLAT] = rates[:, _TERM_RATES] * _TERM_COEFS
-    L = L.reshape(len(points), 16, 16)
+    L = L.reshape(len(rates), 16, 16)
     # trace-conserving completion of the rho22 row
     L[:, IDX_N2, :] = -(L[:, IDX_N1, :] + L[:, IDX_N3, :] + L[:, IDX_N4, :])
     return L[0] if single else L

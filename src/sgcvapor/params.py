@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 
 
 class ValidationError(ValueError):
@@ -98,20 +99,96 @@ class SystemParams:
     @property
     def omega1(self) -> float:
         """Effective coupling Rabi frequency (gamma units)."""
-        return effective_rabi(self.omega1_bare, self.p_align)
+        return _omega1(self, self.p_align)
 
     @property
     def omegap(self) -> float:
         """Effective probe Rabi frequency (gamma units)."""
-        return effective_rabi(self.omegap_bare, self.p_align)
+        return _omegap(self, self.p_align)
 
     @property
     def omegap_si(self) -> float:
         """Effective probe Rabi frequency in SI rad/s."""
-        return self.omegap * self.gamma_unit
+        return _omegap_si(self, self.p_align)
 
     @property
     def sgc_rate(self) -> float:
         """Cross-damping rate p*sqrt(gamma3*gamma4) of the interfering decay
         channels (gamma units, carries the sign of p)."""
-        return self.p_align * math.sqrt(self.gamma3 * self.gamma4)
+        return _sgc_rate(self, self.p_align)
+
+
+# The derived values that depend on p_align, as functions of a point and a
+# p_align value: the properties above take the point's own, a PointsAlong
+# of p_align each grid value.
+def _omega1(point: SystemParams, p_align: float) -> float:
+    return effective_rabi(point.omega1_bare, p_align)
+
+
+def _omegap(point: SystemParams, p_align: float) -> float:
+    return effective_rabi(point.omegap_bare, p_align)
+
+
+def _omegap_si(point: SystemParams, p_align: float) -> float:
+    return _omegap(point, p_align) * point.gamma_unit
+
+
+def _sgc_rate(point: SystemParams, p_align: float) -> float:
+    return p_align * math.sqrt(point.gamma3 * point.gamma4)
+
+
+# per swept field, the derived values that vary with it
+_DEPENDENT = {
+    "delta_p": {},
+    "p_align": {"omega1": _omega1, "omegap": _omegap, "omegap_si": _omegap_si,
+                "sgc_rate": _sgc_rate},
+}
+
+
+class PointsAlong:
+    """The operating points of ``base`` with ``field`` ("delta_p" or
+    "p_align") set to each of ``values`` (a 1-D array) in turn.
+
+    A sequence of SystemParams that builds an item only when it is
+    indexed or iterated: the layers that take a sequence of points read
+    it a whole column at a time through :func:`columns`, so a sweep makes
+    no SystemParams per point. The values are not validated here; the
+    caller must check them as ``SystemParams`` would.
+    """
+
+    def __init__(self, base: SystemParams, field: str, values):
+        self.base = base
+        self.field = field
+        self.values = values
+        self._dependent = _DEPENDENT[field]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i) -> SystemParams:
+        return replace(self.base, **{self.field: float(self.values[i])})
+
+    def column(self, name: str) -> list:
+        """The attribute ``name`` of each point, as a list of floats."""
+        if name == self.field:
+            return self.values.tolist()
+        derive = self._dependent.get(name)
+        if derive is None:
+            return [getattr(self.base, name)] * len(self.values)
+        return [derive(self.base, v) for v in self.values.tolist()]
+
+
+def columns(points, names) -> list:
+    """For each of ``names`` (two or more), that attribute of each of
+    ``points`` (a sequence of SystemParams), as a sequence."""
+    if isinstance(points, PointsAlong):
+        return [points.column(name) for name in names]
+    return list(zip(*map(operator.attrgetter(*names), points))) or [()] * len(names)
+
+
+def take(points, rows: list):
+    """The points of ``points`` at the indices ``rows``, as a sequence of
+    the same kind."""
+    if isinstance(points, PointsAlong):
+        return PointsAlong(points.base, points.field, points.values[rows])
+    return [points[i] for i in rows]

@@ -18,6 +18,14 @@ index is n = sqrt(eps_r) sqrt(mu_r) with each factor on the principal
 branch and the overall sign fixed by passivity, Im(n) >= 0; for a
 double-negative (left-handed) medium with small losses this reproduces
 n = -sqrt(eps_r mu_r).
+
+``response_at`` on a sequence of points is also what a sweep runs, on
+a ``params.PointsAlong`` of its grid: it reads the few values the mapping
+needs besides the steady state a column at a time (``_MAPPING_FIELDS``),
+fails points with a zero probe coupling before the solve, solves the rest
+as one stack with ``steady_state`` and maps each state through the scalar
+functions below, fed with plain floats. No SystemParams is built per
+point of a sweep.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SystemParams
+from .params import SystemParams, columns, take
 from .steady import _only, steady_state
 
 # CODATA 2018 / SI 2019 exact-based values.
@@ -77,25 +85,34 @@ class ResponseRecord:
     handedness: Handedness
 
 
+def _degenerate_probe(p_align: float, omegap_bare: float) -> DegenerateProbe:
+    """The DegenerateProbe of a zero effective probe Rabi frequency, naming
+    why it is zero."""
+    if abs(p_align) == 1.0:
+        cause = "at |p_align| = 1"
+    elif omegap_bare == 0.0:
+        cause = "at omegap_bare = 0"
+    else:
+        cause = "by underflow of omegap_bare * sqrt(1 - p_align^2) * gamma_unit"
+    return DegenerateProbe(f"effective probe Rabi frequency is zero {cause}")
+
+
 def _probe_rabi_si(params: SystemParams) -> float:
     """The effective probe Rabi frequency in SI rad/s, the field per unit
-    of which the polarizabilities are taken; DegenerateProbe names why it
-    is zero."""
+    of which the polarizabilities are taken."""
     omegap_si = params.omegap_si
     if omegap_si == 0.0:
-        if abs(params.p_align) == 1.0:
-            cause = "at |p_align| = 1"
-        elif params.omegap_bare == 0.0:
-            cause = "at omegap_bare = 0"
-        else:
-            cause = "by underflow of omegap_bare * sqrt(1 - p_align^2) * gamma_unit"
-        raise DegenerateProbe(f"effective probe Rabi frequency is zero {cause}")
+        raise _degenerate_probe(params.p_align, params.omegap_bare)
     return omegap_si
 
 
 def electric_polarizability(rho24: complex, params: SystemParams) -> complex:
     """Electric polarizability volume (m^3) from the 2-4 coherence."""
-    return 2.0 * params.d42 ** 2 * rho24 / (EPSILON_0 * HBAR * _probe_rabi_si(params))
+    return _electric(rho24, params.d42, _probe_rabi_si(params))
+
+
+def _electric(rho24: complex, d42: float, omegap_si: float) -> complex:
+    return 2.0 * d42 ** 2 * rho24 / (EPSILON_0 * HBAR * omegap_si)
 
 
 def magnetic_polarizability(rho32: complex, params: SystemParams) -> complex:
@@ -104,8 +121,11 @@ def magnetic_polarizability(rho32: complex, params: SystemParams) -> complex:
     Uses the probe magnetic amplitude B_p = E_p/c with E_p = hbar*Omega_p/d42,
     so the electric dipole moment enters the conversion.
     """
-    return (2.0 * MU_0 * params.mu23 * rho32 * C_LIGHT * params.d42
-            / (HBAR * _probe_rabi_si(params)))
+    return _magnetic(rho32, params.d42, params.mu23, _probe_rabi_si(params))
+
+
+def _magnetic(rho32: complex, d42: float, mu23: float, omegap_si: float) -> complex:
+    return 2.0 * MU_0 * mu23 * rho32 * C_LIGHT * d42 / (HBAR * omegap_si)
 
 
 def permittivity(gamma_e: complex, density_n: float) -> complex:
@@ -176,30 +196,44 @@ def classify_handedness(eps_r: complex, mu_r: complex) -> Handedness:
 
 _DEGENERATE = "response is undefined at |p_align| = 1"
 
+# What the response of a point needs besides its steady state, read from
+# the points a whole column at a time (``params.columns``).
+_MAPPING_FIELDS = ("p_align", "delta_p", "omegap_bare", "omegap_si", "d42", "mu23",
+                   "density_n")
+
 
 def response_at(params):
     """Solve the steady state and map it to the macroscopic response.
 
     Propagates SingularSystem / NonPhysicalState from the solver,
-    DegenerateProbe at |p_align| = 1, and LocalFieldPole at a
-    Clausius-Mossotti divergence.
+    DegenerateProbe at |p_align| = 1 or a zero probe coupling, and
+    LocalFieldPole at a Clausius-Mossotti divergence.
 
     ``params`` may also be a sequence of SystemParams, whose steady states
     are solved as one stack: the result is then a list whose item i is the
     record of point i, or the exception it would raise alone, returned
-    instead of raised.
+    instead of raised. Points with a zero probe coupling fail before the
+    solve.
     """
     single = isinstance(params, SystemParams)
     points = [params] if single else params
-    out = [DegenerateProbe(_DEGENERATE) if abs(p.p_align) >= 1.0 else None for p in points]
+    p_align, delta_p, omegap_bare, omegap_si, d42, mu23, density_n = columns(
+        points, _MAPPING_FIELDS)
+    out = [None] * len(points)
+    for i, (p, w) in enumerate(zip(p_align, omegap_si)):
+        if abs(p) >= 1.0:
+            out[i] = DegenerateProbe(_DEGENERATE)
+        elif w == 0.0:
+            out[i] = _degenerate_probe(p, omegap_bare[i])
     live = [i for i, o in enumerate(out) if o is None]
-    for i, state in zip(live, steady_state([points[i] for i in live])):
+    for i, state in zip(live, steady_state(take(points, live))):
         if isinstance(state, Exception):
             out[i] = state
             continue
         try:
-            out[i] = _record(points[i], state)
-        except (DegenerateProbe, LocalFieldPole) as exc:
+            out[i] = _record(state.rho24, state.rho32, omegap_si[i], d42[i], mu23[i],
+                             density_n[i], delta_p[i], p_align[i])
+        except LocalFieldPole as exc:
             # its traceback would hold this frame, and so ``out``, in a cycle
             out[i] = exc.with_traceback(None)
     # the traceback of the exception _only raises holds this frame: it must
@@ -208,18 +242,17 @@ def response_at(params):
     return _only(out) if single else out
 
 
-def _record(params: SystemParams, rho) -> ResponseRecord:
-    """The response at ``params`` of its steady state ``rho``."""
-    rho24 = rho.rho24
-    rho32 = rho.rho32
-    ge = electric_polarizability(rho24, params)
-    gm = magnetic_polarizability(rho32, params)
-    eps_r = permittivity(ge, params.density_n)
-    mu_r = permeability(gm, params.density_n)
+def _record(rho24: complex, rho32: complex, omegap_si: float, d42: float,
+            mu23: float, density_n: float, delta_p: float, p_align: float) -> ResponseRecord:
+    """The response of one point from its coherences and mapping values."""
+    ge = _electric(rho24, d42, omegap_si)
+    gm = _magnetic(rho32, d42, mu23, omegap_si)
+    eps_r = permittivity(ge, density_n)
+    mu_r = permeability(gm, density_n)
     n = refractive_index(eps_r, mu_r)
     return ResponseRecord(
-        delta_p=params.delta_p,
-        p_align=params.p_align,
+        delta_p=delta_p,
+        p_align=p_align,
         rho24=rho24,
         rho32=rho32,
         gamma_e=ge,

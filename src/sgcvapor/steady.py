@@ -9,11 +9,18 @@ resulting square system by dense LU with partial pivoting.
 The solve is array-valued: ``steady_state`` also takes a sequence of
 operating points, assembles their generators as one (N, 16, 16) stack and
 makes one batched condition estimate and one batched LU solve for it. The
-gates (condition, residual, trace, populations) are applied row by row,
-and a row that fails one of them gets its SingularSystem or
+residual, trace and population gates are array operations on the whole
+stack too; only a row that fails a gate, or whose batched residual lies
+too close to the bound to decide, is looked at by itself, in the
+arithmetic of a single solve. A row that fails gets its SingularSystem or
 NonPhysicalState as its item of the result instead of a state; the other
 rows are unaffected. A single SystemParams is the one-point case, and its
-exception is raised.
+exception is raised. The core, ``_solve_trace_normalized``, hands back
+the unit-trace x rows, and ``steady_state`` hands out each row as a
+DensityMatrix on its slice of one unvectorized stack, not on a copy. The
+ill-conditioning RuntimeWarning names the first caller outside this
+package: the line that called ``steady_state``, ``response_at`` or a
+sweep.
 
 ``evolve`` integrates the same equations of motion with classical
 fixed-step fourth-order Runge-Kutta and serves as an independent check: for
@@ -28,6 +35,8 @@ it; the tests tie that matrix to a textbook RK4 step on the complex
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -87,58 +96,106 @@ class StepUnstable(RuntimeError):
     was not finite)."""
 
 
-def _solve_trace_normalized(L: np.ndarray) -> list:
+# the rho11 row of the trace-constrained system, and its right-hand side
+# as a one-matrix stack that np.linalg.solve broadcasts over any stack
+_TRACE_ROW = np.array([1.0] * 4 + [0.0] * 12)
+_UNIT_TRACE = np.zeros((1, 16, 1))
+_UNIT_TRACE[0, IDX_N1, 0] = 1.0
+# A batched residual rounds differently from one row's L @ x, by at most
+# 2*15 units of roundoff of |L_k| |x| in each component: below
+# 15 eps ||L|| ||x|| in norm, a thousandth of the bound for ||x|| <= 7
+# even with a fourfold margin. A row whose batched residual is below 99.8%
+# of the bound, with ||x|| <= 7, therefore passes in either arithmetic.
+_PASS_SQ = (0.998 * RESIDUAL_TOL) ** 2
+_X_NORM_SQ_MAX = 49.0
+
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+def _outside_stacklevel() -> int:
+    """The ``warnings.warn`` stacklevel, counted from the function that
+    calls this one, of the first frame outside this package: the code that
+    called the package's public entry point."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
+def _solve_trace_normalized(L: np.ndarray):
     """Solve L x = 0 subject to unit trace via rho11-row replacement.
 
-    ``L`` is a stack (N, 16, 16) of generators. Returns a list whose item
-    i is the x of row i or its SingularSystem, returned rather than
-    raised, so one bad row costs the others nothing. The condition numbers
-    and the LU solve are one batched call each, and only rows that pass
-    the condition gate are solved; the gates themselves are applied row by
-    row in the arithmetic of a single solve, so each row's x is bitwise
-    its solve as a stack of one.
+    ``L`` is a stack (N, 16, 16) of generators. Returns ``(X, failures)``:
+    X (N, 16) holds each row's x divided by its trace, and ``failures``
+    maps the index of every row that failed a gate to its SingularSystem
+    or NonPhysicalState (its row of X is zero), so one bad row costs the
+    others nothing. Each row's x and outcome are bitwise those of its
+    solve as a stack of one. The condition numbers, the LU solve and the
+    residual, trace and population gates are batched over the stack; only
+    failing rows, and rows that the batched residual cannot clear for
+    certain, are handled one by one.
     """
+    n = len(L)
     A = L.copy()
-    A[:, IDX_N1, :] = 0.0
-    A[:, IDX_N1, [IDX_N1, IDX_N2, IDX_N3, IDX_N4]] = 1.0
-    out = [None] * len(A)
-    passed = []
+    A[:, IDX_N1] = _TRACE_ROW
+    failures = {}
     for i, cond in enumerate(np.linalg.cond(A, 1).tolist()):
-        if not math.isfinite(cond) or cond > CONDITION_FAIL:
-            out[i] = SingularSystem(
+        if not cond <= CONDITION_FAIL:   # NaN and inf fail too
+            failures[i] = SingularSystem(
                 f"trace-constrained system is rank-deficient (cond ~ {cond:.2e})")
-            continue
-        if cond > CONDITION_WARN:
+        elif cond > CONDITION_WARN:
             warnings.warn(f"steady-state solve is ill-conditioned (cond ~ {cond:.2e})",
-                          RuntimeWarning, stacklevel=3)
-        passed.append(i)
+                          RuntimeWarning, stacklevel=_outside_stacklevel())
+    solved = [i for i in range(n) if i not in failures]
+    # skipped when every row passed: at N = 1 the copies cost a sixth of the solve
+    if failures:
+        A, L = A[solved], L[solved]
+    # cond(A, 1) inverts each row by the same LU (gesv) as this solve,
+    # and a zero pivot there makes cond inf: every row left here solves
+    X = np.linalg.solve(A, _UNIT_TRACE)[:, :, 0]
 
-    X = np.empty((0, 16))
-    if passed:
-        # b as an (n, 16, 1) stack: numpy 1.x rejects a 1-D b against a stack
-        b = np.zeros((len(passed), 16, 1))
-        b[:, IDX_N1, 0] = 1.0
-        # cond(A, 1) inverts each row by the same LU (gesv) as this solve,
-        # and a zero pivot there makes cond inf: every row left here solves
-        X = np.linalg.solve(A[passed], b)[..., 0]
+    # a row with a non-finite or huge x may overflow or give NaN here: the
+    # row-by-row check below decides it, and a failure zeroes its row of X
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # residual on the 15 rows that still belong to L
+        R = np.matmul(L, X[:, :, None])[:, :, 0]
+        R[:, IDX_N1] = 0.0
+        flat = L.reshape(len(L), 16 * 16)
+        cleared = ((np.einsum("ij,ij->i", R, R) <= _PASS_SQ * np.einsum("ij,ij->i", flat, flat))
+                   & (np.einsum("ij,ij->i", X, X) <= _X_NORM_SQ_MAX))
+        # renormalize the trace (the solve already puts the sum at 1 to
+        # roundoff; dividing pins it there)
+        X_unit = X / (X[:, IDX_N1] + X[:, IDX_N2] + X[:, IDX_N3] + X[:, IDX_N4])[:, None]
+        pops = X_unit[:, IDX_N1:IDX_N4 + 1]
+        unphysical = ((pops < -POPULATION_BOUND_TOL)
+                      | (pops > 1.0 + POPULATION_BOUND_TOL)).any(axis=1)
 
-    # Euclidean norms as np.linalg.norm takes them, sqrt(v @ v), without
-    # its per-call overhead; L is flattened for its Frobenius norm
-    flat = L.reshape(len(L), -1)
-    for i, x, finite in zip(passed, X, np.isfinite(X).all(axis=1)):
-        if not finite:
-            out[i] = SingularSystem("solution has non-finite entries")
-        else:
-            # residual on the 15 rows that still belong to L
-            resid = L[i] @ x
-            resid[IDX_N1] = 0.0
-            norm = math.sqrt(resid @ resid)
-            if norm > RESIDUAL_TOL * math.sqrt(flat[i] @ flat[i]):
-                out[i] = SingularSystem(
-                    f"steady-state residual {norm:.2e} exceeds {RESIDUAL_TOL:.0e} * ||L||")
-            else:
-                out[i] = x
-    return out
+    # the single-solve arithmetic of the non-finite and residual gates
+    for k in (~cleared).nonzero()[0].tolist():
+        x = X[k]
+        if not np.isfinite(x).all():
+            failures[solved[k]] = SingularSystem("solution has non-finite entries")
+            continue
+        resid = L[k] @ x
+        resid[IDX_N1] = 0.0
+        norm = math.sqrt(resid @ resid)
+        row = L[k].reshape(16 * 16)
+        if norm > RESIDUAL_TOL * math.sqrt(row @ row):
+            failures[solved[k]] = SingularSystem(
+                f"steady-state residual {norm:.2e} exceeds {RESIDUAL_TOL:.0e} * ||L||")
+    for k in unphysical.nonzero()[0].tolist():
+        if solved[k] not in failures:
+            failures[solved[k]] = NonPhysicalState(
+                None, DensityMatrix._view(unvectorize(X_unit[k])))
+
+    if len(solved) < n:
+        full = np.zeros((n, 16))
+        full[solved] = X_unit
+        X_unit = full
+    if failures:
+        X_unit[list(failures)] = 0.0
+    return X_unit, failures
 
 
 def steady_state(params):
@@ -156,19 +213,10 @@ def steady_state(params):
     points = [params] if single else params
     if not points:
         return []
-    states = _solve_trace_normalized(build_generator(points))
-    rows = [i for i, x in enumerate(states) if not isinstance(x, SingularSystem)]
-    if rows:
-        X = np.array([states[i] for i in rows])
-        # renormalize the trace (the solve already puts the sum at 1 to
-        # roundoff; dividing pins it there)
-        X = X / (X[:, IDX_N1] + X[:, IDX_N2] + X[:, IDX_N3] + X[:, IDX_N4])[:, None]
-        pops = X[:, IDX_N1:IDX_N4 + 1]
-        unphysical = ((pops.min(axis=1) < -POPULATION_BOUND_TOL)
-                      | (pops.max(axis=1) > 1.0 + POPULATION_BOUND_TOL))
-        for i, m, bad in zip(rows, unvectorize(X), unphysical):
-            rho = DensityMatrix(m, check=False)
-            states[i] = NonPhysicalState(None, rho) if bad else rho
+    X, failures = _solve_trace_normalized(build_generator(points))
+    # popped, so that no local refers to the exception _only may raise
+    states = [failures.pop(i, None) or DensityMatrix._view(m)
+              for i, m in enumerate(unvectorize(X))]
     return _only(states) if single else states
 
 

@@ -1,11 +1,14 @@
 """1-D parameter sweeps, double-negative band detection, and extrema.
 
 Sweeps evaluate the response on a uniform inclusive grid along the probe
-detuning or the dipole-alignment parameter. The grid is solved in chunks
-of CHUNK_POINTS points, each one ``response_at`` call on a sequence of
-points and so one stacked steady-state solve; the records are bitwise
-those ``response_at`` gives point by point. Points where the computation
-fails (local-field pole, singular or unphysical steady state) come back
+detuning or the dipole-alignment parameter. The grid is validated once,
+as an array, and solved in chunks of CHUNK_POINTS points. Each chunk is
+one ``response_at`` call on a ``PointsAlong`` of the base point and the
+grid slice, one stacked steady-state solve: its rates and mapping values
+are read from the base point and the slice a column at a time, with no
+SystemParams per point. The records are bitwise those ``response_at``
+gives point by point. Points where the computation fails (degenerate
+probe, local-field pole, singular or unphysical steady state) come back
 from that call as the point's exception: they are recorded as
 SweepFailures and skipped rather than aborting the chunk or the sweep,
 and a failed point also breaks any left-handed band running through it.
@@ -19,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import SystemParams, ValidationError
+from .params import PointsAlong, SystemParams, ValidationError
 from .response import Handedness, ResponseRecord, response_at
 
 #: alignment sweeps stop this far short of p = 1, where the probe decouples
@@ -100,18 +103,20 @@ def _uniform_grid(lo: float, hi: float, steps: int) -> np.ndarray:
 
 
 def _run_sweep(axis: SweepAxis, base: SystemParams, grid: np.ndarray) -> SweepTable:
+    """Solve ``base`` at each grid value of ``axis.field``, CHUNK_POINTS
+    at a time; the grid values must already be valid for the field."""
     records = []
     failures = []
     for start in range(0, len(grid), CHUNK_POINTS):
         values = grid[start:start + CHUNK_POINTS]
-        points = [replace(base, **{axis.field: float(value)}) for value in values]
-        for value, outcome in zip(values, response_at(points)):
+        outcomes = response_at(PointsAlong(base, axis.field, values))
+        for value, outcome in zip(values.tolist(), outcomes):
             if isinstance(outcome, ResponseRecord):
                 records.append(outcome)
             else:
                 records.append(None)
-                failures.append(SweepFailure(float(value), type(outcome).__name__, str(outcome)))
-    table = SweepTable(axis=axis, grid=tuple(float(v) for v in grid),
+                failures.append(SweepFailure(value, type(outcome).__name__, str(outcome)))
+    table = SweepTable(axis=axis, grid=tuple(grid.tolist()),
                        records=tuple(records), bands=(), failures=tuple(failures))
     return replace(table, bands=tuple(detect_bands(table)))
 
@@ -120,7 +125,10 @@ def sweep_detuning(params: SystemParams, d_min: float, d_max: float,
                    steps: int) -> SweepTable:
     """Sweep the probe detuning over [d_min, d_max] (gamma units) on a
     uniform inclusive grid; steps = 1 evaluates the single point d_min."""
-    return _run_sweep(SweepAxis.DETUNING, params, _uniform_grid(d_min, d_max, steps))
+    grid = _uniform_grid(d_min, d_max, steps)
+    if not np.isfinite(grid).all():
+        raise ValidationError("delta_p must be finite")
+    return _run_sweep(SweepAxis.DETUNING, params, grid)
 
 
 def sweep_alignment(params: SystemParams, p_min: float, p_max: float,

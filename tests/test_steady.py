@@ -1,4 +1,5 @@
 import gc
+import math
 import warnings
 
 import numpy as np
@@ -99,8 +100,9 @@ class TestSteadyState:
         assert str(NonPhysicalState("in range", error.state)) == "in range"
 
     def test_singular_system_detected(self):
-        (error,) = _solve_trace_normalized(np.zeros((1, 16, 16)))
-        assert isinstance(error, SingularSystem)
+        _, failures = _solve_trace_normalized(np.zeros((1, 16, 16)))
+        assert list(failures) == [0]
+        assert isinstance(failures[0], SingularSystem)
 
     def test_ill_conditioned_solve_warns(self):
         L = np.diag([0.0, -1.0, -1.0, -1.0] + [-1e-13] * 12)
@@ -112,10 +114,11 @@ class TestSteadyState:
         ill = np.diag([0.0, -1.0, -1.0, -1.0] + [-1e-13] * 12)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = _solve_trace_normalized(np.stack([regular, np.zeros((16, 16)), ill]))
-        assert len(out) == 3
-        assert out[0].tobytes() == _solve_trace_normalized(regular[None])[0].tobytes()
-        assert [isinstance(x, SingularSystem) for x in out] == [False, True, False]
+            X, failures = _solve_trace_normalized(np.stack([regular, np.zeros((16, 16)), ill]))
+        assert len(X) == 3
+        assert X[0].tobytes() == _solve_trace_normalized(regular[None])[0][0].tobytes()
+        assert list(failures) == [1]
+        assert isinstance(failures[1], SingularSystem)
         ill_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)
                         and "ill-conditioned" in str(w.message)]
         assert len(ill_warnings) == 1
@@ -131,11 +134,48 @@ class TestSteadyState:
                           np.full((16, 16), np.inf), rank_deficient, regular])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            *bad, x = _solve_trace_normalized(stack)
-        for error in bad:
+            X, failures = _solve_trace_normalized(stack)
+        assert sorted(failures) == [0, 1, 2, 3]
+        for error in failures.values():
             assert isinstance(error, SingularSystem)
             assert str(error).startswith("trace-constrained system is rank-deficient")
-        assert x.tobytes() == _solve_trace_normalized(regular[None])[0].tobytes()
+        assert X[4].tobytes() == _solve_trace_normalized(regular[None])[0][0].tobytes()
+
+    def test_batched_gates_match_a_row_by_row_reference(self):
+        # rows whose x grows like 1/s have a roundoff residual near the
+        # bound: the batched gate must pass, fail and word them as a
+        # single solve does, next to regular and unphysical rows
+        rng = np.random.default_rng(12)
+        rows = [build_generator(SystemParams(p_align=p, delta_p=d, equation_variant=v))
+                for p in (0.0, 0.5, 0.99) for d in (-3.0, 0.0, 3.0) for v in EquationVariant]
+        trace_row = np.array([1.0] * 4 + [0.0] * 12)
+        for s in np.logspace(-4, -8, 81):
+            # the last row is the trace row plus the others to within s
+            L = rng.normal(size=(16, 16))
+            L[15] = trace_row + L[1:15].T @ rng.normal(size=14) + s * rng.normal(size=16)
+            rows.append(L)
+        # generators whose fixed point has a population just inside or just
+        # outside the bounds of the population gate
+        for pops in ([-0.9e-6, 0.3, 0.2, 0.5 + 0.9e-6], [-1.1e-6, 0.3, 0.2, 0.5 + 1.1e-6],
+                     [1.0 + 0.9e-6, -0.3e-6, -0.3e-6, -0.3e-6],
+                     [1.0 + 1.1e-6, -1.1e-6 / 3, -1.1e-6 / 3, -1.1e-6 / 3]):
+            x = rng.normal(size=16) * 0.1
+            x[:4] = pops
+            M = rng.normal(size=(16, 16))
+            rows.append(M - np.outer(M @ x, x) / (x @ x))
+        stack = np.stack(rows)
+        X, failures = _solve_trace_normalized(stack)
+        got = [(type(failures[i]).__name__, str(failures[i])) if i in failures
+               else ("ok", X[i].tobytes()) for i in range(len(stack))]
+        assert got == [_reference_outcome(L) for L in stack]
+        assert {kind for kind, _ in got} == {"ok", "SingularSystem", "NonPhysicalState"}
+        passed = [i for i, (kind, message) in enumerate(got)
+                  if kind != "SingularSystem" or "residual" not in message]
+        assert len(passed) < len(got)
+        # rows with ||x|| > 7, which the batched check leaves to the single-
+        # solve arithmetic, that pass it
+        assert any(np.linalg.norm(np.linalg.solve(_trace_constrained(stack[i]),
+                                                  np.eye(16)[0])) > 7 for i in passed)
 
     def test_raised_errors_leave_no_reference_cycles(self, monkeypatch):
         # a cycle through the traceback would keep every raised exception,
@@ -250,3 +290,36 @@ def _textbook_rk4_step(rhs, x, h):
     k3 = rhs(x + 0.5 * h * k2)
     k4 = rhs(x + h * k3)
     return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _trace_constrained(L):
+    A = L.copy()
+    A[0] = 0.0
+    A[0, :4] = 1.0
+    return A
+
+
+def _reference_outcome(L):
+    """One generator solved alone, each gate in the arithmetic of a single
+    solve: the reference for the batched gates of _solve_trace_normalized.
+    Returns (kind, message) for a failure, ("ok", bytes of x) otherwise."""
+    A = _trace_constrained(L)
+    cond = np.linalg.cond(A[None], 1)[0]
+    if not cond <= steady.CONDITION_FAIL:
+        return ("SingularSystem", f"trace-constrained system is rank-deficient (cond ~ {cond:.2e})")
+    b = np.zeros((1, 16, 1))
+    b[0, 0, 0] = 1.0
+    x = np.linalg.solve(A[None], b)[0, :, 0]
+    if not np.isfinite(x).all():
+        return ("SingularSystem", "solution has non-finite entries")
+    resid = L @ x
+    resid[0] = 0.0
+    norm = math.sqrt(resid @ resid)
+    flat = L.reshape(-1)
+    if norm > steady.RESIDUAL_TOL * math.sqrt(flat @ flat):
+        return ("SingularSystem", f"steady-state residual {norm:.2e} exceeds 1e-10 * ||L||")
+    x = x / (x[0] + x[1] + x[2] + x[3])
+    if x[:4].min() < -steady.POPULATION_BOUND_TOL or x[:4].max() > 1.0 + steady.POPULATION_BOUND_TOL:
+        state = DensityMatrix(unvectorize(x), check=False)
+        return ("NonPhysicalState", str(NonPhysicalState(None, state)))
+    return ("ok", x.tobytes())

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -7,8 +8,10 @@ from sgcvapor import (DegenerateProbe, EmptyTable, EquationVariant, Handedness,
                       LocalFieldPole, NonPhysicalState, ResponseRecord,
                       SingularSystem, SweepAxis, SweepTable, SystemParams,
                       ValidationError, build_generator, classify_handedness,
-                      detect_bands, find_extrema, response_at,
+                      detect_bands, find_extrema, response_at, steady_state,
                       sweep_alignment, sweep_detuning)
+from sgcvapor import response, steady, sweep
+from sgcvapor.params import PointsAlong, columns
 from sgcvapor.sweep import ALIGNMENT_GUARD, CHUNK_POINTS
 
 
@@ -179,9 +182,39 @@ def record_bits(record):
     return out
 
 
+def sweep_outcomes(base, axis, steps):
+    """The sweep of ``base`` along ``axis`` as (records by float.hex,
+    failure triples, warning texts in order)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if axis == "delta_p":
+            table = sweep_detuning(base, -20.0, 20.0, steps)
+        else:
+            table = sweep_alignment(base, 0.0, 1.0 - ALIGNMENT_GUARD, steps)
+    assert len(table.grid) == steps
+    records = [None if r is None else record_bits(r) for r in table.records]
+    failures = [(f.axis_value, f.kind, f.message) for f in table.failures]
+    return table, records, failures, [str(w.message) for w in caught]
+
+
+def pointwise_outcomes(base, axis, grid):
+    """The same as sweep_outcomes, from response_at called point by point."""
+    records, failures = [], []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for g in grid:
+            try:
+                records.append(record_bits(response_at(replace(base, **{axis: g}))))
+            except POINT_ERRORS as exc:
+                records.append(None)
+                failures.append((g, type(exc).__name__, str(exc)))
+    return records, failures, [str(w.message) for w in caught]
+
+
 class TestStackedSweepMatchesPointwise:
-    """A sweep solves its grid in stacks of CHUNK_POINTS; every point must
-    come out as response_at gives it alone, bit for bit."""
+    """A sweep solves its grid in stacks of CHUNK_POINTS from a rate table
+    built from the grid; every point must come out as response_at gives it
+    alone, bit for bit, with the same failures and warnings."""
 
     STEPS = 2 * CHUNK_POINTS + 1   # two full chunks and a one-point chunk
 
@@ -195,34 +228,128 @@ class TestStackedSweepMatchesPointwise:
         base = replace(calibrated_base, equation_variant=variant)
         if axis == "delta_p":
             base = replace(base, p_align=p)
-            table = sweep_detuning(base, -20.0, 20.0, self.STEPS)
         else:
             base = replace(base, delta_p=1e-16)
-            table = sweep_alignment(base, 0.0, 1.0 - ALIGNMENT_GUARD, self.STEPS)
-        assert len(table.grid) == self.STEPS
-
-        failures = []
-        for g, record in zip(table.grid, table.records):
-            try:
-                expected = response_at(replace(base, **{axis: g}))
-            except POINT_ERRORS as exc:
-                failures.append((g, type(exc).__name__, str(exc)))
-                assert record is None
-            else:
-                assert record_bits(record) == record_bits(expected)
-        assert [(f.axis_value, f.kind, f.message) for f in table.failures] == failures
+        table, *swept = sweep_outcomes(base, axis, self.STEPS)
+        assert swept == list(pointwise_outcomes(base, axis, table.grid))
+        failures = swept[1]
         if variant is EquationVariant.PAPER_LITERAL:
             assert len(failures) > self.STEPS // 2
             assert {kind for _, kind, _ in failures} == {"NonPhysicalState"}
 
         points = [replace(base, **{axis: g}) for g in table.grid]
         stack = build_generator(points)
-        for point, L in zip(points, stack):
+        # the generators a sweep solves, scattered from its grid-built table
+        swept_stack = build_generator(PointsAlong(base, axis, np.array(table.grid)))
+        for point, L, S in zip(points, stack, swept_stack):
             alone = build_generator(point)
-            assert np.array_equal(L, alone)
-            assert np.array_equal(np.signbit(L), np.signbit(alone))
+            for candidate in (L, S):
+                assert np.array_equal(candidate, alone)
+                assert np.array_equal(np.signbit(candidate), np.signbit(alone))
+
+    @pytest.mark.parametrize("axis,changes,kinds,warned", [
+        ("delta_p", dict(gamma2=1e-300, gamma3=1e-300, gamma4=1e-300), {"SingularSystem"}, 0),
+        ("p_align", dict(gamma2=1e-300, gamma3=1e-300, gamma4=1e-300), {"SingularSystem"}, 0),
+        ("delta_p", dict(omega1_bare=1e150), {"SingularSystem"}, 0),
+        ("delta_p", dict(gamma2=1e-13, gamma3=1e-13, gamma4=1e-13), set(), STEPS),
+        ("delta_p", dict(omegap_bare=0.0), {"DegenerateProbe"}, 0),
+        ("p_align", dict(omegap_bare=0.0), {"DegenerateProbe"}, 0),
+        ("delta_p", dict(p_align=-1.0), {"DegenerateProbe"}, 0),
+        ("p_align", dict(equation_variant=EquationVariant.PAPER_LITERAL),
+         {"NonPhysicalState"}, 0),
+    ], ids=["singular-gammas", "singular-gammas-alignment", "singular-coupling",
+            "ill-conditioned", "no-probe", "no-probe-alignment", "aligned",
+            "paper-alignment"])
+    def test_failure_heavy_bases(self, axis, changes, kinds, warned):
+        base = SystemParams(**changes)
+        table, *swept = sweep_outcomes(base, axis, self.STEPS)
+        assert swept == list(pointwise_outcomes(base, axis, table.grid))
+        records, failures, messages = swept
+        assert {kind for _, kind, _ in failures} == kinds
+        if kinds != {"NonPhysicalState"}:   # every point fails, or none
+            assert len(failures) == (self.STEPS if kinds else 0)
+        assert len(messages) == warned
+        assert all("ill-conditioned" in m for m in messages)
+
+    def test_zero_probe_fails_before_the_solve(self, monkeypatch):
+        def no_solve(points):
+            assert not points, "a zero-probe point was solved"
+            return []
+
+        monkeypatch.setattr(response, "steady_state", no_solve)
+        table = sweep_detuning(SystemParams(omegap_bare=0.0), -20.0, 20.0, 41)
+        assert {f.message for f in table.failures} == {
+            "effective probe Rabi frequency is zero at omegap_bare = 0"}
+        assert len(table.failures) == 41
+
+    def test_sweeps_build_no_per_point_params(self, calibrated_base, monkeypatch):
+        # each chunk is one call of each public layer, which is what a
+        # tracer of those layers sees, and no SystemParams is built
+        base = replace(calibrated_base, p_align=0.5)
+        calls = []
+        post_init = SystemParams.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(SystemParams, "__post_init__", counted)
+        layers = []
+        for module, name in ((sweep, "response_at"), (response, "steady_state"),
+                             (steady, "build_generator")):
+            def spy(points, fn=getattr(module, name), name=name):
+                layers.append((name, len(points)))
+                return fn(points)
+            monkeypatch.setattr(module, name, spy)
+        detuning = sweep_detuning(base, -20.0, 20.0, self.STEPS)
+        alignment = sweep_alignment(base, 0.0, 1.0 - ALIGNMENT_GUARD, self.STEPS)
+        assert len(detuning.records) == len(alignment.records) == self.STEPS
+        assert calls == []
+        chunks = [CHUNK_POINTS, CHUNK_POINTS, 1] * 2
+        assert layers == [(name, n) for n in chunks
+                          for name in ("response_at", "steady_state", "build_generator")]
 
     def test_non_finite_grid_value_is_rejected(self):
-        # as the per-point SystemParams of the grid value rejects it
-        with pytest.raises(ValidationError):
+        # with the text the per-point SystemParams of the value would give
+        with pytest.raises(ValidationError, match="^delta_p must be finite$"):
             sweep_detuning(SystemParams(), -np.inf, 0.0, 1)
+
+
+@pytest.mark.parametrize("bare", [0.2, 0.0, -0.0])
+@pytest.mark.parametrize("field,values", [
+    ("p_align", [-1.0, -0.0, 0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0]),
+    ("delta_p", [-20.0, -0.0, 0.0, 1e-300, 3.5]),
+])
+def test_points_along_columns_are_the_attributes_of_its_items(field, values, bare):
+    # a sweep reads its points a column at a time; each column must be,
+    # bit for bit, what the SystemParams of the points give one by one
+    points = PointsAlong(SystemParams(omega1_bare=bare, omegap_bare=bare), field,
+                         np.array(values))
+    items = list(points)
+    assert [getattr(item, field) for item in items] == values
+    names = [f.name for f in fields(SystemParams)] + ["omega1", "omegap", "omegap_si", "sgc_rate"]
+    for name, column in zip(names, columns(points, names)):
+        expected = [getattr(item, name) for item in items]
+        if name == "equation_variant":
+            assert column == expected
+        else:
+            assert [v.hex() for v in column] == [v.hex() for v in expected], name
+
+# an ill-conditioned but solvable point: every solve warns
+ILL_CONDITIONED = SystemParams(gamma2=1e-13, gamma3=1e-13, gamma4=1e-13)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: steady_state(ILL_CONDITIONED),
+    lambda: response_at(ILL_CONDITIONED),
+    lambda: sweep_detuning(ILL_CONDITIONED, -1.0, 1.0, 3),
+    lambda: sweep_alignment(ILL_CONDITIONED, 0.0, 0.5, 3),
+], ids=["steady_state", "response_at", "sweep_detuning", "sweep_alignment"])
+def test_ill_conditioning_warning_names_the_caller(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    assert caught
+    for w in caught:
+        assert "ill-conditioned" in str(w.message)
+        assert w.filename == __file__
