@@ -19,7 +19,6 @@ from .steady import (NonPhysicalState, SingularSystem, StepUnstable, evolve,
 from .response import (DegenerateProbe, Handedness, LocalFieldPole,
                        ResponseRecord, classify_handedness,
                        electric_polarizability, magnetic_polarizability,
-                       magnetic_polarizability_from_permeability,
                        permeability, permittivity, refractive_index,
                        response_at)
 from .sweep import (EmptyTable, SweepAxis, SweepExtrema, SweepFailure,
@@ -38,7 +37,7 @@ __all__ = [
     "calibrate_dipoles", "calibrated_params", "classify_handedness",
     "detect_bands", "effective_rabi", "electric_polarizability", "eom_rhs",
     "evolve", "find_extrema", "magnetic_polarizability",
-    "magnetic_polarizability_from_permeability", "permeability",
-    "permittivity", "refractive_index", "response_at", "steady_state",
-    "sweep_alignment", "sweep_detuning", "unvectorize", "vectorize",
+    "permeability", "permittivity", "refractive_index", "response_at",
+    "steady_state", "sweep_alignment", "sweep_detuning", "unvectorize",
+    "vectorize",
 ]

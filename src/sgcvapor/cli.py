@@ -98,11 +98,6 @@ def config_mapping(config: RunConfig) -> dict:
     return {key: _fmt(value) for key, value in values.items() if value is not None}
 
 
-def config_text(config: RunConfig) -> str:
-    """Canonical ``key = value`` rendering of a configuration."""
-    return "".join(f"{k} = {v}\n" for k, v in config_mapping(config).items())
-
-
 def _convert(key: str, raw: str, where: str):
     kind = _KEY_TYPES[key]
     try:

@@ -119,10 +119,6 @@ class DensityMatrix:
         return cls(m)
 
     @classmethod
-    def from_populations(cls, n1: float, n2: float, n3: float, n4: float) -> "DensityMatrix":
-        return cls(np.diag([n1, n2, n3, n4]).astype(complex))
-
-    @classmethod
     def from_vector(cls, x: np.ndarray, check: bool = True) -> "DensityMatrix":
         return cls(unvectorize(x), check=check)
 

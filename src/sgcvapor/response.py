@@ -22,7 +22,7 @@ n = -sqrt(eps_r mu_r).
 ``response_at`` on a sequence of points is also what a sweep runs, on
 a ``params.PointsAlong`` of its grid: it reads the few values the mapping
 needs besides the steady state a column at a time (``_MAPPING_FIELDS``),
-fails points with a zero probe coupling before the solve, solves the rest
+fails points whose probe coupling vanishes before the solve, solves the rest
 as one stack with ``steady_state`` and maps each state through the scalar
 functions below, fed with plain floats. No SystemParams is built per
 point of a sweep.
@@ -85,15 +85,24 @@ class ResponseRecord:
     handedness: Handedness
 
 
-def _degenerate_probe(p_align: float, omegap_bare: float) -> DegenerateProbe:
-    """The DegenerateProbe of a zero effective probe Rabi frequency, naming
-    why it is zero."""
+def _probe_vanishes(omegap_si: float) -> bool:
+    """True if eps0 * hbar * Omega_p, the smaller divisor of the two
+    polarizabilities, is zero: at Omega_p = 0 or when it underflows."""
+    return EPSILON_0 * HBAR * omegap_si == 0.0
+
+
+def _degenerate_probe(p_align: float, omegap_bare: float, omegap_si: float) -> DegenerateProbe:
+    """The DegenerateProbe of a vanishing probe coupling, naming why it
+    vanishes."""
     if abs(p_align) == 1.0:
         cause = "at |p_align| = 1"
     elif omegap_bare == 0.0:
         cause = "at omegap_bare = 0"
-    else:
+    elif omegap_si == 0.0:
         cause = "by underflow of omegap_bare * sqrt(1 - p_align^2) * gamma_unit"
+    else:
+        return DegenerateProbe(f"eps0 * hbar * Omega_p underflows to zero at the "
+                               f"effective probe Rabi frequency {omegap_si:.3g} rad/s")
     return DegenerateProbe(f"effective probe Rabi frequency is zero {cause}")
 
 
@@ -101,8 +110,8 @@ def _probe_rabi_si(params: SystemParams) -> float:
     """The effective probe Rabi frequency in SI rad/s, the field per unit
     of which the polarizabilities are taken."""
     omegap_si = params.omegap_si
-    if omegap_si == 0.0:
-        raise _degenerate_probe(params.p_align, params.omegap_bare)
+    if _probe_vanishes(omegap_si):
+        raise _degenerate_probe(params.p_align, params.omegap_bare, omegap_si)
     return omegap_si
 
 
@@ -146,15 +155,6 @@ def permeability(gamma_m: complex, density_n: float) -> complex:
     if abs(denom) <= LOCAL_FIELD_POLE_TOL:
         raise LocalFieldPole(f"N*gamma_m = {w} is at the local-field pole (= 3)")
     return (1.0 + 2.0 * w / 3.0) / denom
-
-
-def magnetic_polarizability_from_permeability(mu_r: complex, density_n: float) -> complex:
-    """Invert the permeability relation: gm = (mu_r - 1)/(N*(2/3 + mu_r/3)).
-
-    Round-trips with :func:`permeability` to roundoff; used as a
-    consistency check on the local-field algebra.
-    """
-    return (mu_r - 1.0) / (density_n * (2.0 / 3.0 + mu_r / 3.0))
 
 
 def refractive_index(eps_r: complex, mu_r: complex) -> complex:
@@ -206,14 +206,14 @@ def response_at(params):
     """Solve the steady state and map it to the macroscopic response.
 
     Propagates SingularSystem / NonPhysicalState from the solver,
-    DegenerateProbe at |p_align| = 1 or a zero probe coupling, and
+    DegenerateProbe at |p_align| = 1 or a vanishing probe coupling, and
     LocalFieldPole at a Clausius-Mossotti divergence.
 
     ``params`` may also be a sequence of SystemParams, whose steady states
     are solved as one stack: the result is then a list whose item i is the
     record of point i, or the exception it would raise alone, returned
-    instead of raised. Points with a zero probe coupling fail before the
-    solve.
+    instead of raised. Points whose probe coupling vanishes, at zero or
+    by underflow, fail before the solve.
     """
     single = isinstance(params, SystemParams)
     points = [params] if single else params
@@ -223,8 +223,8 @@ def response_at(params):
     for i, (p, w) in enumerate(zip(p_align, omegap_si)):
         if abs(p) >= 1.0:
             out[i] = DegenerateProbe(_DEGENERATE)
-        elif w == 0.0:
-            out[i] = _degenerate_probe(p, omegap_bare[i])
+        elif _probe_vanishes(w):
+            out[i] = _degenerate_probe(p, omegap_bare[i], w)
     live = [i for i, o in enumerate(out) if o is None]
     for i, state in zip(live, steady_state(take(points, live))):
         if isinstance(state, Exception):

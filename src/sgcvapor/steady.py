@@ -9,17 +9,17 @@ resulting square system by dense LU with partial pivoting.
 The solve is array-valued: ``steady_state`` also takes a sequence of
 operating points, assembles their generators as one (N, 16, 16) stack and
 makes one batched condition estimate and one batched LU solve for it. The
-residual, trace and population gates are array operations on the whole
-stack too; only a row that fails a gate, or whose batched residual lies
-too close to the bound to decide, is looked at by itself, in the
-arithmetic of a single solve. A row that fails gets its SingularSystem or
-NonPhysicalState as its item of the result instead of a state; the other
-rows are unaffected. A single SystemParams is the one-point case, and its
-exception is raised. The core, ``_solve_trace_normalized``, hands back
-the unit-trace x rows, and ``steady_state`` hands out each row as a
-DensityMatrix on its slice of one unvectorized stack, not on a copy. The
-ill-conditioning RuntimeWarning names the first caller outside this
-package: the line that called ``steady_state``, ``response_at`` or a
+non-finite, residual, trace and population gates are array operations on
+the whole stack too, each decided once, by arithmetic whose value for a
+row does not depend on the other rows: a row's outcome is its outcome as a
+stack of one. A row that fails gets its SingularSystem or NonPhysicalState
+as its item of the result instead of a state; the other rows are
+unaffected. A single SystemParams is the one-point case, and its exception
+is raised. The core, ``_solve_trace_normalized``, unvectorizes the
+unit-trace stack once, and each state it hands out, good or carried by a
+NonPhysicalState, is a DensityMatrix on its slice of that stack, not on a
+copy. The ill-conditioning RuntimeWarning names the first caller outside
+this package: the line that called ``steady_state``, ``response_at`` or a
 sweep.
 
 ``evolve`` integrates the same equations of motion with classical
@@ -101,14 +101,6 @@ class StepUnstable(RuntimeError):
 _TRACE_ROW = np.array([1.0] * 4 + [0.0] * 12)
 _UNIT_TRACE = np.zeros((1, 16, 1))
 _UNIT_TRACE[0, IDX_N1, 0] = 1.0
-# A batched residual rounds differently from one row's L @ x, by at most
-# 2*15 units of roundoff of |L_k| |x| in each component: below
-# 15 eps ||L|| ||x|| in norm, a thousandth of the bound for ||x|| <= 7
-# even with a fourfold margin. A row whose batched residual is below 99.8%
-# of the bound, with ||x|| <= 7, therefore passes in either arithmetic.
-_PASS_SQ = (0.998 * RESIDUAL_TOL) ** 2
-_X_NORM_SQ_MAX = 49.0
-
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
@@ -126,17 +118,16 @@ def _outside_stacklevel() -> int:
 def _solve_trace_normalized(L: np.ndarray):
     """Solve L x = 0 subject to unit trace via rho11-row replacement.
 
-    ``L`` is a stack (N, 16, 16) of generators. Returns ``(X, failures)``:
-    X (N, 16) holds each row's x divided by its trace, and ``failures``
-    maps the index of every row that failed a gate to its SingularSystem
-    or NonPhysicalState (its row of X is zero), so one bad row costs the
-    others nothing. Each row's x and outcome are bitwise those of its
-    solve as a stack of one. The condition numbers, the LU solve and the
-    residual, trace and population gates are batched over the stack; only
-    failing rows, and rows that the batched residual cannot clear for
-    certain, are handled one by one.
+    ``L`` is a stack (N, 16, 16) of generators. Returns ``(rho, failures)``:
+    rho (N, 4, 4) holds each row's x divided by its trace, unvectorized
+    once as one stack, and ``failures`` maps the index of every row that
+    failed a gate to its SingularSystem or NonPhysicalState (whose state is
+    its row of rho), so one bad row costs the others nothing. The condition
+    numbers, the LU solve and the non-finite, residual, trace and
+    population gates are batched over the stack, in arithmetic whose value
+    for a row does not depend on the other rows, so each row's x and
+    outcome are bitwise those of its solve as a stack of one.
     """
-    n = len(L)
     A = L.copy()
     A[:, IDX_N1] = _TRACE_ROW
     failures = {}
@@ -147,55 +138,42 @@ def _solve_trace_normalized(L: np.ndarray):
         elif cond > CONDITION_WARN:
             warnings.warn(f"steady-state solve is ill-conditioned (cond ~ {cond:.2e})",
                           RuntimeWarning, stacklevel=_outside_stacklevel())
-    solved = [i for i in range(n) if i not in failures]
-    # skipped when every row passed: at N = 1 the copies cost a sixth of the solve
+    # cond(A, 1) inverts each row by the same LU (gesv) as this solve, and a
+    # zero pivot there makes cond inf: with its failed rows made the
+    # identity, whose x is never used, the batched LU cannot raise
     if failures:
-        A, L = A[solved], L[solved]
-    # cond(A, 1) inverts each row by the same LU (gesv) as this solve,
-    # and a zero pivot there makes cond inf: every row left here solves
+        A[list(failures)] = np.eye(16)
     X = np.linalg.solve(A, _UNIT_TRACE)[:, :, 0]
+    nonfinite = ~np.isfinite(X).all(axis=1)
 
-    # a row with a non-finite or huge x may overflow or give NaN here: the
-    # row-by-row check below decides it, and a failure zeroes its row of X
+    # a row with a non-finite or huge x may overflow or give NaN here; the
+    # gates below decide it on its own values
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # residual on the 15 rows that still belong to L
         R = np.matmul(L, X[:, :, None])[:, :, 0]
         R[:, IDX_N1] = 0.0
         flat = L.reshape(len(L), 16 * 16)
-        cleared = ((np.einsum("ij,ij->i", R, R) <= _PASS_SQ * np.einsum("ij,ij->i", flat, flat))
-                   & (np.einsum("ij,ij->i", X, X) <= _X_NORM_SQ_MAX))
+        norms = np.sqrt(np.einsum("ij,ij->i", R, R))
+        too_large = norms > RESIDUAL_TOL * np.sqrt(np.einsum("ij,ij->i", flat, flat))
         # renormalize the trace (the solve already puts the sum at 1 to
         # roundoff; dividing pins it there)
-        X_unit = X / (X[:, IDX_N1] + X[:, IDX_N2] + X[:, IDX_N3] + X[:, IDX_N4])[:, None]
-        pops = X_unit[:, IDX_N1:IDX_N4 + 1]
+        X /= (X[:, IDX_N1] + X[:, IDX_N2] + X[:, IDX_N3] + X[:, IDX_N4])[:, None]
+        pops = X[:, IDX_N1:IDX_N4 + 1]
         unphysical = ((pops < -POPULATION_BOUND_TOL)
                       | (pops > 1.0 + POPULATION_BOUND_TOL)).any(axis=1)
+        rho = unvectorize(X)
 
-    # the single-solve arithmetic of the non-finite and residual gates
-    for k in (~cleared).nonzero()[0].tolist():
-        x = X[k]
-        if not np.isfinite(x).all():
-            failures[solved[k]] = SingularSystem("solution has non-finite entries")
+    for k in (nonfinite | too_large | unphysical).nonzero()[0].tolist():
+        if k in failures:
             continue
-        resid = L[k] @ x
-        resid[IDX_N1] = 0.0
-        norm = math.sqrt(resid @ resid)
-        row = L[k].reshape(16 * 16)
-        if norm > RESIDUAL_TOL * math.sqrt(row @ row):
-            failures[solved[k]] = SingularSystem(
-                f"steady-state residual {norm:.2e} exceeds {RESIDUAL_TOL:.0e} * ||L||")
-    for k in unphysical.nonzero()[0].tolist():
-        if solved[k] not in failures:
-            failures[solved[k]] = NonPhysicalState(
-                None, DensityMatrix._view(unvectorize(X_unit[k])))
-
-    if len(solved) < n:
-        full = np.zeros((n, 16))
-        full[solved] = X_unit
-        X_unit = full
-    if failures:
-        X_unit[list(failures)] = 0.0
-    return X_unit, failures
+        if nonfinite[k]:
+            failures[k] = SingularSystem("solution has non-finite entries")
+        elif too_large[k]:
+            failures[k] = SingularSystem(
+                f"steady-state residual {norms[k]:.2e} exceeds {RESIDUAL_TOL:.0e} * ||L||")
+        else:
+            failures[k] = NonPhysicalState(None, DensityMatrix._view(rho[k]))
+    return rho, failures
 
 
 def steady_state(params):
@@ -213,10 +191,9 @@ def steady_state(params):
     points = [params] if single else params
     if not points:
         return []
-    X, failures = _solve_trace_normalized(build_generator(points))
+    rho, failures = _solve_trace_normalized(build_generator(points))
     # popped, so that no local refers to the exception _only may raise
-    states = [failures.pop(i, None) or DensityMatrix._view(m)
-              for i, m in enumerate(unvectorize(X))]
+    states = [failures.pop(i, None) or DensityMatrix._view(m) for i, m in enumerate(rho)]
     return _only(states) if single else states
 
 

@@ -99,7 +99,10 @@ def _uniform_grid(lo: float, hi: float, steps: int) -> np.ndarray:
         raise ValidationError(f"need lower < upper bound, got [{lo}, {hi}]")
     if steps == 1:
         return np.array([lo])
-    return np.linspace(lo, hi, steps)
+    # an infinite or overflowing span gives inf or NaN values, which the
+    # caller rejects as a ValidationError instead of a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linspace(lo, hi, steps)
 
 
 def _run_sweep(axis: SweepAxis, base: SystemParams, grid: np.ndarray) -> SweepTable:

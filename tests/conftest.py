@@ -4,6 +4,9 @@ Both are expensive enough to compute once per session. The oracle grid
 holds, for each (p, delta_p) on the standard 3x3 cross-check grid, the
 steady-state vector from the linear solve and the state reached by RK4
 integration from the ground state after 200/gamma.
+
+Also the helpers that only the tests need: diagonal states, the inverse
+of the permeability relation and the canonical config text.
 """
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 
 from sgcvapor import (DensityMatrix, SystemParams, calibrate_dipoles, evolve,
                       steady_state)
+from sgcvapor.cli import config_mapping
 
 ORACLE_P_VALUES = (0.0, 0.5, 0.99)
 ORACLE_DETUNINGS = (-10.0, 0.0, 10.0)
@@ -39,6 +43,26 @@ def oracle_grid():
                              ORACLE_T_FINAL, ORACLE_DT).vector()
             results[(p, delta)] = (solved, settled)
     return results
+
+
+def from_populations(n1: float, n2: float, n3: float, n4: float) -> DensityMatrix:
+    """The diagonal state with populations n1..n4, validated."""
+    return DensityMatrix(np.diag([n1, n2, n3, n4]).astype(complex))
+
+
+def magnetic_polarizability_from_permeability(mu_r: complex, density_n: float) -> complex:
+    """Invert the permeability relation: gm = (mu_r - 1)/(N*(2/3 + mu_r/3)).
+
+    Round-trips with ``permeability`` to roundoff, a consistency check on
+    the local-field algebra.
+    """
+    return (mu_r - 1.0) / (density_n * (2.0 / 3.0 + mu_r / 3.0))
+
+
+def config_text(config) -> str:
+    """Canonical ``key = value`` rendering of a configuration, which
+    ``parse_config`` reads back to the same RunConfig."""
+    return "".join(f"{k} = {v}\n" for k, v in config_mapping(config).items())
 
 
 def random_hermitian(rng, unit_trace=True):

@@ -21,16 +21,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sgcvapor import (DensityMatrix, EquationVariant, Handedness,
+from sgcvapor import (EquationVariant, Handedness,
                       NonPhysicalState, StepUnstable, SystemParams,
                       build_generator, eom_rhs, evolve, find_extrema,
-                      magnetic_polarizability_from_permeability, permeability,
-                      steady_state, sweep_alignment, sweep_detuning,
-                      unvectorize, vectorize)
+                      permeability, steady_state, sweep_alignment,
+                      sweep_detuning, unvectorize, vectorize)
 from sgcvapor.model import LEVEL3_COHERENCE_INDICES
 from sgcvapor.sweep import _re_mu_sign_changes
 
-from conftest import random_hermitian
+from conftest import (from_populations, magnetic_polarizability_from_permeability,
+                      random_hermitian)
 
 DETUNING_SWEEP_P_VALUES = (0.09, 0.2, 0.5, 0.99)
 N_DEFAULT = 5.0e24
@@ -266,7 +266,7 @@ def test_single_permeability_crossing(alignment_table):
 def test_literal_variant_instability_documented():
     params = SystemParams(p_align=0.5,
                           equation_variant=EquationVariant.PAPER_LITERAL)
-    rho0 = DensityMatrix.from_populations(0.99, 0.0, 0.01, 0.0)
+    rho0 = from_populations(0.99, 0.0, 0.01, 0.0)
     with pytest.raises(StepUnstable) as info:
         evolve(params, rho0, 200.0)
     try:

@@ -7,7 +7,9 @@ import pytest
 
 from sgcvapor import EquationVariant, SystemParams, ValidationError
 from sgcvapor.cli import (CSV_COLUMNS, ParseError, RunConfig, config_mapping,
-                          config_text, main, parse_config, run)
+                          main, parse_config, run)
+
+from conftest import config_text
 
 RUN_CONTROLS = ["mode", "d_min", "d_max", "p_min", "p_max", "steps", "out",
                 "format", "oracle"]

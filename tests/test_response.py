@@ -9,8 +9,11 @@ from sgcvapor import (DegenerateProbe, DensityMatrix, EquationVariant,
                       Handedness, LocalFieldPole, NonPhysicalState,
                       SystemParams, classify_handedness,
                       electric_polarizability, evolve, magnetic_polarizability,
-                      magnetic_polarizability_from_permeability, permeability,
-                      permittivity, refractive_index, response_at)
+                      permeability, permittivity, refractive_index,
+                      response_at)
+from sgcvapor import response
+
+from conftest import magnetic_polarizability_from_permeability
 
 N_DEFAULT = 5.0e24
 
@@ -185,8 +188,27 @@ class TestResponseAt:
         with pytest.raises(DegenerateProbe, match="underflow"):
             magnetic_polarizability(0j, SystemParams(gamma_unit=5e-324))
 
+    def test_subnormal_probe_fails_before_the_solve(self, monkeypatch):
+        # omegap_si is not zero, but eps0 * hbar * omegap_si, which the
+        # electric polarizability divides by, underflows to zero
+        params = SystemParams(omegap_bare=5e-324)
+        assert params.omegap_si != 0.0
+
+        def no_solve(points):
+            assert not points, "a point with a vanishing probe coupling was solved"
+            return []
+
+        monkeypatch.setattr(response, "steady_state", no_solve)
+        underflow = r"^eps0 \* hbar \* Omega_p underflows to zero at the effective probe "
+        with pytest.raises(DegenerateProbe, match=underflow):
+            response_at(params)
+        assert isinstance(response_at([params])[0], DegenerateProbe)
+        for polarizability in (electric_polarizability, magnetic_polarizability):
+            with pytest.raises(DegenerateProbe, match=underflow):
+                polarizability(1j, params)
+
     def test_sequence_errors_leave_no_reference_cycles(self):
-        # omegap_bare = 0 solves, then fails in the mapping
+        # omegap_bare = 0 fails before the solve
         points = [SystemParams(omegap_bare=0.0, delta_p=d) for d in (-1.0, 0.0, 1.0)]
         gc.collect()
         gc.disable()

@@ -13,7 +13,7 @@ from sgcvapor import steady
 from sgcvapor.model import unvectorize, vectorize
 from sgcvapor.steady import _solve_trace_normalized
 
-from conftest import ORACLE_DETUNINGS, ORACLE_P_VALUES, random_hermitian
+from conftest import ORACLE_DETUNINGS, ORACLE_P_VALUES, from_populations, random_hermitian
 
 NO_FIELDS = SystemParams(omega1_bare=0.0, omegap_bare=0.0, p_align=0.0)
 
@@ -114,9 +114,9 @@ class TestSteadyState:
         ill = np.diag([0.0, -1.0, -1.0, -1.0] + [-1e-13] * 12)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            X, failures = _solve_trace_normalized(np.stack([regular, np.zeros((16, 16)), ill]))
-        assert len(X) == 3
-        assert X[0].tobytes() == _solve_trace_normalized(regular[None])[0][0].tobytes()
+            rho, failures = _solve_trace_normalized(np.stack([regular, np.zeros((16, 16)), ill]))
+        assert len(rho) == 3
+        assert rho[0].tobytes() == _solve_trace_normalized(regular[None])[0][0].tobytes()
         assert list(failures) == [1]
         assert isinstance(failures[1], SingularSystem)
         ill_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)
@@ -134,12 +134,12 @@ class TestSteadyState:
                           np.full((16, 16), np.inf), rank_deficient, regular])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            X, failures = _solve_trace_normalized(stack)
+            rho, failures = _solve_trace_normalized(stack)
         assert sorted(failures) == [0, 1, 2, 3]
         for error in failures.values():
             assert isinstance(error, SingularSystem)
             assert str(error).startswith("trace-constrained system is rank-deficient")
-        assert X[4].tobytes() == _solve_trace_normalized(regular[None])[0][0].tobytes()
+        assert rho[4].tobytes() == _solve_trace_normalized(regular[None])[0][0].tobytes()
 
     def test_batched_gates_match_a_row_by_row_reference(self):
         # rows whose x grows like 1/s have a roundoff residual near the
@@ -164,18 +164,39 @@ class TestSteadyState:
             M = rng.normal(size=(16, 16))
             rows.append(M - np.outer(M @ x, x) / (x @ x))
         stack = np.stack(rows)
-        X, failures = _solve_trace_normalized(stack)
-        got = [(type(failures[i]).__name__, str(failures[i])) if i in failures
-               else ("ok", X[i].tobytes()) for i in range(len(stack))]
-        assert got == [_reference_outcome(L) for L in stack]
-        assert {kind for kind, _ in got} == {"ok", "SingularSystem", "NonPhysicalState"}
-        passed = [i for i, (kind, message) in enumerate(got)
+        rho, failures = _solve_trace_normalized(stack)
+        got = [_outcome(rho, failures, i) for i in range(len(stack))]
+        # the single-solve reference hands back x; a good row's state is its
+        # unvectorize, bit for bit
+        expected = [(kind, unvectorize(np.frombuffer(value)).tobytes() if kind == "ok" else value)
+                    for kind, value in map(_reference_outcome, stack)]
+        assert [outcome[:2] for outcome in got] == expected
+        # each row's outcome, a NonPhysicalState's state included, is its
+        # outcome as a stack of one
+        assert got == [_outcome(*_solve_trace_normalized(stack[i:i + 1]), 0)
+                       for i in range(len(stack))]
+        assert {kind for kind, *_ in got} == {"ok", "SingularSystem", "NonPhysicalState"}
+        passed = [i for i, (kind, message, *_) in enumerate(got)
                   if kind != "SingularSystem" or "residual" not in message]
         assert len(passed) < len(got)
-        # rows with ||x|| > 7, which the batched check leaves to the single-
-        # solve arithmetic, that pass it
+        # rows with ||x|| > 7, whose residual the roundoff of a large x
+        # brings near the bound, that pass it
         assert any(np.linalg.norm(np.linalg.solve(_trace_constrained(stack[i]),
                                                   np.eye(16)[0])) > 7 for i in passed)
+
+    def test_one_unvectorize_for_good_and_unphysical_states(self, monkeypatch):
+        # a NonPhysicalState's state is a view on the same unit-trace stack
+        # as the good states, not a second unvectorize of its row
+        calls = []
+        monkeypatch.setattr(steady, "unvectorize",
+                            lambda x: calls.append(len(x)) or unvectorize(x))
+        good, error = steady_state([
+            SystemParams(p_align=0.5),
+            SystemParams(p_align=0.5, equation_variant=EquationVariant.PAPER_LITERAL)])
+        assert calls == [2]
+        assert isinstance(error, NonPhysicalState)
+        assert good.m.base is not None
+        assert error.state.m.base is good.m.base
 
     def test_raised_errors_leave_no_reference_cycles(self, monkeypatch):
         # a cycle through the traceback would keep every raised exception,
@@ -203,12 +224,12 @@ class TestSteadyState:
 
 class TestEvolve:
     def test_zero_time_returns_initial_state(self):
-        rho0 = DensityMatrix.from_populations(0.4, 0.3, 0.2, 0.1)
+        rho0 = from_populations(0.4, 0.3, 0.2, 0.1)
         out = evolve(SystemParams(p_align=0.5), rho0, 0.0)
         assert np.array_equal(out.m, rho0.m)
 
     def test_pure_decay_ends_in_ground_state(self):
-        rho0 = DensityMatrix.from_populations(0.0, 1.0, 0.0, 0.0)
+        rho0 = from_populations(0.0, 1.0, 0.0, 0.0)
         out = evolve(NO_FIELDS, rho0, 100.0)
         assert abs(out.m[0, 0].real - 1.0) < 1e-6
         assert abs(out.m[1, 1].real) < 1e-6
@@ -239,14 +260,14 @@ class TestEvolve:
 
     def test_no_steps_for_a_zero_horizon(self):
         # 1/dt overflows here; no step is taken and rho0 comes back
-        rho0 = DensityMatrix.from_populations(0.5, 0.25, 0.125, 0.125)
+        rho0 = from_populations(0.5, 0.25, 0.125, 0.125)
         rho = evolve(SystemParams(), rho0, 0.0, dt=1e-320)
         assert np.array_equal(rho.m, rho0.m)
 
     def test_paper_literal_diverges_from_populated_upper_level(self):
         params = SystemParams(p_align=0.5,
                               equation_variant=EquationVariant.PAPER_LITERAL)
-        rho0 = DensityMatrix.from_populations(0.99, 0.0, 0.01, 0.0)
+        rho0 = from_populations(0.99, 0.0, 0.01, 0.0)
         with pytest.raises(StepUnstable, match=r"t = 5\.000/gamma "):
             evolve(params, rho0, 200.0)
 
@@ -297,6 +318,18 @@ def _trace_constrained(L):
     A[0] = 0.0
     A[0, :4] = 1.0
     return A
+
+
+def _outcome(rho, failures, i):
+    """Row i of a _solve_trace_normalized result: (kind, message) for a
+    SingularSystem, with the state's bytes for a NonPhysicalState, and
+    ("ok", bytes of the state) for a good row."""
+    error = failures.get(i)
+    if error is None:
+        return ("ok", rho[i].tobytes())
+    if isinstance(error, NonPhysicalState):
+        return (type(error).__name__, str(error), error.state.m.tobytes())
+    return (type(error).__name__, str(error))
 
 
 def _reference_outcome(L):

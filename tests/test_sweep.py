@@ -142,6 +142,14 @@ class TestSweepAlignment:
         with pytest.raises(ValidationError):
             sweep_alignment(SystemParams(), -0.1, 0.5, 11)
 
+    def test_subnormal_probe_fails_each_point(self):
+        # eps0 * hbar * omegap_si underflows to zero: each point is a
+        # DegenerateProbe failure, and the sweep runs to its end
+        table = sweep_alignment(SystemParams(omegap_bare=5e-324), 0.0, 0.5, 3)
+        assert table.records == (None,) * 3
+        assert [f.kind for f in table.failures] == ["DegenerateProbe"] * 3
+        assert all("underflows to zero" in f.message for f in table.failures)
+
     def test_failures_collected_not_fatal(self):
         params = SystemParams(equation_variant=EquationVariant.PAPER_LITERAL)
         t = sweep_alignment(params, 0.3, 0.7, 5)
@@ -313,6 +321,13 @@ class TestStackedSweepMatchesPointwise:
         # with the text the per-point SystemParams of the value would give
         with pytest.raises(ValidationError, match="^delta_p must be finite$"):
             sweep_detuning(SystemParams(), -np.inf, 0.0, 1)
+
+    @pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (-np.inf, 0.0)])
+    def test_overflowing_grid_span_is_rejected(self, lo, hi):
+        # np.linspace overflows or makes NaN on this span: the caller gets
+        # the ValidationError, not a RuntimeWarning
+        with pytest.raises(ValidationError, match="^delta_p must be finite$"):
+            sweep_detuning(SystemParams(), lo, hi, 5)
 
 
 @pytest.mark.parametrize("bare", [0.2, 0.0, -0.0])
