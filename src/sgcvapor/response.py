@@ -20,12 +20,15 @@ double-negative (left-handed) medium with small losses this reproduces
 n = -sqrt(eps_r mu_r).
 
 ``response_at`` on a sequence of points is also what a sweep runs, on
-a ``params.PointsAlong`` of its grid: it reads the few values the mapping
-needs besides the steady state a column at a time (``_MAPPING_FIELDS``),
-fails points whose probe coupling vanishes before the solve, solves the rest
-as one stack with ``steady_state`` and maps each state through the scalar
-functions below, fed with plain floats. No SystemParams is built per
-point of a sweep.
+a ``params.PointsAlong`` of its grid. It fails points whose probe coupling
+vanishes before the solve, solves the rest with ``steady_state`` in
+stacks of CHUNK_POINTS, and maps each stack's states through the scalar
+functions below, fed with plain floats, while ``steady_state`` factors the
+next stack on its worker thread. The few values the mapping needs besides
+the steady state (``_MAPPING_FIELDS``) are read a column at a time, a
+stack at a time. No SystemParams is built per point of a sweep. A point
+whose polarizability numerator underflows, a probe too weak for double
+precision, fails with DegenerateProbe rather than reading as vacuum.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import SystemParams, columns, take
-from .steady import _only, steady_state
+from .steady import RESIDUAL_TOL, _only, steady_state
 
 # CODATA 2018 / SI 2019 exact-based values.
 HBAR = 1.054571817e-34       # J s
@@ -49,8 +52,10 @@ LOCAL_FIELD_POLE_TOL = 1e-12
 
 class DegenerateProbe(ZeroDivisionError):
     """The effective probe coupling vanishes (at |p_align| = 1 or
-    omegap_bare = 0); the response per unit probe field is undefined
-    there."""
+    omegap_bare = 0, or by underflow); the response per unit probe field
+    is undefined there. Also raised when a polarizability numerator
+    underflows: the probe is too weak for its response to be computed in
+    double precision."""
 
 
 class LocalFieldPole(ArithmeticError):
@@ -121,7 +126,10 @@ def electric_polarizability(rho24: complex, params: SystemParams) -> complex:
 
 
 def _electric(rho24: complex, d42: float, omegap_si: float) -> complex:
-    return 2.0 * d42 ** 2 * rho24 / (EPSILON_0 * HBAR * omegap_si)
+    numerator = 2.0 * d42 ** 2 * rho24
+    if _underflows(numerator, rho24):
+        raise _numerator_underflow("2 d42^2 rho24", "rho24", rho24)
+    return numerator / (EPSILON_0 * HBAR * omegap_si)
 
 
 def magnetic_polarizability(rho32: complex, params: SystemParams) -> complex:
@@ -134,7 +142,35 @@ def magnetic_polarizability(rho32: complex, params: SystemParams) -> complex:
 
 
 def _magnetic(rho32: complex, d42: float, mu23: float, omegap_si: float) -> complex:
-    return 2.0 * MU_0 * mu23 * rho32 * C_LIGHT * d42 / (HBAR * omegap_si)
+    # checked before * C_LIGHT too, which can lift a product that lost its
+    # digits back into the normal range
+    numerator = 2.0 * MU_0 * mu23 * rho32
+    if _underflows(numerator, rho32):
+        raise _numerator_underflow("2 mu0 mu23 rho32", "rho32", rho32)
+    numerator = numerator * C_LIGHT * d42
+    if _underflows(numerator, rho32):
+        raise _numerator_underflow("2 mu0 mu23 rho32 c d42", "rho32", rho32)
+    return numerator / (HBAR * omegap_si)
+
+
+# Below this magnitude a double is subnormal and rounds to a multiple of
+# 2**-1074, which can cost more than RESIDUAL_TOL of its value: more digits
+# than the steady solve itself is trusted to keep.
+_UNDERFLOW_BOUND = 2.0 ** -1074 / RESIDUAL_TOL
+
+
+def _underflows(product: complex, coherence: complex) -> bool:
+    """True if a part of ``product``, a multiple of ``coherence`` by
+    positive reals taken part by part, has underflowed: it is zero, or
+    subnormal and below _UNDERFLOW_BOUND, where that part of the coherence
+    is not zero."""
+    return ((abs(product.real) < _UNDERFLOW_BOUND and coherence.real != 0.0)
+            or (abs(product.imag) < _UNDERFLOW_BOUND and coherence.imag != 0.0))
+
+
+def _numerator_underflow(numerator: str, name: str, coherence: complex) -> DegenerateProbe:
+    return DegenerateProbe(f"polarizability numerator {numerator} underflows at "
+                           f"{name} = {coherence:.3g}: the probe is too weak")
 
 
 def permittivity(gamma_e: complex, density_n: float) -> complex:
@@ -206,14 +242,15 @@ def response_at(params):
     """Solve the steady state and map it to the macroscopic response.
 
     Propagates SingularSystem / NonPhysicalState from the solver,
-    DegenerateProbe at |p_align| = 1 or a vanishing probe coupling, and
-    LocalFieldPole at a Clausius-Mossotti divergence.
+    DegenerateProbe at |p_align| = 1, at a vanishing probe coupling or
+    when a polarizability numerator underflows, and LocalFieldPole at a
+    Clausius-Mossotti divergence.
 
     ``params`` may also be a sequence of SystemParams, whose steady states
-    are solved as one stack: the result is then a list whose item i is the
-    record of point i, or the exception it would raise alone, returned
-    instead of raised. Points whose probe coupling vanishes, at zero or
-    by underflow, fail before the solve.
+    are solved as stacks of at most CHUNK_POINTS points: the result is then
+    a list whose item i is the record of point i, or the exception it
+    would raise alone, returned instead of raised. Points whose probe
+    coupling vanishes, at zero or by underflow, fail before the solve.
     """
     single = isinstance(params, SystemParams)
     points = [params] if single else params
@@ -226,19 +263,21 @@ def response_at(params):
         elif _probe_vanishes(w):
             out[i] = _degenerate_probe(p, omegap_bare[i], w)
     live = [i for i, o in enumerate(out) if o is None]
-    for i, state in zip(live, steady_state(take(points, live))):
-        if isinstance(state, Exception):
-            out[i] = state
-            continue
-        try:
-            out[i] = _record(state.rho24, state.rho32, omegap_si[i], d42[i], mu23[i],
-                             density_n[i], delta_p[i], p_align[i])
-        except LocalFieldPole as exc:
-            # its traceback would hold this frame, and so ``out``, in a cycle
-            out[i] = exc.with_traceback(None)
-    # the traceback of the exception _only raises holds this frame: it must
-    # not refer back to that exception
-    state = None
+
+    def map_chunk(start, states):
+        # runs while steady_state factors the next chunk on another thread
+        for i, state in zip(live[start:start + len(states)], states):
+            if isinstance(state, Exception):
+                out[i] = state
+                continue
+            try:
+                out[i] = _record(state.rho24, state.rho32, omegap_si[i], d42[i], mu23[i],
+                                 density_n[i], delta_p[i], p_align[i])
+            except (DegenerateProbe, LocalFieldPole) as exc:
+                # its traceback would hold this frame, and so ``out``, in a cycle
+                out[i] = exc.with_traceback(None)
+
+    steady_state(take(points, live), _each=map_chunk)
     return _only(out) if single else out
 
 

@@ -2,16 +2,16 @@
 
 Sweeps evaluate the response on a uniform inclusive grid along the probe
 detuning or the dipole-alignment parameter. The grid is validated once,
-as an array, and solved in chunks of CHUNK_POINTS points. Each chunk is
-one ``response_at`` call on a ``PointsAlong`` of the base point and the
-grid slice, one stacked steady-state solve: its rates and mapping values
-are read from the base point and the slice a column at a time, with no
-SystemParams per point. The records are bitwise those ``response_at``
-gives point by point. Points where the computation fails (degenerate
-probe, local-field pole, singular or unphysical steady state) come back
-from that call as the point's exception: they are recorded as
-SweepFailures and skipped rather than aborting the chunk or the sweep,
-and a failed point also breaks any left-handed band running through it.
+as an array, and the sweep is one ``response_at`` call on a
+``PointsAlong`` of the base point and the grid, which solves it in
+double-buffered stacks of ``steady.CHUNK_POINTS`` points: rates and
+mapping values are read from the base point and the grid a column at a
+time, with no SystemParams per point. The records are bitwise those
+``response_at`` gives point by point. Points where the computation fails
+(degenerate probe, local-field pole, singular or unphysical steady state)
+come back from that call as the point's exception: they are recorded as
+SweepFailures and skipped rather than aborting the sweep, and a failed
+point also breaks any left-handed band running through it.
 Results are stored in grid order.
 """
 
@@ -27,13 +27,6 @@ from .response import Handedness, ResponseRecord, response_at
 
 #: alignment sweeps stop this far short of p = 1, where the probe decouples
 ALIGNMENT_GUARD = 1e-6
-
-# Grid points per stacked solve, a constant: a chunk's arrays take about
-# 8 kB per point while it is solved. On a 20001-point sweep, peak resident
-# memory was 1.2 MB above the point-by-point loop's with 256-point chunks,
-# 7.6 MB above it with 1024 and 158 MB with no chunking, while the time
-# per point changed by about 10% between chunks of 64 and 1024.
-CHUNK_POINTS = 256
 
 
 class EmptyTable(RuntimeError):
@@ -106,20 +99,19 @@ def _uniform_grid(lo: float, hi: float, steps: int) -> np.ndarray:
 
 
 def _run_sweep(axis: SweepAxis, base: SystemParams, grid: np.ndarray) -> SweepTable:
-    """Solve ``base`` at each grid value of ``axis.field``, CHUNK_POINTS
-    at a time; the grid values must already be valid for the field."""
+    """Solve ``base`` at each grid value of ``axis.field``; the grid values
+    must already be valid for the field."""
+    outcomes = response_at(PointsAlong(base, axis.field, grid))
+    values = grid.tolist()
     records = []
     failures = []
-    for start in range(0, len(grid), CHUNK_POINTS):
-        values = grid[start:start + CHUNK_POINTS]
-        outcomes = response_at(PointsAlong(base, axis.field, values))
-        for value, outcome in zip(values.tolist(), outcomes):
-            if isinstance(outcome, ResponseRecord):
-                records.append(outcome)
-            else:
-                records.append(None)
-                failures.append(SweepFailure(value, type(outcome).__name__, str(outcome)))
-    table = SweepTable(axis=axis, grid=tuple(grid.tolist()),
+    for value, outcome in zip(values, outcomes):
+        if isinstance(outcome, ResponseRecord):
+            records.append(outcome)
+        else:
+            records.append(None)
+            failures.append(SweepFailure(value, type(outcome).__name__, str(outcome)))
+    table = SweepTable(axis=axis, grid=tuple(values),
                        records=tuple(records), bands=(), failures=tuple(failures))
     return replace(table, bands=tuple(detect_bands(table)))
 

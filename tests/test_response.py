@@ -10,7 +10,7 @@ from sgcvapor import (DegenerateProbe, DensityMatrix, EquationVariant,
                       SystemParams, classify_handedness,
                       electric_polarizability, evolve, magnetic_polarizability,
                       permeability, permittivity, refractive_index,
-                      response_at)
+                      response_at, steady_state, sweep_detuning)
 from sgcvapor import response
 
 from conftest import magnetic_polarizability_from_permeability
@@ -194,7 +194,7 @@ class TestResponseAt:
         params = SystemParams(omegap_bare=5e-324)
         assert params.omegap_si != 0.0
 
-        def no_solve(points):
+        def no_solve(points, _each=None):
             assert not points, "a point with a vanishing probe coupling was solved"
             return []
 
@@ -206,6 +206,42 @@ class TestResponseAt:
         for polarizability in (electric_polarizability, magnetic_polarizability):
             with pytest.raises(DegenerateProbe, match=underflow):
                 polarizability(1j, params)
+
+    @pytest.mark.parametrize("omegap_bare", [1e-265, 1e-280])
+    def test_underflowing_numerator_fails_the_point(self, omegap_bare):
+        # rho24 scales with the probe; 2 d42^2 rho24 underflows to zero
+        # here, which read as the vacuum response, eps_r = 1
+        params = SystemParams(omegap_bare=omegap_bare, p_align=0.5, delta_p=3.0)
+        assert steady_state(params).rho24 != 0
+        underflow = r"^polarizability numerator 2 d42\^2 rho24 underflows at rho24 = "
+        with pytest.raises(DegenerateProbe, match=underflow):
+            response_at(params)
+        table = sweep_detuning(params, -20.0, 20.0, 41)
+        assert {f.kind for f in table.failures} == {"DegenerateProbe"}
+        assert len(table.failures) == 41
+
+    def test_underflowing_magnetic_numerator_fails(self):
+        # at omegap_bare = 1e-280 the full product 2 mu0 mu23 rho32 c d42 is zero
+        params = SystemParams(omegap_bare=1e-280, p_align=0.5, delta_p=3.0)
+        with pytest.raises(DegenerateProbe, match=r"2 mu0 mu23 rho32 c d42 underflows"):
+            magnetic_polarizability(steady_state(params).rho32, params)
+        # checked before * c as well: with d42 = 1 C m the product is lifted
+        # back into the normal range after it lost its digits
+        assert 2.0 * response.MU_0 * 9.274e-24 * 1e-286 < 2.0 ** -1022
+        with pytest.raises(DegenerateProbe, match=r"2 mu0 mu23 rho32 underflows at rho32"):
+            magnetic_polarizability(1e-286j, SystemParams(d42=1.0))
+
+    @pytest.mark.parametrize("omegap_bare,gamma_e,gamma_m", [
+        (1e-3, -4.415451609024868e-23 - 2.991229004029241e-23j,
+         3.168061657652218e-27 + 1.8244994859242842e-26j),
+        (1e-250, -4.41545198487862e-23 - 2.9912290974260044e-23j,
+         3.1680619121878667e-27 + 1.8244995580142223e-26j),
+    ])
+    def test_weak_probes_keep_their_values(self, omegap_bare, gamma_e, gamma_m):
+        # the numerator at 1e-250 is already subnormal, but within the
+        # solve's own accuracy of its value
+        record = response_at(SystemParams(omegap_bare=omegap_bare, p_align=0.5, delta_p=3.0))
+        assert (record.gamma_e, record.gamma_m) == (gamma_e, gamma_m)
 
     def test_sequence_errors_leave_no_reference_cycles(self):
         # omegap_bare = 0 fails before the solve

@@ -1,5 +1,10 @@
 import gc
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -8,10 +13,10 @@ import pytest
 from sgcvapor import (DensityMatrix, EquationVariant, NonPhysicalState,
                       SingularSystem, StepUnstable, SystemParams,
                       ValidationError, build_generator, eom_rhs, evolve,
-                      steady_state)
+                      response_at, steady_state, sweep_detuning)
 from sgcvapor import steady
 from sgcvapor.model import unvectorize, vectorize
-from sgcvapor.steady import _solve_trace_normalized
+from sgcvapor.steady import CHUNK_POINTS, _solve_trace_normalized
 
 from conftest import ORACLE_DETUNINGS, ORACLE_P_VALUES, from_populations, random_hermitian
 
@@ -220,6 +225,153 @@ class TestSteadyState:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestDoubleBufferedSolve:
+    """Sequences longer than CHUNK_POINTS are solved a chunk at a time, the
+    next chunk factored on a worker thread while this one is mapped."""
+
+    REGULAR = [SystemParams(p_align=0.5, delta_p=d)
+               for d in np.linspace(-5.0, 5.0, CHUNK_POINTS).tolist()]
+    ILL = SystemParams(gamma2=1e-13, gamma3=1e-13, gamma4=1e-13)
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # the worker runs only where the process may use a second CPU
+        monkeypatch.setattr(steady, "_cpus", lambda: 2)
+
+    def test_warning_from_a_worker_chunk_names_the_caller(self, monkeypatch):
+        # the ill-conditioned point is in the second chunk, whose condition
+        # numbers come from the worker; the warning is issued on this thread
+        threads = []
+
+        def spy(A, factor=steady._factor):
+            threads.append(threading.current_thread())
+            return factor(A)
+
+        monkeypatch.setattr(steady, "_factor", spy)
+        points = self.REGULAR + [self.ILL, SystemParams()]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            states = steady_state(points)
+        assert threads[0] is threading.main_thread()
+        assert threads[1] is not threading.main_thread()
+        assert all(isinstance(s, DensityMatrix) for s in states)
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
+        assert str(caught[0].message).startswith("steady-state solve is ill-conditioned")
+
+    def test_calls_of_one_chunk_start_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        threads = threading.active_count()
+        steady_state(SystemParams())
+        steady_state(self.REGULAR)
+        response_at(SystemParams())
+        response_at(self.REGULAR)
+        sweep_detuning(SystemParams(), -20.0, 20.0, CHUNK_POINTS)
+        assert started == []
+        assert threading.active_count() == threads
+        steady_state(self.REGULAR * 2 + [SystemParams()])
+        assert len(started) == 2
+        # each worker is joined before its chunk is used
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_one_cpu_or_no_thread_factors_inline(self, monkeypatch):
+        # where no thread can help or none can be started, every chunk is
+        # factored on the caller's thread, to the same bits
+        points = self.REGULAR * 2 + [self.ILL, SystemParams()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = [s.m.tobytes() for s in steady_state(points)]
+            threads = []
+
+            def spy(A, factor=steady._factor):
+                threads.append(threading.current_thread())
+                return factor(A)
+
+            def refused(thread):
+                raise RuntimeError("can't create new thread at interpreter shutdown")
+
+            monkeypatch.setattr(steady, "_factor", spy)
+            for patch in ((steady, "_cpus", lambda: 1), (threading.Thread, "start", refused)):
+                with monkeypatch.context() as context:
+                    context.setattr(*patch)
+                    assert [s.m.tobytes() for s in steady_state(points)] == expected
+        assert threads == [threading.main_thread()] * 6
+
+    def test_worker_error_reaches_the_caller_without_reference_cycles(self, monkeypatch):
+        def fails_on_the_worker(A, factor=steady._factor):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("no memory on the worker")
+            return factor(A)
+
+        points = self.REGULAR * 2 + [SystemParams()]
+        expected = [s.m.tobytes() for s in steady_state(points)]
+        gc.collect()
+        gc.disable()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(steady, "_factor", fails_on_the_worker)
+                for call in (steady_state, response_at):
+                    with pytest.raises(MemoryError, match="on the worker"):
+                        call(points)
+                with pytest.raises(MemoryError, match="on the worker"):
+                    sweep_detuning(SystemParams(), -20.0, 20.0, 2 * CHUNK_POINTS + 1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        # and the next call works
+        assert [s.m.tobytes() for s in steady_state(points)] == expected
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(steady.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+# Solves CHUNK_POINTS + 1 points, on two CPUs if the machine has them, and
+# prints the sha256 of their states: what `when` runs it from.
+_SOLVE = """
+import hashlib, sys, threading, atexit
+from sgcvapor import SystemParams, steady, steady_state
+
+def solve():
+    steady._cpus = lambda: 2
+    points = [SystemParams(delta_p=0.01 * k) for k in range(steady.CHUNK_POINTS + 1)]
+    states = steady_state(points)
+    print(hashlib.sha256(b"".join(s.m.tobytes() for s in states)).hexdigest(), flush=True)
+"""
+
+
+@pytest.mark.parametrize("when", [
+    # a thread the main thread never joins, solving once the main thread is
+    # done and the interpreter has begun to shut down
+    "threading.Thread(target=lambda: (threading.main_thread().join(), solve())).start()",
+    "atexit.register(solve)",
+])
+def test_solves_while_the_interpreter_shuts_down(when):
+    points = [SystemParams(delta_p=0.01 * k) for k in range(CHUNK_POINTS + 1)]
+    expected = hashlib.sha256(b"".join(s.m.tobytes() for s in steady_state(points)))
+    proc = _run_python(_SOLVE + when + "\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [expected.hexdigest()]
+
+
+def test_import_leaves_concurrent_futures_out():
+    # the worker is a plain thread: neither the import nor a call of more
+    # than one chunk brings in concurrent.futures (about 6.5 ms to import)
+    proc = _run_python("import sys, sgcvapor.cli\n"
+                       "print('concurrent.futures' in sys.modules)\n"
+                       "n = sgcvapor.steady.CHUNK_POINTS + 1\n"
+                       "sgcvapor.steady_state([sgcvapor.SystemParams()] * n)\n"
+                       "print('concurrent.futures' in sys.modules)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
 
 
 class TestEvolve:

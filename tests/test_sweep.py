@@ -1,3 +1,4 @@
+import threading
 import warnings
 from dataclasses import fields, replace
 
@@ -12,7 +13,8 @@ from sgcvapor import (DegenerateProbe, EmptyTable, EquationVariant, Handedness,
                       sweep_alignment, sweep_detuning)
 from sgcvapor import response, steady, sweep
 from sgcvapor.params import PointsAlong, columns
-from sgcvapor.sweep import ALIGNMENT_GUARD, CHUNK_POINTS
+from sgcvapor.steady import CHUNK_POINTS
+from sgcvapor.sweep import ALIGNMENT_GUARD
 
 
 def make_record(axis_value, eps=-1 + 0.1j, mu=-1 + 0.1j, n=-1 + 0.01j):
@@ -280,7 +282,7 @@ class TestStackedSweepMatchesPointwise:
         assert all("ill-conditioned" in m for m in messages)
 
     def test_zero_probe_fails_before_the_solve(self, monkeypatch):
-        def no_solve(points):
+        def no_solve(points, _each=None):
             assert not points, "a zero-probe point was solved"
             return []
 
@@ -291,8 +293,9 @@ class TestStackedSweepMatchesPointwise:
         assert len(table.failures) == 41
 
     def test_sweeps_build_no_per_point_params(self, calibrated_base, monkeypatch):
-        # each chunk is one call of each public layer, which is what a
-        # tracer of those layers sees, and no SystemParams is built
+        # a sweep is one call of response_at and steady_state, nested as a
+        # tracer of those layers sees them, each chunk one build_generator
+        # stack, and no SystemParams is built
         base = replace(calibrated_base, p_align=0.5)
         calls = []
         post_init = SystemParams.__post_init__
@@ -302,20 +305,47 @@ class TestStackedSweepMatchesPointwise:
             post_init(self)
 
         monkeypatch.setattr(SystemParams, "__post_init__", counted)
-        layers = []
+        layers, depth, caller = [], [], threading.get_ident()
         for module, name in ((sweep, "response_at"), (response, "steady_state"),
                              (steady, "build_generator")):
-            def spy(points, fn=getattr(module, name), name=name):
-                layers.append((name, len(points)))
-                return fn(points)
+            def spy(points, fn=getattr(module, name), name=name, **hooks):
+                layers.append((name, len(points), len(depth),
+                               threading.get_ident() == caller))
+                depth.append(name)
+                try:
+                    return fn(points, **hooks)
+                finally:
+                    depth.pop()
             monkeypatch.setattr(module, name, spy)
         detuning = sweep_detuning(base, -20.0, 20.0, self.STEPS)
         alignment = sweep_alignment(base, 0.0, 1.0 - ALIGNMENT_GUARD, self.STEPS)
         assert len(detuning.records) == len(alignment.records) == self.STEPS
         assert calls == []
-        chunks = [CHUNK_POINTS, CHUNK_POINTS, 1] * 2
-        assert layers == [(name, n) for n in chunks
-                          for name in ("response_at", "steady_state", "build_generator")]
+        # all on this thread, each call inside the one above it
+        sweep_layers = [("response_at", self.STEPS, 0, True),
+                        ("steady_state", self.STEPS, 1, True)] + [
+            ("build_generator", n, 2, True) for n in (CHUNK_POINTS, CHUNK_POINTS, 1)]
+        assert layers == sweep_layers * 2
+
+    def test_long_lists_are_solved_a_chunk_at_a_time(self, calibrated_base, monkeypatch):
+        # a plain list of points never builds more than one chunk's
+        # generator stack at once, and gives what a sweep of its grid gives
+        base = replace(calibrated_base, p_align=0.5)
+        table = sweep_detuning(base, -20.0, 20.0, self.STEPS)
+        points = [replace(base, delta_p=g) for g in table.grid]
+        stacks = []
+
+        def spy(points, build=steady.build_generator):
+            stacks.append(len(points))
+            return build(points)
+
+        monkeypatch.setattr(steady, "build_generator", spy)
+        records = response_at(points)
+        states = steady_state(points)
+        assert stacks == [CHUNK_POINTS, CHUNK_POINTS, 1] * 2
+        assert [record_bits(r) for r in records] == [record_bits(r) for r in table.records]
+        assert [s.rho24 for s in states] == [r.rho24 for r in table.records]
+        assert [s.rho32 for s in states] == [r.rho32 for r in table.records]
 
     def test_non_finite_grid_value_is_rejected(self):
         # with the text the per-point SystemParams of the value would give
