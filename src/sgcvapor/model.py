@@ -58,6 +58,11 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _FLAT_DIAG = np.arange(4) * 5
 _FLAT_UPPER = np.array([4 * i + j for i, j in _PAIRS])
 _FLAT_LOWER = np.array([4 * j + i for i, j in _PAIRS])
+# for each flat position, its place among the diagonal, the rho_ij and the
+# rho_ji, in that order (not by np.argsort: its first call takes about
+# 0.5 MB of resident memory)
+_PARTS = [*_FLAT_DIAG, *_FLAT_UPPER, *_FLAT_LOWER]
+_FROM_PARTS = np.array([_PARTS.index(k) for k in range(16)])
 
 #: real components that flip sign under p -> -p (coherences involving |3>)
 LEVEL3_COHERENCE_INDICES = (IDX_RE13, IDX_IM13, IDX_RE23, IDX_IM23,
@@ -88,13 +93,10 @@ def unvectorize(x: np.ndarray) -> np.ndarray:
     A stack of vectors (..., 16) gives the stack of matrices (..., 4, 4).
     """
     x = np.asarray(x, dtype=float)
-    rho = np.zeros(x.shape[:-1] + (16,), dtype=complex)
     re = x[..., 4::2]
     i_im = 1j * x[..., 5::2]
-    rho[..., _FLAT_DIAG] = x[..., :4]
-    rho[..., _FLAT_UPPER] = re + i_im
-    rho[..., _FLAT_LOWER] = re - i_im
-    return rho.reshape(x.shape[:-1] + (4, 4))
+    rho = np.concatenate((x[..., :4], re + i_im, re - i_im), axis=-1)
+    return rho.take(_FROM_PARTS, axis=-1).reshape(x.shape[:-1] + (4, 4))
 
 
 class DensityMatrix:
@@ -329,7 +331,7 @@ def build_generator(params) -> GeneratorMatrix:
     single = isinstance(params, SystemParams)
     rates = _rate_table((params,) if single else params)
     L = np.zeros((len(rates), 16 * 16))
-    L[:, _TERM_FLAT] = rates[:, _TERM_RATES] * _TERM_COEFS
+    L[:, _TERM_FLAT] = rates.take(_TERM_RATES, axis=1) * _TERM_COEFS
     L = L.reshape(len(rates), 16, 16)
     # trace-conserving completion of the rho22 row
     L[:, IDX_N2, :] = -(L[:, IDX_N1, :] + L[:, IDX_N3, :] + L[:, IDX_N4, :])

@@ -187,8 +187,11 @@ def columns(points, names) -> list:
 
 
 def take(points, rows: list):
-    """The points of ``points`` at the indices ``rows``, as a sequence of
-    the same kind."""
+    """The points of ``points`` at the increasing indices ``rows``, as a
+    sequence of the same kind: ``points`` itself if ``rows`` are all its
+    indices."""
+    if len(rows) == len(points):
+        return points
     if isinstance(points, PointsAlong):
         return PointsAlong(points.base, points.field, points.values[rows])
     return [points[i] for i in rows]

@@ -8,9 +8,11 @@ resulting square system by dense LU with partial pivoting.
 
 The solve is array-valued: ``steady_state`` also takes a sequence of
 operating points and solves it a stack of at most CHUNK_POINTS points at a
-time. For each stack it assembles the (N, 16, 16) generators, takes the
-batched exact 1-norm condition numbers and one batched LU solve
-(``_factor``), and applies the non-finite, residual, trace and population
+time. For each stack it assembles the (N, 16, 16) generators, inverts
+the trace-constrained stack once for the exact 1-norm condition numbers
+and solves it once (``_factor``, one call each to the LAPACK gufuncs
+behind numpy.linalg, where a singular row comes out as NaN and leaves the
+others alone), and applies the non-finite, residual, trace and population
 gates as array operations on the whole stack, each decided once, by
 arithmetic whose value for a row does not depend on the other rows: a
 row's outcome is its outcome as a stack of one, and so does not depend on
@@ -25,16 +27,15 @@ that stack, not on a copy.
 A sequence of more than one chunk is double-buffered: while the caller
 gates a chunk and maps its states to the response, the next chunk's
 condition numbers and LU run on a thread of their own, whose LAPACK calls
-release the GIL. That thread runs ``_factor`` and
-nothing else, and is joined before its chunk is gated; generator
-assembly, the gates, their warnings and errors, and the unvectorize stay
-on the caller's thread. A single point, or any call of at most
-CHUNK_POINTS points, starts no thread, and neither does a process that
-may run on one CPU only or an interpreter that no longer starts threads:
-there every chunk is factored inline, to the same bits. The
-ill-conditioning RuntimeWarning names the first caller outside this
-package: the line that called ``steady_state``, ``response_at`` or a
-sweep.
+release the GIL. That thread runs ``_factor`` and nothing else, and is
+joined before its chunk is gated; generator assembly, the gates, their
+warnings and errors, and the unvectorize stay on the caller's thread. A
+single point, or any call of at most CHUNK_POINTS points, starts no
+thread, and neither does a process that may run on one CPU only or an
+interpreter that no longer starts threads: there every chunk is factored
+inline, to the same bits. The ill-conditioning RuntimeWarning names the
+first caller outside this package: the line that called
+``steady_state``, ``response_at`` or a sweep.
 
 ``evolve`` integrates the same equations of motion with classical
 fixed-step fourth-order Runge-Kutta and serves as an independent check: for
@@ -55,6 +56,7 @@ import threading
 import warnings
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .model import (DensityMatrix, IDX_N1, IDX_N2, IDX_N3, IDX_N4, build_generator,
                     unvectorize, vectorize)
@@ -62,7 +64,7 @@ from .params import SystemParams, ValidationError, take
 
 # Populations this far outside [0, 1] mean the fixed point is unphysical.
 POPULATION_BOUND_TOL = 1e-6
-# 1-norm condition estimate above this triggers a warning.
+# an exact 1-norm condition number above this triggers a warning
 CONDITION_WARN = 1e12
 # beyond this the solve has no trustworthy digits left
 CONDITION_FAIL = 1e15
@@ -120,7 +122,7 @@ class StepUnstable(RuntimeError):
 
 
 # the rho11 row of the trace-constrained system, and its right-hand side
-# as a one-matrix stack that np.linalg.solve broadcasts over any stack
+# as a one-matrix stack that the solve broadcasts over any stack
 _TRACE_ROW = np.array([1.0] * 4 + [0.0] * 12)
 _UNIT_TRACE = np.zeros((1, 16, 1))
 _UNIT_TRACE[0, IDX_N1, 0] = 1.0
@@ -139,30 +141,45 @@ def _outside_stacklevel() -> int:
 
 
 def _trace_constrained(L: np.ndarray) -> np.ndarray:
-    """A copy of the generator stack ``L`` with each rho11 row replaced by
-    the trace row."""
-    A = L.copy()
-    A[:, IDX_N1] = _TRACE_ROW
-    return A
+    """The generator stack ``L`` with each rho11 row replaced by the trace
+    row, as the first half of a (2, N, 16, 16) array: ``_factor`` puts
+    the inverse in the second half."""
+    pair = np.empty((2,) + L.shape)
+    pair[0] = L
+    pair[0, :, IDX_N1] = _TRACE_ROW
+    return pair
 
 
-def _factor(A: np.ndarray):
-    """The LAPACK half of the solve of the trace-constrained stack ``A``,
-    which it overwrites.
+def _factor(pair: np.ndarray):
+    """The LAPACK half of the solve of a trace-constrained stack A, the
+    first half of ``pair`` (``_trace_constrained``), which it overwrites.
 
-    Returns ``(cond, X)``: each row's 1-norm condition number and its
-    solution x. A row past CONDITION_FAIL is solved as the identity
-    instead, so the batched LU cannot raise; its x is never used. Numpy
-    only, on arrays no other thread touches: this is what the worker
-    thread of ``_factor_later`` runs.
+    Returns ``(cond, X)``: a list of each row's exact 1-norm condition
+    number, and the (N, 16) solutions x. One LU inverts each row of A for
+    its condition number and another solves it; a row with a zero pivot
+    comes out of either as NaN, the other rows untouched, so neither call
+    raises. Numpy only, on arrays no other thread touches: this is what
+    the worker thread of ``_factor_later`` runs, and its first call that
+    releases the GIL is the inverse, the longest one.
     """
-    cond = np.linalg.cond(A, 1)
-    # cond(A, 1) inverts each row by the same LU (gesv) as the solve, and a
-    # zero pivot there makes cond inf; NaN and inf fail the gate too
-    failed = [i for i, c in enumerate(cond.tolist()) if not c <= CONDITION_FAIL]
-    if failed:
-        A[failed] = np.eye(16)
-    return cond, np.linalg.solve(A, _UNIT_TRACE)[:, :, 0]
+    A, inverse = pair
+    # numpy's own gufuncs behind np.linalg.cond(A, 1) and np.linalg.solve,
+    # called once each: the public wrappers cost more than the LAPACK work
+    # of one point, and solve raises for the whole stack on a singular row.
+    # The condition number is cond's arithmetic, op for op: the 1-norms of
+    # A and its inverse, multiplied, and NaN read as inf unless A has a
+    # NaN. tests/test_steady.py checks the bits against the public
+    # functions and that the one-point path calls no wrapper.
+    with np.errstate(all="ignore"):
+        _umath_linalg.inv(A, signature="d->d", out=inverse)
+        X = _umath_linalg.solve(A, _UNIT_TRACE, signature="dd->d")
+        norms = np.maximum.reduce(np.add.reduce(np.abs(pair, out=pair), axis=-2), axis=-1)
+        cond = (norms[0] * norms[1]).tolist()
+    # A holds |A| now, which has a NaN where A has one
+    for i, c in enumerate(cond):
+        if c != c and not np.isnan(A[i]).any():
+            cond[i] = math.inf
+    return cond, X[:, :, 0]
 
 
 def _solve_trace_normalized(L: np.ndarray, factored=None):
@@ -182,14 +199,19 @@ def _solve_trace_normalized(L: np.ndarray, factored=None):
     """
     cond, X = _factor(_trace_constrained(L)) if factored is None else factored
     failures = {}
-    for i, c in enumerate(cond.tolist()):
+    for i, c in enumerate(cond):
         if not c <= CONDITION_FAIL:   # NaN and inf fail too
             failures[i] = SingularSystem(
                 f"trace-constrained system is rank-deficient (cond ~ {c:.2e})")
         elif c > CONDITION_WARN:
             warnings.warn(f"steady-state solve is ill-conditioned (cond ~ {c:.2e})",
                           RuntimeWarning, stacklevel=_outside_stacklevel())
-    nonfinite = ~np.isfinite(X).all(axis=1)
+    # one row per point, True where a gate fails: an entry of x is not
+    # finite (columns 0-15), the residual is too large (16), a population
+    # is below 0 (17-20) or above 1 (21-24), so one reduction finds the
+    # failing rows
+    gates = np.empty((len(L), 25), dtype=bool)
+    np.logical_not(np.isfinite(X, out=gates[:, :16]), out=gates[:, :16])
 
     # a row with a non-finite or huge x may overflow or give NaN here; the
     # gates below decide it on its own values
@@ -199,21 +221,22 @@ def _solve_trace_normalized(L: np.ndarray, factored=None):
         R[:, IDX_N1] = 0.0
         flat = L.reshape(len(L), 16 * 16)
         norms = np.sqrt(np.einsum("ij,ij->i", R, R))
-        too_large = norms > RESIDUAL_TOL * np.sqrt(np.einsum("ij,ij->i", flat, flat))
+        np.greater(norms, RESIDUAL_TOL * np.sqrt(np.einsum("ij,ij->i", flat, flat)),
+                   out=gates[:, 16])
         # renormalize the trace (the solve already puts the sum at 1 to
         # roundoff; dividing pins it there)
         X /= (X[:, IDX_N1] + X[:, IDX_N2] + X[:, IDX_N3] + X[:, IDX_N4])[:, None]
         pops = X[:, IDX_N1:IDX_N4 + 1]
-        unphysical = ((pops < -POPULATION_BOUND_TOL)
-                      | (pops > 1.0 + POPULATION_BOUND_TOL)).any(axis=1)
+        np.less(pops, -POPULATION_BOUND_TOL, out=gates[:, 17:21])
+        np.greater(pops, 1.0 + POPULATION_BOUND_TOL, out=gates[:, 21:])
         rho = unvectorize(X)
 
-    for k in (nonfinite | too_large | unphysical).nonzero()[0].tolist():
+    for k in np.logical_or.reduce(gates, axis=1).nonzero()[0].tolist():
         if k in failures:
             continue
-        if nonfinite[k]:
+        if gates[k, :16].any():
             failures[k] = SingularSystem("solution has non-finite entries")
-        elif too_large[k]:
+        elif gates[k, 16]:
             failures[k] = SingularSystem(
                 f"steady-state residual {norms[k]:.2e} exceeds {RESIDUAL_TOL:.0e} * ||L||")
         else:
@@ -261,8 +284,8 @@ def _chunk(points, start: int):
     return take(points, range(start, min(start + CHUNK_POINTS, len(points))))
 
 
-def _factor_later(A: np.ndarray):
-    """A function that returns, or raises, what ``_factor(A)`` does,
+def _factor_later(pair: np.ndarray):
+    """A function that returns, or raises, what ``_factor(pair)`` does,
     computed meanwhile on a thread of its own.
 
     ``Thread.start`` returns only once the thread runs, and the thread
@@ -272,10 +295,10 @@ def _factor_later(A: np.ndarray):
     chunk takes. Where no thread can help, because the process may run on
     one CPU only or no new thread can be started (the interpreter is
     shutting down), the thread is never started and the function runs
-    ``_factor(A)`` itself.
+    ``_factor(pair)`` itself.
     """
     box = []
-    worker = threading.Thread(target=_factor_into, args=(box, A), name="sgcvapor-factor")
+    worker = threading.Thread(target=_factor_into, args=(box, pair), name="sgcvapor-factor")
     if _cpus() > 1:
         try:
             worker.start()
@@ -298,11 +321,11 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _factor_into(box: list, A: np.ndarray) -> None:
-    """Append ``_factor(A)``, or the exception it raises, to ``box``: what
+def _factor_into(box: list, pair: np.ndarray) -> None:
+    """Append ``_factor(pair)``, or the exception it raises, to ``box``: what
     the worker of ``_factor_later`` runs."""
     try:
-        box.append(_factor(A))
+        box.append(_factor(pair))
     except Exception as exc:
         box.append(exc)
 

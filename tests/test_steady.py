@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -129,22 +130,57 @@ class TestSteadyState:
         assert len(ill_warnings) == 1
 
     def test_degenerate_rows_fail_the_condition_gate_without_raising(self):
-        # the gate is what keeps the batched LU from raising: a row it
-        # passes has no zero pivot, so every kind of bad row must fail it
+        # a singular row comes out of the batched inverse and solve as NaN,
+        # and neither raises; each kind of bad row fails the condition gate
+        # with the message, "cond ~ inf" or "cond ~ nan", that numpy's
+        # public np.linalg.cond and np.linalg.solve give it alone
         regular = build_generator(SystemParams(p_align=0.5, delta_p=3.0))
         # a zero column: np.linalg.solve raises for this row alone
         rank_deficient = regular.copy()
         rank_deficient[:, 5] = 0.0
+        one_nan, one_inf = regular.copy(), regular.copy()
+        one_nan[7, 3] = np.nan
+        one_inf[9, 2] = np.inf
         stack = np.stack([np.zeros((16, 16)), np.full((16, 16), np.nan),
-                          np.full((16, 16), np.inf), rank_deficient, regular])
+                          np.full((16, 16), np.inf), one_nan, one_inf, rank_deficient,
+                          regular])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rho, failures = _solve_trace_normalized(stack)
-        assert sorted(failures) == [0, 1, 2, 3]
-        for error in failures.values():
-            assert isinstance(error, SingularSystem)
-            assert str(error).startswith("trace-constrained system is rank-deficient")
-        assert rho[4].tobytes() == _solve_trace_normalized(regular[None])[0][0].tobytes()
+        assert sorted(failures) == [0, 1, 2, 3, 4, 5]
+        got = [_outcome(rho, failures, i) for i in range(6)]
+        assert got == [_reference_outcome(L) for L in stack[:6]]
+        assert {message[-4:-1] for _, message in got} == {"inf", "nan"}
+        assert rho[6].tobytes() == _solve_trace_normalized(regular[None])[0][0].tobytes()
+
+    def test_factor_matches_numpy_cond_and_solve_bitwise(self):
+        # _factor calls the gufuncs behind np.linalg.cond(A, 1) and
+        # np.linalg.solve itself; its condition numbers, and the solutions of
+        # the rows that pass the gate, are theirs to the bit
+        rng = np.random.default_rng(7)
+        regular = build_generator(SystemParams(p_align=0.5, delta_p=3.0))
+        for n in (1, 2, 5, 17, 40):
+            L = rng.normal(size=(n, 16, 16)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1))
+            L[::3] = regular
+            for k in rng.choice(n, size=n // 2, replace=False):
+                kind = rng.integers(6)
+                if kind == 0:
+                    L[k] = 0.0
+                elif kind == 1:
+                    L[k, rng.integers(1, 16), rng.integers(16)] = (np.nan, np.inf)[k % 2]
+                elif kind == 2:
+                    L[k, :, 3] = 2.0 * L[k, :, 7]           # exactly singular
+                else:
+                    L[k, :, 3] = L[k, :, 7] + 10.0 ** -rng.uniform(6, 17) * L[k, :, 3]
+            A = np.stack([_trace_constrained(row) for row in L])
+            cond, X = steady._factor(steady._trace_constrained(L))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected = np.linalg.cond(A, 1)
+            assert np.array(cond).tobytes() == expected.tobytes()
+            for k in np.flatnonzero(expected <= steady.CONDITION_FAIL):
+                x = np.linalg.solve(A[k:k + 1], np.eye(16)[:, :1])[0, :, 0]
+                assert X[k].tobytes() == x.tobytes()
 
     def test_batched_gates_match_a_row_by_row_reference(self):
         # rows whose x grows like 1/s have a roundoff residual near the
@@ -241,25 +277,45 @@ class TestDoubleBufferedSolve:
         monkeypatch.setattr(steady, "_cpus", lambda: 2)
 
     def test_warning_from_a_worker_chunk_names_the_caller(self, monkeypatch):
-        # the ill-conditioned point is in the second chunk, whose condition
-        # numbers come from the worker; the warning is issued on this thread
+        # a singular and an ill-conditioned point in the second stack of a
+        # 2 * CHUNK_POINTS + 1 call, whose condition numbers and solutions
+        # come from the worker: the singular one fails and the other warns,
+        # on this thread, with the texts they give alone
+        singular = SystemParams(delta_p=-7.25)   # its generator gets a zero column
+        build = steady.build_generator
+
+        def with_singular(points):
+            L = build(points)
+            for k, point in enumerate(points):
+                if point is singular:
+                    L[k, :, 5] = 0.0
+            return L
+
         threads = []
 
-        def spy(A, factor=steady._factor):
+        def spy(pair, factor=steady._factor):
             threads.append(threading.current_thread())
-            return factor(A)
+            return factor(pair)
 
+        monkeypatch.setattr(steady, "build_generator", with_singular)
         monkeypatch.setattr(steady, "_factor", spy)
-        points = self.REGULAR + [self.ILL, SystemParams()]
+        points = self.REGULAR + [singular, self.ILL] + self.REGULAR[2:] + [SystemParams()]
+        assert len(points) == 2 * CHUNK_POINTS + 1
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             line = sys._getframe().f_lineno + 1
             states = steady_state(points)
         assert threads[0] is threading.main_thread()
-        assert threads[1] is not threading.main_thread()
-        assert all(isinstance(s, DensityMatrix) for s in states)
-        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
-        assert str(caught[0].message).startswith("steady-state solve is ill-conditioned")
+        assert len(threads) == 3
+        assert all(thread is not threading.main_thread() for thread in threads[1:])
+        error = states[CHUNK_POINTS]
+        assert (type(error).__name__, str(error)) == _reference_outcome(with_singular([singular])[0])
+        with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+            assert states[CHUNK_POINTS + 1].m.tobytes() == steady_state(self.ILL).m.tobytes()
+        assert sum(isinstance(s, DensityMatrix) for s in states) == len(points) - 1
+        cond = np.linalg.cond(_trace_constrained(build_generator(self.ILL)), 1)
+        assert [(str(w.message), w.filename, w.lineno) for w in caught] == [
+            (f"steady-state solve is ill-conditioned (cond ~ {cond:.2e})", __file__, line)]
 
     def test_calls_of_one_chunk_start_no_thread(self, monkeypatch):
         started = []
@@ -288,9 +344,9 @@ class TestDoubleBufferedSolve:
             expected = [s.m.tobytes() for s in steady_state(points)]
             threads = []
 
-            def spy(A, factor=steady._factor):
+            def spy(pair, factor=steady._factor):
                 threads.append(threading.current_thread())
-                return factor(A)
+                return factor(pair)
 
             def refused(thread):
                 raise RuntimeError("can't create new thread at interpreter shutdown")
@@ -303,10 +359,10 @@ class TestDoubleBufferedSolve:
         assert threads == [threading.main_thread()] * 6
 
     def test_worker_error_reaches_the_caller_without_reference_cycles(self, monkeypatch):
-        def fails_on_the_worker(A, factor=steady._factor):
+        def fails_on_the_worker(pair, factor=steady._factor):
             if threading.current_thread() is not threading.main_thread():
                 raise MemoryError("no memory on the worker")
-            return factor(A)
+            return factor(pair)
 
         points = self.REGULAR * 2 + [SystemParams()]
         expected = [s.m.tobytes() for s in steady_state(points)]
@@ -332,6 +388,29 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
+
+
+def test_one_point_calls_each_lapack_gufunc_once_and_no_linalg_wrapper(monkeypatch):
+    # the public np.linalg functions cost more than their LAPACK work on one
+    # point; the steady solve calls the inverse and solve gufuncs directly
+    calls = []
+    gufuncs = steady._umath_linalg
+
+    def spy(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return getattr(gufuncs, name)(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(steady, "_umath_linalg",
+                        types.SimpleNamespace(inv=spy("inv"), solve=spy("solve")))
+    for name in ("cond", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, spy(f"np.linalg.{name}"))
+    steady_state(SystemParams())
+    assert calls == ["inv", "solve"]
+    calls.clear()
+    response_at(SystemParams())
+    assert calls == ["inv", "solve"]
 
 
 # Solves CHUNK_POINTS + 1 points, on two CPUs if the machine has them, and
