@@ -70,7 +70,7 @@ class Handedness(enum.Enum):
     RIGHT_HANDED = "RightHanded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResponseRecord:
     """Electromagnetic response at one operating point.
 
@@ -262,7 +262,11 @@ def response_at(params):
             out[i] = DegenerateProbe(_DEGENERATE)
         elif _probe_vanishes(w):
             out[i] = _degenerate_probe(p, omegap_bare[i], w)
-    live = [i for i, o in enumerate(out) if o is None]
+    # where no point failed here, as on most sweeps, a range holds no int per point
+    if out.count(None) == len(out):
+        live = range(len(points))
+    else:
+        live = [i for i, o in enumerate(out) if o is None]
 
     def map_chunk(start, states):
         # runs while steady_state factors the next chunk on another thread

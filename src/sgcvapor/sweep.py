@@ -43,7 +43,7 @@ class SweepAxis(enum.Enum):
         return "delta_p" if self is SweepAxis.DETUNING else "p_align"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepFailure:
     axis_value: float
     kind: str        # exception class name
@@ -162,18 +162,36 @@ def detect_bands(table: SweepTable) -> list:
 
 
 def find_extrema(table: SweepTable) -> SweepExtrema:
-    """Grid-level extrema of Re(n), |Im(n)|, Re(eps_r), Re(mu_r)."""
-    pairs = table.ok_records()
-    if not pairs:
+    """Grid-level extrema of Re(n), |Im(n)|, Re(eps_r), Re(mu_r).
+
+    One pass over the table that keeps four running (value, axis value)
+    pairs and replaces each as ``min``/``max`` over those pairs would, NaN
+    included: ties go to the first grid point for the minima and to the
+    last for the maximum. Nothing is kept per point.
+    """
+    mn = None
+    for g, r in zip(table.grid, table.records):
+        if r is None:
+            continue
+        n = r.n_index
+        if mn is None:
+            mn, mi, me, mm = n.real, abs(n.imag), r.eps_r.real, r.mu_r.real
+            mn_at = mi_at = me_at = mm_at = g
+            continue
+        v = n.real
+        if v < mn or (v == mn and g < mn_at):
+            mn, mn_at = v, g
+        v = abs(n.imag)
+        if v > mi or (v == mi and g > mi_at):
+            mi, mi_at = v, g
+        v = r.eps_r.real
+        if v < me or (v == me and g < me_at):
+            me, me_at = v, g
+        v = r.mu_r.real
+        if v < mm or (v == mm and g < mm_at):
+            mm, mm_at = v, g
+    if mn is None:
         raise EmptyTable("sweep produced no successful records")
-    re_n = [(r.n_index.real, g) for g, r in pairs]
-    im_n = [(abs(r.n_index.imag), g) for g, r in pairs]
-    re_e = [(r.eps_r.real, g) for g, r in pairs]
-    re_m = [(r.mu_r.real, g) for g, r in pairs]
-    mn, mn_at = min(re_n)
-    mi, mi_at = max(im_n)
-    me, me_at = min(re_e)
-    mm, mm_at = min(re_m)
     return SweepExtrema(mn, mn_at, mi, mi_at, me, me_at, mm, mm_at)
 
 

@@ -153,6 +153,28 @@ class TestSteadyState:
         assert {message[-4:-1] for _, message in got} == {"inf", "nan"}
         assert rho[6].tobytes() == _solve_trace_normalized(regular[None])[0][0].tobytes()
 
+    @pytest.mark.parametrize("entries, value", [(slice(None), np.nan), (5, np.inf)])
+    def test_non_finite_solution_row_fails_alone(self, entries, value):
+        # a row whose x is not finite past the condition gate fails the
+        # non-finite gate; the other rows are solved as if it were absent
+        L = build_generator([SystemParams(p_align=p, delta_p=d)
+                             for p, d in ((0.0, 0.0), (0.5, 3.0), (0.99, -2.0), (0.7, 1.0))])
+        cond, X = steady._factor(steady._trace_constrained(L))
+        assert all(c <= steady.CONDITION_WARN for c in cond)
+        bad = X.copy()
+        bad[1, entries] = value
+        rest = [0, 2, 3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho, failures = _solve_trace_normalized(L, factored=(cond, bad))
+            expected, no_failures = _solve_trace_normalized(
+                L[rest], factored=([cond[i] for i in rest], X[rest].copy()))
+        assert list(failures) == [1]
+        assert isinstance(failures[1], SingularSystem)
+        assert str(failures[1]) == "solution has non-finite entries"
+        assert no_failures == {}
+        assert rho[rest].tobytes() == expected.tobytes()
+
     def test_factor_matches_numpy_cond_and_solve_bitwise(self):
         # _factor calls the gufuncs behind np.linalg.cond(A, 1) and
         # np.linalg.solve itself; its condition numbers, and the solutions of

@@ -1,6 +1,10 @@
+import copy
+import math
+import pickle
 import threading
+import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from sgcvapor import (DegenerateProbe, EmptyTable, EquationVariant, Handedness,
 from sgcvapor import response, steady, sweep
 from sgcvapor.params import PointsAlong, columns
 from sgcvapor.steady import CHUNK_POINTS
-from sgcvapor.sweep import ALIGNMENT_GUARD
+from sgcvapor.sweep import ALIGNMENT_GUARD, SweepFailure
 
 
 def make_record(axis_value, eps=-1 + 0.1j, mu=-1 + 0.1j, n=-1 + 0.01j):
@@ -83,10 +87,74 @@ class TestFindExtrema:
     def test_failed_points_are_skipped(self):
         e = find_extrema(make_table("LFR"))
         assert e.min_re_n == -1.0
+        # failed points first and last: the extrema come from points 1 and 2
+        e = find_extrema(make_table("FRLF"))
+        assert (e.min_re_eps, e.min_re_eps_at) == (-1.0, 2.0)
+        assert (e.min_re_mu, e.min_re_mu_at) == (-1.0, 2.0)
+        assert (e.min_re_n_at, e.max_abs_im_n_at) == (1.0, 2.0)
+
+    def test_ties_go_to_the_first_point_for_minima_and_the_last_for_the_maximum(self):
+        e = find_extrema(make_table("FLLLLF"))
+        assert (e.min_re_n_at, e.min_re_eps_at, e.min_re_mu_at) == (1.0, 1.0, 1.0)
+        assert e.max_abs_im_n_at == 4.0
+
+    @pytest.mark.parametrize("values", [
+        [math.nan, 1.0, -1.0],
+        [1.0, math.nan, -1.0, -1.0],
+        [0.0, -0.0, math.nan, -0.0, 0.0],
+        [math.inf, -math.inf, -math.inf, math.nan],
+    ])
+    def test_same_result_as_min_and_max_over_value_grid_pairs(self, values):
+        # min/max over (value, axis value) pairs, NaN included: a NaN is
+        # never replaced and replaces nothing
+        grid = tuple(float(i) for i in range(len(values)))
+        records = tuple(make_record(g, eps=complex(v, 1.0), mu=complex(v, 1.0),
+                                    n=complex(v, -v))
+                        for g, v in zip(grid, values))
+        e = find_extrema(SweepTable(axis=SweepAxis.DETUNING, grid=grid, records=records,
+                                    bands=(), failures=()))
+        lowest = min(zip(values, grid))
+        highest = max((abs(-v), g) for v, g in zip(values, grid))
+        got = [(e.min_re_n, e.min_re_n_at), (e.max_abs_im_n, e.max_abs_im_n_at),
+               (e.min_re_eps, e.min_re_eps_at), (e.min_re_mu, e.min_re_mu_at)]
+        expected = [lowest, highest, lowest, lowest]
+        assert [(v.hex(), g) for v, g in got] == [(v.hex(), g) for v, g in expected]
+
+    def test_one_call_keeps_nothing_per_point(self):
+        table = make_table("LRF" * 1667)
+        assert len(table.records) == 5001
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            find_extrema(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 64 * 1024
 
     def test_empty_table_rejected(self):
         with pytest.raises(EmptyTable):
             find_extrema(make_table("FF"))
+
+
+@pytest.mark.parametrize("result", [make_record(1.5),
+                                    SweepFailure(1.5, "SingularSystem", "cond ~ inf")],
+                         ids=["ResponseRecord", "SweepFailure"])
+class TestSlottedResults:
+    # a sweep keeps one of these per point: slots make each one allocation
+    def test_no_instance_dict(self, result):
+        assert not hasattr(result, "__dict__")
+        assert type(result).__slots__ == tuple(f.name for f in fields(result))
+
+    def test_fields_stay_frozen(self, result):
+        for field in fields(result):
+            with pytest.raises(FrozenInstanceError):
+                setattr(result, field.name, 0.0)
+
+    def test_pickle_and_deepcopy_round_trips_are_equal(self, result):
+        for copied in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+            assert copied == result
+            assert copied is not result
 
 
 class TestSweepDetuning:
