@@ -147,16 +147,18 @@ _DEPENDENT = {
 
 class PointsAlong:
     """The operating points of ``base`` with ``field`` ("delta_p" or
-    "p_align") set to each of ``values`` (a 1-D array) in turn.
+    "p_align") set to each of ``values`` (a list of floats) in turn.
 
     A sequence of SystemParams that builds an item only when it is
     indexed or iterated: the layers that take a sequence of points read
     it a whole column at a time through :func:`columns`, so a sweep makes
-    no SystemParams per point. The values are not validated here; the
-    caller must check them as ``SystemParams`` would.
+    no SystemParams per point. The column of ``field`` is ``values``
+    itself, so what is built from it holds the same float objects. The
+    values are not validated here; the caller must check them as
+    ``SystemParams`` would.
     """
 
-    def __init__(self, base: SystemParams, field: str, values):
+    def __init__(self, base: SystemParams, field: str, values: list):
         self.base = base
         self.field = field
         self.values = values
@@ -166,16 +168,16 @@ class PointsAlong:
         return len(self.values)
 
     def __getitem__(self, i) -> SystemParams:
-        return replace(self.base, **{self.field: float(self.values[i])})
+        return replace(self.base, **{self.field: self.values[i]})
 
     def column(self, name: str) -> list:
         """The attribute ``name`` of each point, as a list of floats."""
         if name == self.field:
-            return self.values.tolist()
+            return self.values
         derive = self._dependent.get(name)
         if derive is None:
             return [getattr(self.base, name)] * len(self.values)
-        return [derive(self.base, v) for v in self.values.tolist()]
+        return [derive(self.base, v) for v in self.values]
 
 
 def columns(points, names) -> list:
@@ -186,12 +188,12 @@ def columns(points, names) -> list:
     return list(zip(*map(operator.attrgetter(*names), points))) or [()] * len(names)
 
 
-def take(points, rows: list):
+def take(points, rows):
     """The points of ``points`` at the increasing indices ``rows``, as a
     sequence of the same kind: ``points`` itself if ``rows`` are all its
     indices."""
     if len(rows) == len(points):
         return points
     if isinstance(points, PointsAlong):
-        return PointsAlong(points.base, points.field, points.values[rows])
+        return PointsAlong(points.base, points.field, [points.values[i] for i in rows])
     return [points[i] for i in rows]

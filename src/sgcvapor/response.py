@@ -22,12 +22,17 @@ n = -sqrt(eps_r mu_r).
 ``response_at`` on a sequence of points is also what a sweep runs, on
 a ``params.PointsAlong`` of its grid. It fails points whose probe coupling
 vanishes before the solve, solves the rest with ``steady_state`` in
-stacks of CHUNK_POINTS, and maps each stack's states through the scalar
-functions below, fed with plain floats, while ``steady_state`` factors the
-next stack on its worker thread. The few values the mapping needs besides
-the steady state (``_MAPPING_FIELDS``) are read a column at a time, a
-stack at a time. No SystemParams is built per point of a sweep. A point
-whose polarizability numerator underflows, a probe too weak for double
+stacks of CHUNK_POINTS, and maps each stack on the caller's thread while
+``steady_state``'s worker thread inverts the next stack. A stack of more
+than one state is mapped in one pass of float-array arithmetic that
+replays the scalar functions below op for op, as CPython does complex
+arithmetic, so each record is bitwise the one those functions give; a row
+whose check may fail, or whose values are not all finite, is mapped by the
+scalar functions themselves, which raise its error. A single point is
+mapped by the scalar functions alone. The few values the mapping needs
+besides the steady state (``_MAPPING_FIELDS``) are read a column at a
+time. No SystemParams is built per point of a sweep. A point whose
+polarizability numerator underflows, a probe too weak for double
 precision, fails with DegenerateProbe rather than reading as vacuum.
 """
 
@@ -262,24 +267,21 @@ def response_at(params):
             out[i] = DegenerateProbe(_DEGENERATE)
         elif _probe_vanishes(w):
             out[i] = _degenerate_probe(p, omegap_bare[i], w)
-    # where no point failed here, as on most sweeps, a range holds no int per point
+    mapping = (omegap_si, d42, mu23, density_n, delta_p, p_align)
+    # where no point failed here, as on most sweeps, a range holds no int
+    # per point and the columns are those of the solved points already
     if out.count(None) == len(out):
         live = range(len(points))
     else:
         live = [i for i, o in enumerate(out) if o is None]
+        mapping = [[column[i] for i in live] for column in mapping]
 
-    def map_chunk(start, states):
-        # runs while steady_state factors the next chunk on another thread
-        for i, state in zip(live[start:start + len(states)], states):
-            if isinstance(state, Exception):
-                out[i] = state
-                continue
-            try:
-                out[i] = _record(state.rho24, state.rho32, omegap_si[i], d42[i], mu23[i],
-                                 density_n[i], delta_p[i], p_align[i])
-            except (DegenerateProbe, LocalFieldPole) as exc:
-                # its traceback would hold this frame, and so ``out``, in a cycle
-                out[i] = exc.with_traceback(None)
+    def map_chunk(start, rho, failures):
+        # runs while steady_state inverts the next chunk on another thread
+        stop = start + len(rho)
+        outcomes = _map_stack(rho, failures, *(column[start:stop] for column in mapping))
+        for i, outcome in zip(live[start:stop], outcomes):
+            out[i] = outcome
 
     steady_state(take(points, live), _each=map_chunk)
     return _only(out) if single else out
@@ -305,3 +307,139 @@ def _record(rho24: complex, rho32: complex, omegap_si: float, d42: float,
         n_index=n,
         handedness=classify_handedness(eps_r, mu_r),
     )
+
+
+def _map_stack(rho, failures: dict, *mapping) -> list:
+    """The record of each state of the stack ``rho`` (N, 4, 4), or its
+    exception: the one ``failures`` holds for its row, or the one
+    ``_record`` raises. ``mapping`` holds the columns of ``_record``'s
+    mapping values, omegap_si to p_align, one item per row.
+
+    A stack of one, as a one-point call solves, goes to ``_record``. A
+    longer stack is mapped in one pass of array arithmetic
+    (``_stack_records``) that gives each row the bits ``_record`` gives it;
+    a row it flags, where a check of ``_record`` may fail or a value is not
+    finite, is handed to ``_record``, so the errors, their texts and the
+    order of the checks have one source.
+    """
+    if len(rho) == 1:
+        outcomes, flagged = [None], [0]
+    else:
+        outcomes, flagged = _stack_records(rho, *mapping)
+    for k, error in failures.items():
+        outcomes[k] = error
+    for k in flagged:
+        if k not in failures:
+            try:
+                outcomes[k] = _record(rho.item(k, 1, 3), rho.item(k, 2, 1),
+                                      *[column[k] for column in mapping])
+            except (DegenerateProbe, LocalFieldPole) as exc:
+                # its traceback would hold this frame, and so the stack
+                outcomes[k] = exc.with_traceback(None)
+    return outcomes
+
+
+# The handedness of each (Re eps_r < 0, Re mu_r < 0), indexed by 2 * the
+# first plus the second.
+_BY_SIGNS = np.array([Handedness.RIGHT_HANDED, Handedness.NEG_MU_ONLY,
+                      Handedness.NEG_EPS_ONLY, Handedness.LEFT_HANDED], dtype=object)
+
+
+def _stack_records(rho, omegap_si, d42, mu23, density_n, delta_p, p_align):
+    """``_record`` of each row of a stack, as arrays: ``(records, flagged)``,
+    with the indices of the rows to map by ``_record`` instead.
+
+    The complex values are pairs of float arrays, and every operation of
+    ``_record`` is replayed on them as CPython does it: a product with a
+    float f is the product with f + 0j, each division is ``_Py_c_quot``
+    (``_quot``), and sqrt(eps_r) sqrt(mu_r) is written out in its parts.
+    numpy's complex multiply and divide would not do: they may round
+    otherwise (FMA, other formulas). The checks are flagged, not raised:
+    the underflow checks as ``_record`` makes them, the local-field pole
+    with a margin, and any row with a value that is not finite (whose NaN
+    may carry another sign bit here).
+    """
+    r24, r32 = rho[:, 1, 3], rho[:, 2, 1]
+    omegap_si, mu23, density_n = np.array(omegap_si), np.array(mu23), np.array(density_n)
+    values = np.empty((7, len(rho)), dtype=complex)
+    values[0], values[1] = r24, r32
+    with np.errstate(all="ignore"):
+        # 2.0 * d42 ** 2 by Python's float power, which numpy's may not match
+        numerator = _scale(np.array([2.0 * d ** 2 for d in d42]), r24.real, r24.imag)
+        flagged = _underflows_rows(numerator, r24)
+        ge = _quot(*numerator, EPSILON_0 * HBAR * omegap_si, 0.0)
+        numerator = _scale(2.0 * MU_0 * mu23, r32.real, r32.imag)
+        flagged |= _underflows_rows(numerator, r32)
+        numerator = _scale(np.array(d42), *_scale(C_LIGHT, *numerator))
+        flagged |= _underflows_rows(numerator, r32)
+        gm = _quot(*numerator, HBAR * omegap_si, 0.0)
+        values.real[2], values.imag[2] = ge
+        values.real[3], values.imag[3] = gm
+
+        w, denom, pole = _local_field(ge, density_n)
+        flagged |= pole
+        values.real[4], values.imag[4] = _plus(1.0, _quot(*w, *denom))
+        w, denom, pole = _local_field(gm, density_n)
+        flagged |= pole
+        values.real[5], values.imag[5] = _quot(*_plus(1.0, _quot(*_scale(2.0, *w), 3.0, 0.0)),
+                                               *denom)
+
+        # refractive_index: a signed-zero imaginary part folded onto +0.0
+        roots = values[4:6].copy()
+        roots.imag += 0.0
+        np.sqrt(roots, out=roots)
+        (er, mr), (ei, mi) = roots.real, roots.imag
+        n = (er * mr - ei * mi, er * mi + ei * mr)
+        neg_eps, neg_mu = values.real[4] < 0.0, values.real[5] < 0.0
+        flip = (n[1] < 0.0) | ((n[1] == 0.0) & (n[0] > 0.0) & neg_eps & neg_mu)
+        values.real[6] = np.where(flip, -n[0], n[0])
+        values.imag[6] = np.where(flip, -n[1], n[1])
+        flagged |= ~np.isfinite(values).all(axis=0)
+    handedness = _BY_SIGNS[2 * neg_eps + neg_mu].tolist()
+    records = list(map(ResponseRecord, delta_p, p_align, *values.tolist(), handedness))
+    return records, flagged.nonzero()[0].tolist()
+
+
+def _scale(f, re, im):
+    """f * (re + i im) for a float f, as CPython multiplies (f + 0j) by it."""
+    return f * re - 0.0 * im, f * im + 0.0 * re
+
+
+def _plus(f, z):
+    """f + z for a float f, as CPython adds (f + 0j) to it."""
+    return f + z[0], 0.0 + z[1]
+
+
+def _quot(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) row by row as CPython's ``_Py_c_quot``
+    divides: Smith's method, through whichever part of the divisor is the
+    larger in magnitude. A row with a zero or NaN divisor, where CPython
+    raises or gives NaN, comes out as whatever; the caller flags it."""
+    real_larger = np.abs(br) >= np.abs(bi)
+    ratio = bi / br
+    denom = br + bi * ratio
+    by_real = ((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
+    if real_larger.all():
+        return by_real
+    ratio = br / bi
+    denom = br * ratio + bi
+    return (np.where(real_larger, by_real[0], (ar * ratio + ai) / denom),
+            np.where(real_larger, by_real[1], (ai * ratio - ar) / denom))
+
+
+def _underflows_rows(product, coherence):
+    """``_underflows`` row by row, ``product`` a pair of float arrays."""
+    return (((np.abs(product[0]) < _UNDERFLOW_BOUND) & (coherence.real != 0.0))
+            | ((np.abs(product[1]) < _UNDERFLOW_BOUND) & (coherence.imag != 0.0)))
+
+
+def _local_field(gamma, density_n):
+    """Of a polarizability ``gamma`` (a pair of float arrays), as
+    ``permittivity`` and ``permeability`` compute them: w = N gamma, the
+    Clausius-Mossotti denominator 1 - w / 3, and the rows at or near its
+    pole. The margin of 2 keeps the decision from resting on np.hypot
+    matching abs() to the last bit: the rows in it go to ``_record``."""
+    w = _scale(density_n, *gamma)
+    third = _quot(*w, 3.0, 0.0)
+    denom = (1.0 - third[0], 0.0 - third[1])
+    return w, denom, ~(np.hypot(*denom) > 2.0 * LOCAL_FIELD_POLE_TOL)

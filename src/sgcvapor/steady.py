@@ -24,18 +24,21 @@ unvectorizes each unit-trace stack once, and each state it hands out,
 good or carried by a NonPhysicalState, is a DensityMatrix on its slice of
 that stack, not on a copy.
 
-A sequence of more than one chunk is double-buffered: while the caller
-gates a chunk and maps its states to the response, the next chunk's
-condition numbers and LU run on a thread of their own, whose LAPACK calls
-release the GIL. That thread runs ``_factor`` and nothing else, and is
-joined before its chunk is gated; generator assembly, the gates, their
-warnings and errors, and the unvectorize stay on the caller's thread. A
-single point, or any call of at most CHUNK_POINTS points, starts no
-thread, and neither does a process that may run on one CPU only or an
-interpreter that no longer starts threads: there every chunk is factored
-inline, to the same bits. The ill-conditioning RuntimeWarning names the
-first caller outside this package: the line that called
-``steady_state``, ``response_at`` or a sweep.
+A sequence of more than one chunk is double-buffered. Once a chunk is
+gated, the caller builds the next chunk's generators and hands the next
+stack's inverse, its longest LAPACK call, to a thread of its own, which
+holds no GIL from start to end of that call and runs nothing else. The
+caller then maps the gated chunk (``_each``), solves the next stack, joins
+the worker and takes the norms for the condition numbers: generator
+assembly, the solve, the gates, their warnings and errors, and the
+unvectorize stay on the caller's thread, and each row meets the same
+gufuncs on the same data, so the bits do not depend on the split. A single
+point, or any call of at most CHUNK_POINTS points, starts no thread, and
+neither does a process that may run on one CPU only or an interpreter that
+no longer starts threads: there every inverse is computed inline, to the
+same bits. The ill-conditioning RuntimeWarning names the first caller
+outside this package: the line that called ``steady_state``,
+``response_at`` or a sweep.
 
 ``evolve`` integrates the same equations of motion with classical
 fixed-step fourth-order Runge-Kutta and serves as an independent check: for
@@ -150,20 +153,30 @@ def _trace_constrained(L: np.ndarray) -> np.ndarray:
     return pair
 
 
-def _factor(pair: np.ndarray):
+def _invert(pair: np.ndarray) -> None:
+    """Put the inverse of each matrix of the first half of ``pair`` into
+    its second half; a singular one comes out as NaN. The one LAPACK call
+    of a stack's solve that the worker thread of ``_factor_later`` runs:
+    the longest, and it holds no GIL from start to end. The caller ignores
+    floating-point errors."""
+    _umath_linalg.inv(pair[0], signature="d->d", out=pair[1])
+
+
+def _factor(pair: np.ndarray, inverted=None):
     """The LAPACK half of the solve of a trace-constrained stack A, the
     first half of ``pair`` (``_trace_constrained``), which it overwrites.
 
     Returns ``(cond, X)``: a list of each row's exact 1-norm condition
-    number, and the (N, 16) solutions x. One LU inverts each row of A for
-    its condition number and another solves it; a row with a zero pivot
-    comes out of either as NaN, the other rows untouched, so neither call
-    raises. Numpy only, on arrays no other thread touches: this is what
-    the worker thread of ``_factor_later`` runs, and its first call that
-    releases the GIL is the inverse, the longest one.
+    number, and the (N, 16) solutions x. One LU solves each row of A and
+    another inverts it (``_invert``) for its condition number; a row with a
+    zero pivot comes out of either as NaN, the other rows untouched, so
+    neither call raises. ``inverted`` is None to invert here, after the
+    solve, or a function that returns once another thread has put the
+    inverse into the second half of ``pair``: called between the solve and
+    the norms, it joins that thread.
     """
     A, inverse = pair
-    # numpy's own gufuncs behind np.linalg.cond(A, 1) and np.linalg.solve,
+    # numpy's own gufuncs behind np.linalg.solve and np.linalg.cond(A, 1),
     # called once each: the public wrappers cost more than the LAPACK work
     # of one point, and solve raises for the whole stack on a singular row.
     # The condition number is cond's arithmetic, op for op: the 1-norms of
@@ -171,8 +184,11 @@ def _factor(pair: np.ndarray):
     # NaN. tests/test_steady.py checks the bits against the public
     # functions and that the one-point path calls no wrapper.
     with np.errstate(all="ignore"):
-        _umath_linalg.inv(A, signature="d->d", out=inverse)
         X = _umath_linalg.solve(A, _UNIT_TRACE, signature="dd->d")
+        if inverted is None:
+            _invert(pair)
+        else:
+            inverted()
         norms = np.maximum.reduce(np.add.reduce(np.abs(pair, out=pair), axis=-2), axis=-1)
         cond = (norms[0] * norms[1]).tolist()
     # A holds |A| now, which has a NaN where A has one
@@ -254,17 +270,22 @@ def steady_state(params, _each=None):
     ``params`` may also be a sequence of SystemParams, solved as stacks of
     at most CHUNK_POINTS points: the result is then a list whose item i is
     the state of point i, or the exception it would raise alone, returned
-    instead of raised. With the private ``_each``, the states of each
-    stack are handed to ``_each(start, states)`` instead, ``start`` being
-    the index of the stack's first point, while the next stack is factored
-    on another thread; the result is then empty.
+    instead of raised. With the private ``_each``, each stack is handed to
+    ``_each(start, rho, failures)`` instead, ``start`` being the index of
+    its first point, ``rho`` its (N, 4, 4) unit-trace states and
+    ``failures`` the SingularSystem or NonPhysicalState of each failed row,
+    by row, while the next stack is inverted on another thread; the result
+    is then empty.
     """
     single = isinstance(params, SystemParams)
     points = [params] if single else params
     states = []
-    each = _each or (lambda start, chunk: states.extend(chunk))
+    # popped, and not bound here, so that no local refers to the
+    # exception _only may raise
+    each = _each or (lambda start, rho, failures: states.extend(
+        [failures.pop(i, None) or DensityMatrix._view(m) for i, m in enumerate(rho)]))
     # double-buffered: once a chunk is gated, the next one's generator is
-    # built here and its _factor handed to a worker thread while ``each``
+    # built here and its inverse handed to a worker thread while ``each``
     # maps this chunk; the first chunk is factored inline
     L = build_generator(_chunk(points, 0)) if points else None
     factored = None
@@ -273,9 +294,7 @@ def steady_state(params, _each=None):
         if start + CHUNK_POINTS < len(points):
             L = build_generator(_chunk(points, start + CHUNK_POINTS))
             factored = _factor_later(_trace_constrained(L))
-        # popped, and not bound here, so that no local refers to the
-        # exception _only may raise
-        each(start, [failures.pop(i, None) or DensityMatrix._view(m) for i, m in enumerate(rho)])
+        each(start, rho, failures)
     return _only(states) if single else states
 
 
@@ -286,32 +305,36 @@ def _chunk(points, start: int):
 
 def _factor_later(pair: np.ndarray):
     """A function that returns, or raises, what ``_factor(pair)`` does,
-    computed meanwhile on a thread of its own.
+    with the inverse computed meanwhile on a thread of its own (``_invert``)
+    and the rest on the thread that calls the function.
 
     ``Thread.start`` returns only once the thread runs, and the thread
-    then keeps the GIL into the first LAPACK call of ``_factor``, which
-    releases it. Had the caller gone on at once, the thread would have
-    waited ``sys.getswitchinterval()`` for the GIL, longer than mapping a
-    chunk takes. Where no thread can help, because the process may run on
-    one CPU only or no new thread can be started (the interpreter is
-    shutting down), the thread is never started and the function runs
-    ``_factor(pair)`` itself.
+    then keeps the GIL into the LAPACK call of ``_invert``, which releases
+    it. Had the caller gone on at once, the thread would have waited
+    ``sys.getswitchinterval()`` for the GIL, longer than mapping a chunk
+    takes. Where no thread can help, because the process may run on one
+    CPU only or no new thread can be started (the interpreter is shutting
+    down), the thread is never started and ``_factor`` inverts inline.
     """
     box = []
-    worker = threading.Thread(target=_factor_into, args=(box, pair), name="sgcvapor-factor")
+    worker = threading.Thread(target=_invert_into, args=(box, pair), name="sgcvapor-factor")
     if _cpus() > 1:
         try:
             worker.start()
         except RuntimeError:   # no new threads at interpreter shutdown
             pass
 
-    def result():
+    def inverted():
         if worker.ident is None:   # never started
             worker.run()
         else:
             worker.join()
-        return _only(box)
-    return result
+        _only(box)
+
+    # popped, so that the stack is freed once factored, before the caller
+    # allocates the next one
+    pairs = [pair]
+    return lambda: _factor(pairs.pop(), inverted)
 
 
 def _cpus() -> int:
@@ -321,11 +344,13 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _factor_into(box: list, pair: np.ndarray) -> None:
-    """Append ``_factor(pair)``, or the exception it raises, to ``box``: what
-    the worker of ``_factor_later`` runs."""
+def _invert_into(box: list, pair: np.ndarray) -> None:
+    """Invert ``pair`` (``_invert``) and append None, or the exception that
+    raises, to ``box``: what the worker of ``_factor_later`` runs."""
     try:
-        box.append(_factor(pair))
+        with np.errstate(all="ignore"):
+            _invert(pair)
+        box.append(None)
     except Exception as exc:
         box.append(exc)
 

@@ -101,8 +101,10 @@ def _uniform_grid(lo: float, hi: float, steps: int) -> np.ndarray:
 def _run_sweep(axis: SweepAxis, base: SystemParams, grid: np.ndarray) -> SweepTable:
     """Solve ``base`` at each grid value of ``axis.field``; the grid values
     must already be valid for the field."""
-    outcomes = response_at(PointsAlong(base, axis.field, grid))
+    # one float object per grid value, shared by the table's grid and the
+    # swept field of its records
     values = grid.tolist()
+    outcomes = response_at(PointsAlong(base, axis.field, values))
     records = []
     failures = []
     for value, outcome in zip(values, outcomes):

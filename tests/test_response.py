@@ -1,5 +1,8 @@
 import cmath
 import gc
+import operator
+import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +14,8 @@ from sgcvapor import (DegenerateProbe, DensityMatrix, EquationVariant,
                       electric_polarizability, evolve, magnetic_polarizability,
                       permeability, permittivity, refractive_index,
                       response_at, steady_state, sweep_detuning)
-from sgcvapor import response
+from sgcvapor import SingularSystem, response
+from sgcvapor.params import PointsAlong, columns
 
 from conftest import magnetic_polarizability_from_permeability
 
@@ -304,6 +308,168 @@ class TestResponseAt:
         with pytest.raises(NonPhysicalState):
             response_at(SystemParams(
                 p_align=0.5, equation_variant=EquationVariant.PAPER_LITERAL))
+
+
+# the mapping values of response._record, in the order _map_stack takes them
+MAPPING = ("omegap_si", "d42", "mu23", "density_n", "delta_p", "p_align")
+
+
+# the float and complex fields of a record
+_FIELDS = operator.attrgetter("delta_p", "p_align", "rho24", "rho32", "gamma_e", "gamma_m",
+                              "eps_r", "mu_r", "n_index")
+
+
+def _alone(rho, k, failures, mapping):
+    """Row k of a stack as _record maps it alone: its record or exception."""
+    if k in failures:
+        return failures[k]
+    try:
+        return response._record(rho.item(k, 1, 3), rho.item(k, 2, 1),
+                                *[column[k] for column in mapping])
+    except (DegenerateProbe, LocalFieldPole) as exc:
+        return exc
+
+
+def _bits(outcome):
+    """An exception's type and text, or a record's handedness and the bytes
+    of each of its floats: a NaN's sign bit counts too."""
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__, str(outcome)
+    parts = [part for value in map(complex, _FIELDS(outcome)) for part in (value.real, value.imag)]
+    return outcome.handedness, struct.pack("<18d", *parts)
+
+
+def _stack(rho24, rho32):
+    """A stack of states whose only coherences are rho24 and rho32."""
+    rho = np.zeros((len(rho24), 4, 4), dtype=complex)
+    rho[:, 1, 3], rho[:, 2, 1] = rho24, rho32
+    return rho
+
+
+class TestStackMapping:
+    """A stack of more than one state is mapped to its records in one pass
+    of array arithmetic; each row must come out as _record maps it alone,
+    bit for bit (a NaN's sign bit too), its exception included."""
+
+    @pytest.mark.parametrize("variant", list(EquationVariant))
+    @pytest.mark.parametrize("dipoles", ["placeholder", "calibrated"])
+    def test_real_states_match_record_bit_for_bit(self, calibrated_base, dipoles, variant):
+        base = SystemParams() if dipoles == "placeholder" else calibrated_base
+        base = replace(base, equation_variant=variant)
+        detunings = np.linspace(-20.0, 20.0, 4001).tolist()
+        alignments = np.linspace(-0.999999, 0.999999, 2501).tolist()
+        sequences = [PointsAlong(replace(base, p_align=p), "delta_p", detunings)
+                     for p in (0.0, 0.3, 0.7, 0.99, -0.5)]
+        sequences += [PointsAlong(replace(base, delta_p=d), "p_align", alignments)
+                      for d in (1e-16, 5.0)]
+        stacked, alone = [], []
+
+        def each(start, rho, failures, mapping=None):
+            stop = start + len(rho)
+            mapping = [column[start:stop] for column in mapping]
+            records, flagged = response._stack_records(rho, *mapping)
+            # every row that did not fail the solve is mapped by the arrays
+            assert set(flagged) <= set(failures)
+            rows = [k for k in range(len(rho)) if k not in failures]
+            stacked.extend(records[k] for k in rows)
+            alone.extend(_alone(rho, k, failures, mapping) for k in rows)
+
+        for points in sequences:
+            mapping = columns(points, MAPPING)
+            steady_state(points, _each=lambda *stack: each(*stack, mapping=mapping))
+        # 25,007 points per case, 100,028 over the four; the paper's
+        # equations leave about a third of theirs to map
+        assert len(stacked) > (25_000 if variant is EquationVariant.CORRECTED else 5_000)
+        assert all(isinstance(record, response.ResponseRecord) for record in alone)
+        assert list(map(_bits, stacked)) == list(map(_bits, alone))
+
+    def test_synthetic_coherences_match_record_bit_for_bit(self):
+        # signed zeros, subnormals, values just either side of each
+        # numerator's underflow bound, 1e300 (with a density that takes it
+        # to inf), and densities at and near the local-field poles
+        d42, mu23, omegap_si = 1e-29, 9.274e-24, SystemParams().omegap_si
+        bound = response._UNDERFLOW_BOUND
+        electric = bound / (2.0 * d42 ** 2)
+        magnetic = bound / (2.0 * response.MU_0 * mu23)
+        full = magnetic / (response.C_LIGHT * d42)
+        parts = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030, 1e-3, -2.5e-4, 0.37, 1e300, -1e300]
+        parts24 = parts + [electric * (1 - 1e-9), electric * (1 + 1e-9), -electric]
+        parts32 = parts + [magnetic * (1 - 1e-9), magnetic * (1 + 1e-9),
+                           full * (1 - 1e-9), full * (1 + 1e-9), -full]
+        rows = [(complex(a, b), complex(c, d), density) for density in (5e24, 1e30)
+                for a in parts24 for b in parts24[::2] for c in parts32[::3] for d in parts32[1::2]]
+        for r in (1e-3, -2.5e-4, 0.37):
+            ge = response._electric(complex(r, 0.0), d42, omegap_si).real
+            gm = response._magnetic(complex(r, 0.0), d42, mu23, omegap_si).real
+            # at N gamma = 6 a real mu_r is negative with Im = -0.0, and
+            # refractive_index folds that onto +0.0
+            for k in (3.0, 3.0 * (1 + 5e-13), 3.0 * (1 - 3e-12), 3.0 * (1 - 1e-11), 6.0):
+                for other in (1e-4j, 0j):
+                    rows.append((complex(r, 0.0), other, k / ge))
+                    rows.append((other, complex(r, 0.0), k / gm))
+        rho = _stack([r[0] for r in rows], [r[1] for r in rows])
+        n = len(rows)
+        mapping = ([omegap_si] * n, [d42] * n, [mu23] * n, [r[2] for r in rows],
+                   [0.0] * n, [0.5] * n)
+        with warnings.catch_warnings():
+            # the scalar sqrt of a NaN or inf may warn
+            warnings.simplefilter("ignore", RuntimeWarning)
+            stacked = response._map_stack(rho, {}, *mapping)
+            alone = [_alone(rho, k, {}, mapping) for k in range(n)]
+        assert list(map(_bits, stacked)) == list(map(_bits, alone))
+        assert {type(o) for o in alone} == {response.ResponseRecord, DegenerateProbe,
+                                            LocalFieldPole}
+        assert any("nan" in repr(o) for o in alone)
+        # the rows the arrays map, signed zeros among them, and the rows
+        # they leave to _record
+        _, flagged = response._stack_records(rho, *mapping)
+        assert 0 < len(flagged) < n - 500
+
+    def test_failing_rows_fail_as_alone_and_leave_the_others(self):
+        omegap_si, d42, mu23 = SystemParams().omegap_si, 1e-29, 9.274e-24
+        gm = response._magnetic(0.37 + 0j, d42, mu23, omegap_si).real
+        rng = np.random.default_rng(3)
+        rho24 = (rng.normal(size=24) + 1j * rng.normal(size=24)) * 1e-3
+        rho32 = (rng.normal(size=24) + 1j * rng.normal(size=24)) * 1e-4
+        density = [5e24] * 24
+        rho24[5] = 1e-270j               # the electric numerator underflows
+        rho32[9], density[9] = 0.37, 3.0 / gm   # the magnetic pole
+        rho = _stack(rho24, rho32)
+        failures = {2: SingularSystem("solution has non-finite entries"),
+                    14: NonPhysicalState(None, DensityMatrix._view(rho[14]))}
+        mapping = ([omegap_si] * 24, [d42] * 24, [mu23] * 24, density,
+                   np.linspace(-3.0, 3.0, 24).tolist(), [0.5] * 24)
+        stacked = response._map_stack(rho, dict(failures), *mapping)
+        for k, outcome in enumerate(stacked):
+            alone, = response._map_stack(rho[k:k + 1], {0: failures[k]} if k in failures else {},
+                                         *[column[k:k + 1] for column in mapping])
+            assert _bits(outcome) == _bits(alone)
+        assert [type(stacked[k]) for k in (2, 5, 9, 14)] == [
+            SingularSystem, DegenerateProbe, LocalFieldPole, NonPhysicalState]
+        rest = [k for k in range(24) if k not in (2, 5, 9, 14)]
+        without = response._map_stack(rho[rest], {}, *[[column[k] for k in rest]
+                                                        for column in mapping])
+        assert [_bits(stacked[k]) for k in rest] == [_bits(o) for o in without]
+        assert all(isinstance(o, response.ResponseRecord) for o in without)
+
+    def test_mixed_points_come_out_as_alone(self):
+        # failures before the solve, in it and in the mapping, between
+        # points that map
+        kinds = [dict(), dict(p_align=1.0), dict(omegap_bare=0.0), dict(omegap_bare=1e-265),
+                 dict(gamma2=1e-300, gamma3=1e-300, gamma4=1e-300),
+                 dict(equation_variant=EquationVariant.PAPER_LITERAL), dict(p_align=-0.3)]
+        points = [SystemParams(delta_p=d, **kinds[k % len(kinds)])
+                  for k, d in enumerate(np.linspace(-10.0, 10.0, 40).tolist())]
+        alone = []
+        for point in points:
+            try:
+                alone.append(response_at(point))
+            except (DegenerateProbe, SingularSystem, NonPhysicalState) as exc:
+                alone.append(exc)
+        together = response_at(points)
+        assert [_bits(o) for o in together] == [_bits(o) for o in alone]
+        assert {type(o) for o in together} == {
+            response.ResponseRecord, DegenerateProbe, SingularSystem, NonPhysicalState}
 
 
 class TestCalibratedSpotChecks:

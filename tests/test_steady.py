@@ -287,7 +287,7 @@ class TestSteadyState:
 
 class TestDoubleBufferedSolve:
     """Sequences longer than CHUNK_POINTS are solved a chunk at a time, the
-    next chunk factored on a worker thread while this one is mapped."""
+    next chunk inverted on a worker thread while this one is mapped."""
 
     REGULAR = [SystemParams(p_align=0.5, delta_p=d)
                for d in np.linspace(-5.0, 5.0, CHUNK_POINTS).tolist()]
@@ -300,9 +300,9 @@ class TestDoubleBufferedSolve:
 
     def test_warning_from_a_worker_chunk_names_the_caller(self, monkeypatch):
         # a singular and an ill-conditioned point in the second stack of a
-        # 2 * CHUNK_POINTS + 1 call, whose condition numbers and solutions
-        # come from the worker: the singular one fails and the other warns,
-        # on this thread, with the texts they give alone
+        # 2 * CHUNK_POINTS + 1 call, whose inverses come from the worker: the
+        # singular one fails and the other warns, on this thread, with the
+        # texts they give alone
         singular = SystemParams(delta_p=-7.25)   # its generator gets a zero column
         build = steady.build_generator
 
@@ -313,23 +313,31 @@ class TestDoubleBufferedSolve:
                     L[k, :, 5] = 0.0
             return L
 
-        threads = []
+        inverts, factors = [], []
 
-        def spy(pair, factor=steady._factor):
-            threads.append(threading.current_thread())
-            return factor(pair)
+        def spy_invert(pair, invert=steady._invert):
+            inverts.append(threading.current_thread())
+            invert(pair)
+
+        def spy_factor(pair, inverted=None, factor=steady._factor):
+            factors.append(threading.current_thread())
+            return factor(pair, inverted)
 
         monkeypatch.setattr(steady, "build_generator", with_singular)
-        monkeypatch.setattr(steady, "_factor", spy)
+        monkeypatch.setattr(steady, "_invert", spy_invert)
+        monkeypatch.setattr(steady, "_factor", spy_factor)
         points = self.REGULAR + [singular, self.ILL] + self.REGULAR[2:] + [SystemParams()]
         assert len(points) == 2 * CHUNK_POINTS + 1
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             line = sys._getframe().f_lineno + 1
             states = steady_state(points)
-        assert threads[0] is threading.main_thread()
-        assert len(threads) == 3
-        assert all(thread is not threading.main_thread() for thread in threads[1:])
+        # the first stack is inverted inline and the next two on a worker;
+        # every stack's solve and norms run on this thread
+        assert inverts[0] is threading.main_thread()
+        assert len(inverts) == 3
+        assert all(thread is not threading.main_thread() for thread in inverts[1:])
+        assert factors == [threading.main_thread()] * 3
         error = states[CHUNK_POINTS]
         assert (type(error).__name__, str(error)) == _reference_outcome(with_singular([singular])[0])
         with pytest.warns(RuntimeWarning, match="ill-conditioned"):
@@ -359,21 +367,21 @@ class TestDoubleBufferedSolve:
 
     def test_one_cpu_or_no_thread_factors_inline(self, monkeypatch):
         # where no thread can help or none can be started, every chunk is
-        # factored on the caller's thread, to the same bits
+        # inverted on the caller's thread, to the same bits
         points = self.REGULAR * 2 + [self.ILL, SystemParams()]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             expected = [s.m.tobytes() for s in steady_state(points)]
             threads = []
 
-            def spy(pair, factor=steady._factor):
+            def spy(pair, invert=steady._invert):
                 threads.append(threading.current_thread())
-                return factor(pair)
+                invert(pair)
 
             def refused(thread):
                 raise RuntimeError("can't create new thread at interpreter shutdown")
 
-            monkeypatch.setattr(steady, "_factor", spy)
+            monkeypatch.setattr(steady, "_invert", spy)
             for patch in ((steady, "_cpus", lambda: 1), (threading.Thread, "start", refused)):
                 with monkeypatch.context() as context:
                     context.setattr(*patch)
@@ -381,10 +389,10 @@ class TestDoubleBufferedSolve:
         assert threads == [threading.main_thread()] * 6
 
     def test_worker_error_reaches_the_caller_without_reference_cycles(self, monkeypatch):
-        def fails_on_the_worker(pair, factor=steady._factor):
+        def fails_on_the_worker(pair, invert=steady._invert):
             if threading.current_thread() is not threading.main_thread():
                 raise MemoryError("no memory on the worker")
-            return factor(pair)
+            invert(pair)
 
         points = self.REGULAR * 2 + [SystemParams()]
         expected = [s.m.tobytes() for s in steady_state(points)]
@@ -392,7 +400,7 @@ class TestDoubleBufferedSolve:
         gc.disable()
         try:
             with monkeypatch.context() as patch:
-                patch.setattr(steady, "_factor", fails_on_the_worker)
+                patch.setattr(steady, "_invert", fails_on_the_worker)
                 for call in (steady_state, response_at):
                     with pytest.raises(MemoryError, match="on the worker"):
                         call(points)
@@ -429,10 +437,10 @@ def test_one_point_calls_each_lapack_gufunc_once_and_no_linalg_wrapper(monkeypat
     for name in ("cond", "inv", "solve"):
         monkeypatch.setattr(np.linalg, name, spy(f"np.linalg.{name}"))
     steady_state(SystemParams())
-    assert calls == ["inv", "solve"]
+    assert calls == ["solve", "inv"]
     calls.clear()
     response_at(SystemParams())
-    assert calls == ["inv", "solve"]
+    assert calls == ["solve", "inv"]
 
 
 # Solves CHUNK_POINTS + 1 points, on two CPUs if the machine has them, and

@@ -318,7 +318,7 @@ class TestStackedSweepMatchesPointwise:
         points = [replace(base, **{axis: g}) for g in table.grid]
         stack = build_generator(points)
         # the generators a sweep solves, scattered from its grid-built table
-        swept_stack = build_generator(PointsAlong(base, axis, np.array(table.grid)))
+        swept_stack = build_generator(PointsAlong(base, axis, list(table.grid)))
         for point, L, S in zip(points, stack, swept_stack):
             alone = build_generator(point)
             for candidate in (L, S):
@@ -436,8 +436,7 @@ class TestStackedSweepMatchesPointwise:
 def test_points_along_columns_are_the_attributes_of_its_items(field, values, bare):
     # a sweep reads its points a column at a time; each column must be,
     # bit for bit, what the SystemParams of the points give one by one
-    points = PointsAlong(SystemParams(omega1_bare=bare, omegap_bare=bare), field,
-                         np.array(values))
+    points = PointsAlong(SystemParams(omega1_bare=bare, omegap_bare=bare), field, values)
     items = list(points)
     assert [getattr(item, field) for item in items] == values
     names = [f.name for f in fields(SystemParams)] + ["omega1", "omegap", "omegap_si", "sgc_rate"]
@@ -447,6 +446,19 @@ def test_points_along_columns_are_the_attributes_of_its_items(field, values, bar
             assert column == expected
         else:
             assert [v.hex() for v in column] == [v.hex() for v in expected], name
+
+@pytest.mark.parametrize("sweep_along,field,lo,hi", [(sweep_detuning, "delta_p", -20.0, 20.0),
+                                                     (sweep_alignment, "p_align", 0.0, 0.9)])
+def test_records_and_failures_hold_the_grid_floats_of_the_table(sweep_along, field, lo, hi):
+    # one float object per grid value, not a second copy in each record;
+    # the paper's equations make some points fail and some not
+    table = sweep_along(SystemParams(equation_variant=EquationVariant.PAPER_LITERAL),
+                        lo, hi, CHUNK_POINTS + 3)
+    assert table.failures and any(r is not None for r in table.records)
+    failures = iter(table.failures)
+    for g, r in zip(table.grid, table.records):
+        assert (next(failures).axis_value if r is None else getattr(r, field)) is g
+
 
 # an ill-conditioned but solvable point: every solve warns
 ILL_CONDITIONED = SystemParams(gamma2=1e-13, gamma3=1e-13, gamma4=1e-13)
