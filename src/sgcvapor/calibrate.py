@@ -28,11 +28,12 @@ from dataclasses import dataclass, replace
 from .params import SystemParams
 from .response import electric_polarizability, magnetic_polarizability
 from .steady import steady_state
+from .sweep import ALIGNMENT_GUARD
 
 #: probe detuning used for calibration (gamma units, effectively resonant)
 CALIBRATION_DETUNING = 1e-16
 #: alignment endpoint standing in for p -> 1- (the sweep guard)
-CALIBRATION_P_END = 1.0 - 1e-6
+CALIBRATION_P_END = 1.0 - ALIGNMENT_GUARD
 #: alignment at which Re(mu_r) must cross zero
 CALIBRATION_P_CROSS = 0.55
 

@@ -22,18 +22,19 @@ n = -sqrt(eps_r mu_r).
 ``response_at`` on a sequence of points is also what a sweep runs, on
 a ``params.PointsAlong`` of its grid. It fails points whose probe coupling
 vanishes before the solve, solves the rest with ``steady_state`` in
-stacks of CHUNK_POINTS, and maps each stack on the caller's thread while
-``steady_state``'s worker thread inverts the next stack. A stack of more
-than one state is mapped in one pass of float-array arithmetic that
-replays the scalar functions below op for op, as CPython does complex
-arithmetic, so each record is bitwise the one those functions give; a row
-whose check may fail, or whose values are not all finite, is mapped by the
-scalar functions themselves, which raise its error. A single point is
-mapped by the scalar functions alone. The few values the mapping needs
-besides the steady state (``_MAPPING_FIELDS``) are read a column at a
-time. No SystemParams is built per point of a sweep. A point whose
-polarizability numerator underflows, a probe too weak for double
-precision, fails with DegenerateProbe rather than reading as vacuum.
+stacks of CHUNK_POINTS, and maps each stack through ``steady_state``'s
+private ``_map``, on the caller's thread while the worker thread inverts
+the next stack. A stack of more than one state is mapped in one pass of
+float-array arithmetic that replays the scalar functions below op for op,
+as CPython does complex arithmetic, so each record is bitwise the one
+those functions give; a row whose check may fail, or whose values are not
+all finite, is mapped by the scalar functions themselves, which raise its
+error. A single point is mapped by the scalar functions alone. The few
+values the mapping needs besides the steady state (``_MAPPING_FIELDS``)
+are read a column at a time. No SystemParams is built per point of a
+sweep. A point whose polarizability numerator underflows, a probe too weak
+for double precision, fails with DegenerateProbe rather than reading as
+vacuum.
 """
 
 from __future__ import annotations
@@ -261,29 +262,28 @@ def response_at(params):
     points = [params] if single else params
     p_align, delta_p, omegap_bare, omegap_si, d42, mu23, density_n = columns(
         points, _MAPPING_FIELDS)
-    out = [None] * len(points)
+    early = {}   # the points that fail before the solve, by index
     for i, (p, w) in enumerate(zip(p_align, omegap_si)):
         if abs(p) >= 1.0:
-            out[i] = DegenerateProbe(_DEGENERATE)
+            early[i] = DegenerateProbe(_DEGENERATE)
         elif _probe_vanishes(w):
-            out[i] = _degenerate_probe(p, omegap_bare[i], w)
+            early[i] = _degenerate_probe(p, omegap_bare[i], w)
     mapping = (omegap_si, d42, mu23, density_n, delta_p, p_align)
     # where no point failed here, as on most sweeps, a range holds no int
-    # per point and the columns are those of the solved points already
-    if out.count(None) == len(out):
-        live = range(len(points))
-    else:
-        live = [i for i, o in enumerate(out) if o is None]
+    # per point, the columns are those of the solved points already and
+    # the solved outcomes are the result
+    live = range(len(points))
+    if early:
+        live = [i for i in live if i not in early]
         mapping = [[column[i] for i in live] for column in mapping]
 
-    def map_chunk(start, rho, failures):
-        # runs while steady_state inverts the next chunk on another thread
-        stop = start + len(rho)
-        outcomes = _map_stack(rho, failures, *(column[start:stop] for column in mapping))
-        for i, outcome in zip(live[start:stop], outcomes):
-            out[i] = outcome
-
-    steady_state(take(points, live), _each=map_chunk)
+    # mapped on this thread while steady_state inverts the next stack
+    out = steady_state(take(points, live), _map=lambda start, rho, failures: _map_stack(
+        rho, failures, *(column[start:start + len(rho)] for column in mapping)))
+    if early:
+        # popped, so that no local refers to the exception _only may raise
+        solved = out[::-1]
+        out = [early.pop(i, None) or solved.pop() for i in range(len(points))]
     return _only(out) if single else out
 
 

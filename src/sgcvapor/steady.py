@@ -24,21 +24,23 @@ unvectorizes each unit-trace stack once, and each state it hands out,
 good or carried by a NonPhysicalState, is a DensityMatrix on its slice of
 that stack, not on a copy.
 
-A sequence of more than one chunk is double-buffered. Once a chunk is
-gated, the caller builds the next chunk's generators and hands the next
-stack's inverse, its longest LAPACK call, to a thread of its own, which
-holds no GIL from start to end of that call and runs nothing else. The
-caller then maps the gated chunk (``_each``), solves the next stack, joins
-the worker and takes the norms for the condition numbers: generator
-assembly, the solve, the gates, their warnings and errors, and the
-unvectorize stay on the caller's thread, and each row meets the same
-gufuncs on the same data, so the bits do not depend on the split. A single
-point, or any call of at most CHUNK_POINTS points, starts no thread, and
-neither does a process that may run on one CPU only or an interpreter that
-no longer starts threads: there every inverse is computed inline, to the
-same bits. The ill-conditioning RuntimeWarning names the first caller
-outside this package: the line that called ``steady_state``,
-``response_at`` or a sweep.
+A sequence of more than one chunk is double-buffered, in one loop: the
+generator ``_stacks`` yields each gated stack, and before it does, builds
+the next chunk's generators and hands the next stack's inverse, its
+longest LAPACK call, to a thread of its own, which holds no GIL from start
+to end of that call and runs nothing else. The consumer, ``steady_state``
+or through its private ``_map`` ``response_at``, maps the yielded stack;
+then ``_stacks`` solves the next stack, joins the worker and takes the
+norms for the condition numbers: generator assembly, the solve, the gates,
+their warnings and errors, the unvectorize and the mapping stay on the
+caller's thread, and each row meets the same gufuncs on the same data, so
+the bits do not depend on the split. A single point, or any call of at
+most CHUNK_POINTS points, starts no thread, and neither does a process
+that may run on one CPU only or an interpreter that no longer starts
+threads: there every inverse is computed inline, to the same bits. The
+ill-conditioning RuntimeWarning names the first caller outside this
+package: the line that called ``steady_state``, ``response_at`` or a
+sweep.
 
 ``evolve`` integrates the same equations of motion with classical
 fixed-step fourth-order Runge-Kutta and serves as an independent check: for
@@ -156,13 +158,13 @@ def _trace_constrained(L: np.ndarray) -> np.ndarray:
 def _invert(pair: np.ndarray) -> None:
     """Put the inverse of each matrix of the first half of ``pair`` into
     its second half; a singular one comes out as NaN. The one LAPACK call
-    of a stack's solve that the worker thread of ``_factor_later`` runs:
+    of a stack's solve that the worker thread of ``_stacks`` runs:
     the longest, and it holds no GIL from start to end. The caller ignores
     floating-point errors."""
     _umath_linalg.inv(pair[0], signature="d->d", out=pair[1])
 
 
-def _factor(pair: np.ndarray, inverted=None):
+def _factor(pair: np.ndarray, worker=None):
     """The LAPACK half of the solve of a trace-constrained stack A, the
     first half of ``pair`` (``_trace_constrained``), which it overwrites.
 
@@ -170,10 +172,9 @@ def _factor(pair: np.ndarray, inverted=None):
     number, and the (N, 16) solutions x. One LU solves each row of A and
     another inverts it (``_invert``) for its condition number; a row with a
     zero pivot comes out of either as NaN, the other rows untouched, so
-    neither call raises. ``inverted`` is None to invert here, after the
-    solve, or a function that returns once another thread has put the
-    inverse into the second half of ``pair``: called between the solve and
-    the norms, it joins that thread.
+    neither call raises. ``worker`` is None to invert here, after the
+    solve, or the thread of ``_stacks`` that inverts ``pair``: between the
+    solve and the norms it is joined, or run here if it never started.
     """
     A, inverse = pair
     # numpy's own gufuncs behind np.linalg.solve and np.linalg.cond(A, 1),
@@ -185,10 +186,12 @@ def _factor(pair: np.ndarray, inverted=None):
     # functions and that the one-point path calls no wrapper.
     with np.errstate(all="ignore"):
         X = _umath_linalg.solve(A, _UNIT_TRACE, signature="dd->d")
-        if inverted is None:
+        if worker is None:
             _invert(pair)
+        elif worker.ident is None:   # never started
+            worker.run()
         else:
-            inverted()
+            worker.join()
         norms = np.maximum.reduce(np.add.reduce(np.abs(pair, out=pair), axis=-2), axis=-1)
         cond = (norms[0] * norms[1]).tolist()
     # A holds |A| now, which has a NaN where A has one
@@ -260,7 +263,7 @@ def _solve_trace_normalized(L: np.ndarray, factored=None):
     return rho, failures
 
 
-def steady_state(params, _each=None):
+def steady_state(params, _map=None):
     """Steady-state density matrix at the given operating point.
 
     Raises SingularSystem if the trace-constrained system is degenerate and
@@ -270,71 +273,61 @@ def steady_state(params, _each=None):
     ``params`` may also be a sequence of SystemParams, solved as stacks of
     at most CHUNK_POINTS points: the result is then a list whose item i is
     the state of point i, or the exception it would raise alone, returned
-    instead of raised. With the private ``_each``, each stack is handed to
-    ``_each(start, rho, failures)`` instead, ``start`` being the index of
-    its first point, ``rho`` its (N, 4, 4) unit-trace states and
-    ``failures`` the SingularSystem or NonPhysicalState of each failed row,
-    by row, while the next stack is inverted on another thread; the result
-    is then empty.
+    instead of raised. With the private ``_map``, a stack's outcomes are
+    the list ``_map(start, rho, failures)`` returns instead, ``rho`` being
+    the (N, 4, 4) unit-trace states of the stack from point ``start`` and
+    ``failures`` the SingularSystem or NonPhysicalState of each failed
+    row, by row.
     """
     single = isinstance(params, SystemParams)
-    points = [params] if single else params
     states = []
-    # popped, and not bound here, so that no local refers to the
-    # exception _only may raise
-    each = _each or (lambda start, rho, failures: states.extend(
-        [failures.pop(i, None) or DensityMatrix._view(m) for i, m in enumerate(rho)]))
-    # double-buffered: once a chunk is gated, the next one's generator is
-    # built here and its inverse handed to a worker thread while ``each``
-    # maps this chunk; the first chunk is factored inline
-    L = build_generator(_chunk(points, 0)) if points else None
-    factored = None
+    for start, rho, failures in _stacks([params] if single else params):
+        if _map is None:
+            # popped, so that no local refers to the exception _only may raise
+            states += [failures.pop(i, None) or DensityMatrix._view(m) for i, m in enumerate(rho)]
+        else:
+            states += _map(start, rho, failures)
+    return _only(states) if single else states
+
+
+def _stacks(points):
+    """Solve ``points`` a stack of at most CHUNK_POINTS at a time, yielding
+    ``(start, rho, failures)`` per stack as ``_solve_trace_normalized``
+    gives them, ``start`` being the index of its first point.
+
+    ``Thread.start`` returns only once the worker runs, and the worker then
+    keeps the GIL into the LAPACK call of ``_invert``, which releases it:
+    had this thread gone on at once, the worker would have waited
+    ``sys.getswitchinterval()`` for the GIL, longer than mapping a stack
+    takes. ``_factor`` runs a worker that was never started inline.
+    """
+    if not points:
+        return
+    L = build_generator(_chunk(points, 0))
+    # the first stack is inverted inline: no worker, and no error in its box
+    pair, worker, box = _trace_constrained(L), None, [None]
     for start in range(0, len(points), CHUNK_POINTS):
-        rho, failures = _solve_trace_normalized(L, factored and factored())
+        factored = _factor(pair, worker)
+        # freed before the next stack's pair is allocated
+        pair = None
+        _only(box)   # raises what the worker raised
+        rho, failures = _solve_trace_normalized(L, factored)
         if start + CHUNK_POINTS < len(points):
             L = build_generator(_chunk(points, start + CHUNK_POINTS))
-            factored = _factor_later(_trace_constrained(L))
-        each(start, rho, failures)
-    return _only(states) if single else states
+            pair, box = _trace_constrained(L), []
+            worker = threading.Thread(target=_invert_into, args=(box, pair),
+                                      name="sgcvapor-factor")
+            if _cpus() > 1:
+                try:
+                    worker.start()
+                except RuntimeError:   # no new threads at interpreter shutdown
+                    pass
+        yield start, rho, failures
 
 
 def _chunk(points, start: int):
     """The CHUNK_POINTS points of ``points`` from ``start`` (fewer at the end)."""
     return take(points, range(start, min(start + CHUNK_POINTS, len(points))))
-
-
-def _factor_later(pair: np.ndarray):
-    """A function that returns, or raises, what ``_factor(pair)`` does,
-    with the inverse computed meanwhile on a thread of its own (``_invert``)
-    and the rest on the thread that calls the function.
-
-    ``Thread.start`` returns only once the thread runs, and the thread
-    then keeps the GIL into the LAPACK call of ``_invert``, which releases
-    it. Had the caller gone on at once, the thread would have waited
-    ``sys.getswitchinterval()`` for the GIL, longer than mapping a chunk
-    takes. Where no thread can help, because the process may run on one
-    CPU only or no new thread can be started (the interpreter is shutting
-    down), the thread is never started and ``_factor`` inverts inline.
-    """
-    box = []
-    worker = threading.Thread(target=_invert_into, args=(box, pair), name="sgcvapor-factor")
-    if _cpus() > 1:
-        try:
-            worker.start()
-        except RuntimeError:   # no new threads at interpreter shutdown
-            pass
-
-    def inverted():
-        if worker.ident is None:   # never started
-            worker.run()
-        else:
-            worker.join()
-        _only(box)
-
-    # popped, so that the stack is freed once factored, before the caller
-    # allocates the next one
-    pairs = [pair]
-    return lambda: _factor(pairs.pop(), inverted)
 
 
 def _cpus() -> int:
@@ -346,7 +339,7 @@ def _cpus() -> int:
 
 def _invert_into(box: list, pair: np.ndarray) -> None:
     """Invert ``pair`` (``_invert``) and append None, or the exception that
-    raises, to ``box``: what the worker of ``_factor_later`` runs."""
+    raises, to ``box``: what the worker of ``_stacks`` runs."""
     try:
         with np.errstate(all="ignore"):
             _invert(pair)

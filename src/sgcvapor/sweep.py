@@ -105,16 +105,11 @@ def _run_sweep(axis: SweepAxis, base: SystemParams, grid: np.ndarray) -> SweepTa
     # swept field of its records
     values = grid.tolist()
     outcomes = response_at(PointsAlong(base, axis.field, values))
-    records = []
-    failures = []
-    for value, outcome in zip(values, outcomes):
-        if isinstance(outcome, ResponseRecord):
-            records.append(outcome)
-        else:
-            records.append(None)
-            failures.append(SweepFailure(value, type(outcome).__name__, str(outcome)))
-    table = SweepTable(axis=axis, grid=tuple(values),
-                       records=tuple(records), bands=(), failures=tuple(failures))
+    records = tuple(o if isinstance(o, ResponseRecord) else None for o in outcomes)
+    failures = tuple(SweepFailure(value, type(o).__name__, str(o))
+                     for value, o, record in zip(values, outcomes, records) if record is None)
+    table = SweepTable(axis=axis, grid=tuple(values), records=records, bands=(),
+                       failures=failures)
     return replace(table, bands=tuple(detect_bands(table)))
 
 

@@ -120,6 +120,9 @@ class TestRefractiveIndex:
 
     def test_lossless_double_negative(self):
         assert refractive_index(-1 + 0j, -1 + 0j) == pytest.approx(-1.0 + 0j)
+        # Im n cancels exactly here (eps_r = conj(mu_r)), so only the
+        # lossless double-negative branch takes the left-handed root
+        assert refractive_index(-1 - 0.5j, -1 + 0.5j) == -1.118033988749895
 
     def test_single_negative_is_evanescent(self):
         # expected value fixed by n^2 = eps*mu and Im(n) >= 0
@@ -198,7 +201,7 @@ class TestResponseAt:
         params = SystemParams(omegap_bare=5e-324)
         assert params.omegap_si != 0.0
 
-        def no_solve(points, _each=None):
+        def no_solve(points, _map=None):
             assert not points, "a point with a vanishing probe coupling was solved"
             return []
 
@@ -373,10 +376,11 @@ class TestStackMapping:
             rows = [k for k in range(len(rho)) if k not in failures]
             stacked.extend(records[k] for k in rows)
             alone.extend(_alone(rho, k, failures, mapping) for k in rows)
+            return records
 
         for points in sequences:
             mapping = columns(points, MAPPING)
-            steady_state(points, _each=lambda *stack: each(*stack, mapping=mapping))
+            steady_state(points, _map=lambda *stack: each(*stack, mapping=mapping))
         # 25,007 points per case, 100,028 over the four; the paper's
         # equations leave about a third of theirs to map
         assert len(stacked) > (25_000 if variant is EquationVariant.CORRECTED else 5_000)

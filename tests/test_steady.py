@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import types
 import warnings
 
@@ -17,6 +18,7 @@ from sgcvapor import (DensityMatrix, EquationVariant, NonPhysicalState,
                       response_at, steady_state, sweep_detuning)
 from sgcvapor import steady
 from sgcvapor.model import unvectorize, vectorize
+from sgcvapor.params import PointsAlong
 from sgcvapor.steady import CHUNK_POINTS, _solve_trace_normalized
 
 from conftest import ORACLE_DETUNINGS, ORACLE_P_VALUES, from_populations, random_hermitian
@@ -319,9 +321,9 @@ class TestDoubleBufferedSolve:
             inverts.append(threading.current_thread())
             invert(pair)
 
-        def spy_factor(pair, inverted=None, factor=steady._factor):
+        def spy_factor(pair, worker=None, factor=steady._factor):
             factors.append(threading.current_thread())
-            return factor(pair, inverted)
+            return factor(pair, worker)
 
         monkeypatch.setattr(steady, "build_generator", with_singular)
         monkeypatch.setattr(steady, "_invert", spy_invert)
@@ -387,6 +389,22 @@ class TestDoubleBufferedSolve:
                     context.setattr(*patch)
                     assert [s.m.tobytes() for s in steady_state(points)] == expected
         assert threads == [threading.main_thread()] * 6
+
+    def test_holds_at_most_two_stacks(self):
+        # the stack being mapped and the one being inverted: what the call
+        # allocates beyond what it returns stays below two trace-constrained
+        # (2, N, 16, 16) pairs, which a third stack alive would pass
+        pair_bytes = 2 * CHUNK_POINTS * 16 * 16 * 8
+        points = PointsAlong(SystemParams(p_align=0.5), "delta_p",
+                             np.linspace(-20.0, 20.0, 8 * CHUNK_POINTS).tolist())
+        tracemalloc.start()
+        try:
+            records = response_at(points)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == len(points)
+        assert peak - retained < 2 * pair_bytes
 
     def test_worker_error_reaches_the_caller_without_reference_cycles(self, monkeypatch):
         def fails_on_the_worker(pair, invert=steady._invert):

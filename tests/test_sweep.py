@@ -350,7 +350,7 @@ class TestStackedSweepMatchesPointwise:
         assert all("ill-conditioned" in m for m in messages)
 
     def test_zero_probe_fails_before_the_solve(self, monkeypatch):
-        def no_solve(points, _each=None):
+        def no_solve(points, _map=None):
             assert not points, "a zero-probe point was solved"
             return []
 
