@@ -174,29 +174,28 @@ def _atomic_write(path: Path, data: str) -> None:
         raise
 
 
-def _record_row(axis_value: float, record: ResponseRecord) -> list:
-    return [axis_value,
+def _record_row(axis_value: float, record: ResponseRecord) -> tuple:
+    return (axis_value,
             record.eps_r.real, record.eps_r.imag,
             record.mu_r.real, record.mu_r.imag,
             record.n_index.real, record.n_index.imag,
             record.rho24.real, record.rho24.imag,
             record.rho32.real, record.rho32.imag,
-            record.handedness.value]
+            record.handedness.value)
+
+
+# a CSV row: the 11 floats of _record_row, then the handedness
+_CSV_ROW = ",".join(["%.17g"] * (len(CSV_COLUMNS) - 1) + ["%s"])
 
 
 def _render_csv(table: SweepTable) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for axis_value, record in table.ok_records():
-        row = _record_row(axis_value, record)
-        lines.append(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row))
+    lines += [_CSV_ROW % _record_row(*pair) for pair in table.ok_records()]
     return "\n".join(lines) + "\n"
 
 
 def _render_json(table: SweepTable) -> str:
-    rows = []
-    for axis_value, record in table.ok_records():
-        row = _record_row(axis_value, record)
-        rows.append(dict(zip(CSV_COLUMNS, row)))
+    rows = [dict(zip(CSV_COLUMNS, _record_row(*pair))) for pair in table.ok_records()]
     return json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 

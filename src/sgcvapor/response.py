@@ -40,7 +40,7 @@ vacuum.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -343,6 +343,9 @@ def _map_stack(rho, failures: dict, *mapping) -> list:
 # first plus the second.
 _BY_SIGNS = np.array([Handedness.RIGHT_HANDED, Handedness.NEG_MU_ONLY,
                       Handedness.NEG_EPS_ONLY, Handedness.LEFT_HANDED], dtype=object)
+# Each field's slot setter, in order: a stack's records are set as the dataclass
+# __init__ sets one (there is no __post_init__), a slot at a time, but a column at a time.
+_SET_SLOTS = [getattr(ResponseRecord, f.name).__set__ for f in fields(ResponseRecord)]
 
 
 def _stack_records(rho, omegap_si, d42, mu23, density_n, delta_p, p_align):
@@ -395,8 +398,10 @@ def _stack_records(rho, omegap_si, d42, mu23, density_n, delta_p, p_align):
         values.real[6] = np.where(flip, -n[0], n[0])
         values.imag[6] = np.where(flip, -n[1], n[1])
         flagged |= ~np.isfinite(values).all(axis=0)
-    handedness = _BY_SIGNS[2 * neg_eps + neg_mu].tolist()
-    records = list(map(ResponseRecord, delta_p, p_align, *values.tolist(), handedness))
+    records = [object.__new__(ResponseRecord) for _ in delta_p]
+    by_field = (delta_p, p_align, *values.tolist(), _BY_SIGNS[2 * neg_eps + neg_mu].tolist())
+    for set_slot, column in zip(_SET_SLOTS, by_field):
+        any(map(set_slot, records, column))   # each call returns None
     return records, flagged.nonzero()[0].tolist()
 
 

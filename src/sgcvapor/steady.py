@@ -13,31 +13,26 @@ the trace-constrained stack once for the exact 1-norm condition numbers
 and solves it once (``_factor``, one call each to the LAPACK gufuncs
 behind numpy.linalg, where a singular row comes out as NaN and leaves the
 others alone), and applies the non-finite, residual, trace and population
-gates as array operations on the whole stack, each decided once, by
-arithmetic whose value for a row does not depend on the other rows: a
-row's outcome is its outcome as a stack of one, and so does not depend on
-where the chunks split a sequence. A row that fails gets its
-SingularSystem or NonPhysicalState as its item of the result instead of a
-state; the other rows are unaffected. A single SystemParams is the
-one-point case, and its exception is raised. ``_solve_trace_normalized``
-unvectorizes each unit-trace stack once, and each state it hands out,
-good or carried by a NonPhysicalState, is a DensityMatrix on its slice of
-that stack, not on a copy.
+gates to the whole stack (``_gate``), each by arithmetic whose value for a
+row does not depend on the other rows: a row's outcome is its outcome as a
+stack of one, wherever the chunks split a sequence. A row that fails gets
+its SingularSystem or NonPhysicalState as its item of the result, the
+other rows unaffected; a single SystemParams is the one-point case, and
+its exception is raised. Each state handed out, good or carried by a
+NonPhysicalState, is a DensityMatrix on its slice of its stack.
 
-A sequence of more than one chunk is double-buffered, in one loop: the
-generator ``_stacks`` yields each gated stack, and before it does, builds
-the next chunk's generators and hands the next stack's inverse, its
+A sequence of more than one chunk is double-buffered in one loop, the
+generator ``_stacks``: once the caller's thread has solved a stack, taken
+its residual, joined the worker that inverted it and taken the norms, it
+builds the next chunk's generators and hands the next stack's inverse, its
 longest LAPACK call, to a thread of its own, which holds no GIL from start
-to end of that call and runs nothing else. The consumer, ``steady_state``
-or through its private ``_map`` ``response_at``, maps the yielded stack;
-then ``_stacks`` solves the next stack, joins the worker and takes the
-norms for the condition numbers: generator assembly, the solve, the gates,
-their warnings and errors, the unvectorize and the mapping stay on the
-caller's thread, and each row meets the same gufuncs on the same data, so
-the bits do not depend on the split. A single point, or any call of at
-most CHUNK_POINTS points, starts no thread, and neither does a process
-that may run on one CPU only or an interpreter that no longer starts
-threads: there every inverse is computed inline, to the same bits. The
+to end of that call and runs nothing else. While it runs, the caller gates
+and maps the stack (``steady_state``, or through its private ``_map``
+``response_at``) and solves the next; each row meets the same gufuncs on
+the same data, so the bits do not depend on the split. A single point, or
+any call of at most CHUNK_POINTS points, starts no thread, nor does a
+process that may run on one CPU only or an interpreter that no longer
+starts threads: there every inverse is computed inline. The
 ill-conditioning RuntimeWarning names the first caller outside this
 package: the line that called ``steady_state``, ``response_at`` or a
 sweep.
@@ -145,14 +140,15 @@ def _outside_stacklevel() -> int:
     return level
 
 
-def _trace_constrained(L: np.ndarray) -> np.ndarray:
-    """The generator stack ``L`` with each rho11 row replaced by the trace
-    row, as the first half of a (2, N, 16, 16) array: ``_factor`` puts
-    the inverse in the second half."""
+def _trace_constrained(L: np.ndarray):
+    """``(pair, bound)``: ``L`` with each rho11 row replaced by the trace
+    row, as the first half of a (2, N, 16, 16) array whose second half
+    ``_factor`` fills, and each row's residual bound RESIDUAL_TOL ||L||_F."""
     pair = np.empty((2,) + L.shape)
     pair[0] = L
     pair[0, :, IDX_N1] = _TRACE_ROW
-    return pair
+    flat = L.reshape(len(L), 16 * 16)
+    return pair, RESIDUAL_TOL * np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
 def _invert(pair: np.ndarray) -> None:
@@ -168,13 +164,14 @@ def _factor(pair: np.ndarray, worker=None):
     """The LAPACK half of the solve of a trace-constrained stack A, the
     first half of ``pair`` (``_trace_constrained``), which it overwrites.
 
-    Returns ``(cond, X)``: a list of each row's exact 1-norm condition
-    number, and the (N, 16) solutions x. One LU solves each row of A and
-    another inverts it (``_invert``) for its condition number; a row with a
-    zero pivot comes out of either as NaN, the other rows untouched, so
-    neither call raises. ``worker`` is None to invert here, after the
-    solve, or the thread of ``_stacks`` that inverts ``pair``: between the
-    solve and the norms it is joined, or run here if it never started.
+    Returns ``(cond, X, residual)``: a list of each row's exact 1-norm
+    condition number, the (N, 16) solutions x, and the 2-norm of each
+    row's residual A x on the 15 rows that A shares with L. One LU solves
+    each row of A and another inverts it (``_invert``); a row with a zero
+    pivot comes out of either as NaN, the other rows untouched, so neither
+    call raises. ``worker`` is None to invert here, or the thread of
+    ``_stacks`` that inverts ``pair``, joined before the norms, or run here
+    if it never started.
     """
     A, inverse = pair
     # numpy's own gufuncs behind np.linalg.solve and np.linalg.cond(A, 1),
@@ -185,7 +182,11 @@ def _factor(pair: np.ndarray, worker=None):
     # NaN. tests/test_steady.py checks the bits against the public
     # functions and that the one-point path calls no wrapper.
     with np.errstate(all="ignore"):
-        X = _umath_linalg.solve(A, _UNIT_TRACE, signature="dd->d")
+        X = _umath_linalg.solve(A, _UNIT_TRACE, signature="dd->d")[:, :, 0]
+        # A x is L x but in the trace row, zeroed; a huge x may overflow here
+        R = np.matmul(A, X[:, :, None])[:, :, 0]
+        R[:, IDX_N1] = 0.0
+        residual = np.sqrt(np.einsum("ij,ij->i", R, R))
         if worker is None:
             _invert(pair)
         elif worker.ident is None:   # never started
@@ -198,25 +199,18 @@ def _factor(pair: np.ndarray, worker=None):
     for i, c in enumerate(cond):
         if c != c and not np.isnan(A[i]).any():
             cond[i] = math.inf
-    return cond, X[:, :, 0]
+    return cond, X, residual
 
 
-def _solve_trace_normalized(L: np.ndarray, factored=None):
-    """Solve L x = 0 subject to unit trace via rho11-row replacement.
-
-    ``L`` is a stack (N, 16, 16) of generators and ``factored`` the
-    ``_factor`` of its trace-constrained copy, computed here if not given.
-    Returns ``(rho, failures)``: rho (N, 4, 4) holds each row's x divided
-    by its trace, unvectorized once as one stack, and ``failures`` maps the
-    index of every row that failed a gate to its SingularSystem or
-    NonPhysicalState (whose state is its row of rho), so one bad row costs
-    the others nothing. The condition numbers, the LU solve and the
-    non-finite, residual, trace and population gates are batched over the
-    stack, in arithmetic whose value for a row does not depend on the other
-    rows, so each row's x and outcome are bitwise those of its solve as a
-    stack of one.
+def _gate(cond: list, X: np.ndarray, residual: np.ndarray, bound: np.ndarray):
+    """``(rho, failures)`` of a stack from its ``_factor`` and residual
+    ``bound``: rho (N, 4, 4) holds each row's x divided by its trace,
+    unvectorized once as one stack, and ``failures`` maps the index of each
+    row that failed a gate to its SingularSystem or NonPhysicalState (whose
+    state is its row of rho). Each gate is decided in arithmetic whose value
+    for a row does not depend on the other rows, so each row's outcome is
+    bitwise that of its solve as a stack of one.
     """
-    cond, X = _factor(_trace_constrained(L)) if factored is None else factored
     failures = {}
     for i, c in enumerate(cond):
         if not c <= CONDITION_FAIL:   # NaN and inf fail too
@@ -229,19 +223,13 @@ def _solve_trace_normalized(L: np.ndarray, factored=None):
     # finite (columns 0-15), the residual is too large (16), a population
     # is below 0 (17-20) or above 1 (21-24), so one reduction finds the
     # failing rows
-    gates = np.empty((len(L), 25), dtype=bool)
+    gates = np.empty((len(X), 25), dtype=bool)
     np.logical_not(np.isfinite(X, out=gates[:, :16]), out=gates[:, :16])
+    np.greater(residual, bound, out=gates[:, 16])
 
     # a row with a non-finite or huge x may overflow or give NaN here; the
     # gates below decide it on its own values
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # residual on the 15 rows that still belong to L
-        R = np.matmul(L, X[:, :, None])[:, :, 0]
-        R[:, IDX_N1] = 0.0
-        flat = L.reshape(len(L), 16 * 16)
-        norms = np.sqrt(np.einsum("ij,ij->i", R, R))
-        np.greater(norms, RESIDUAL_TOL * np.sqrt(np.einsum("ij,ij->i", flat, flat)),
-                   out=gates[:, 16])
         # renormalize the trace (the solve already puts the sum at 1 to
         # roundoff; dividing pins it there)
         X /= (X[:, IDX_N1] + X[:, IDX_N2] + X[:, IDX_N3] + X[:, IDX_N4])[:, None]
@@ -257,7 +245,7 @@ def _solve_trace_normalized(L: np.ndarray, factored=None):
             failures[k] = SingularSystem("solution has non-finite entries")
         elif gates[k, 16]:
             failures[k] = SingularSystem(
-                f"steady-state residual {norms[k]:.2e} exceeds {RESIDUAL_TOL:.0e} * ||L||")
+                f"steady-state residual {residual[k]:.2e} exceeds {RESIDUAL_TOL:.0e} * ||L||")
         else:
             failures[k] = NonPhysicalState(None, DensityMatrix._view(rho[k]))
     return rho, failures
@@ -292,37 +280,42 @@ def steady_state(params, _map=None):
 
 def _stacks(points):
     """Solve ``points`` a stack of at most CHUNK_POINTS at a time, yielding
-    ``(start, rho, failures)`` per stack as ``_solve_trace_normalized``
-    gives them, ``start`` being the index of its first point.
+    ``(start, rho, failures)`` per stack as ``_gate`` gives them, ``start``
+    being the index of its first point.
 
-    ``Thread.start`` returns only once the worker runs, and the worker then
-    keeps the GIL into the LAPACK call of ``_invert``, which releases it:
-    had this thread gone on at once, the worker would have waited
-    ``sys.getswitchinterval()`` for the GIL, longer than mapping a stack
-    takes. ``_factor`` runs a worker that was never started inline.
+    A loop left by an exception joins its worker. ``Thread.start`` returns
+    only once the worker runs, and the worker then keeps the GIL into the
+    LAPACK call of ``_invert``, which releases it: had this thread gone on
+    at once, the worker would have waited ``sys.getswitchinterval()`` for
+    the GIL, longer than gating a stack takes.
     """
     if not points:
         return
-    L = build_generator(_chunk(points, 0))
+    pair, bound = _trace_constrained(build_generator(_chunk(points, 0)))
     # the first stack is inverted inline: no worker, and no error in its box
-    pair, worker, box = _trace_constrained(L), None, [None]
-    for start in range(0, len(points), CHUNK_POINTS):
-        factored = _factor(pair, worker)
-        # freed before the next stack's pair is allocated
-        pair = None
-        _only(box)   # raises what the worker raised
-        rho, failures = _solve_trace_normalized(L, factored)
-        if start + CHUNK_POINTS < len(points):
-            L = build_generator(_chunk(points, start + CHUNK_POINTS))
-            pair, box = _trace_constrained(L), []
-            worker = threading.Thread(target=_invert_into, args=(box, pair),
-                                      name="sgcvapor-factor")
-            if _cpus() > 1:
-                try:
-                    worker.start()
-                except RuntimeError:   # no new threads at interpreter shutdown
-                    pass
-        yield start, rho, failures
+    worker, box = None, [None]
+    try:
+        for start in range(0, len(points), CHUNK_POINTS):
+            (cond, X, residual), this_bound = _factor(pair, worker), bound
+            # freed before the next stack's pair is allocated
+            pair = None
+            _only(box)   # raises what the worker raised
+            if start + CHUNK_POINTS < len(points):
+                pair, bound = _trace_constrained(
+                    build_generator(_chunk(points, start + CHUNK_POINTS)))
+                box = []
+                worker = threading.Thread(target=_invert_into, args=(box, pair),
+                                          name="sgcvapor-factor")
+                if _cpus() > 1:
+                    try:
+                        worker.start()
+                    except RuntimeError:   # no new threads at interpreter shutdown
+                        pass
+            rho, failures = _gate(cond, X, residual, this_bound)
+            yield start, rho, failures
+    finally:
+        if worker is not None and worker.ident is not None:
+            worker.join()
 
 
 def _chunk(points, start: int):

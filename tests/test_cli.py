@@ -1,13 +1,19 @@
 import dataclasses
+import importlib.util
 import json
+import math
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from sgcvapor import EquationVariant, SystemParams, ValidationError
+from sgcvapor import EquationVariant, Handedness, ResponseRecord, SystemParams, ValidationError
+from sgcvapor import cli
 from sgcvapor.cli import (CSV_COLUMNS, ParseError, RunConfig, config_mapping,
                           main, parse_config, run)
+from sgcvapor.sweep import SweepAxis, SweepTable
 
 from conftest import config_text
 
@@ -156,6 +162,28 @@ class TestRun:
         assert float(row[1]) == rec.eps_r.real
         assert float(row[6]) == rec.n_index.imag
 
+    def test_csv_rows_format_each_float_as_its_f_string(self):
+        # signed zero, infinities, NaN, the smallest subnormal and normal,
+        # the largest float, and values whose shortest repr differs
+        values = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+                  1.7976931348623157e308, 1e16, 0.1]
+        records = []
+        for i in range(len(values)):
+            x = [values[(i + k) % len(values)] for k in range(11)]
+            records.append(ResponseRecord(
+                delta_p=x[0], p_align=0.5, rho24=complex(x[7], x[8]), rho32=complex(x[9], x[10]),
+                gamma_e=0j, gamma_m=0j, eps_r=complex(x[1], x[2]), mu_r=complex(x[3], x[4]),
+                n_index=complex(x[5], x[6]), handedness=list(Handedness)[i % 4]))
+        table = SweepTable(SweepAxis.DETUNING, grid=tuple(r.delta_p for r in records),
+                           records=tuple(records), bands=(), failures=())
+        expected = [",".join(CSV_COLUMNS)] + [
+            ",".join(v if isinstance(v, str) else f"{v:.17g}" for v in cli._record_row(g, r))
+            for g, r in table.ok_records()]
+        assert cli._render_csv(table) == "\n".join(expected) + "\n"
+        assert {"-0", "inf", "-inf", "nan", "4.9406564584124654e-324", "2.2250738585072014e-308",
+                "1.7976931348623157e+308", "10000000000000000",
+                "0.10000000000000001"} <= set(",".join(expected).split(","))
+
     def test_json_format_matches_csv_fields(self, tmp_path):
         out = tmp_path / "pt.json"
         run(parse_config(f"out = {out}\nformat = json"))
@@ -267,3 +295,36 @@ class TestMain:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert out.exists()
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
+README_COMMANDS = json.loads((GOLDEN / "readme_commands.json").read_text())["commands"]
+
+
+@pytest.fixture(scope="module")
+def gate():
+    """The benchmark's correctness gate, ``bench/gate.py``, whose checks the
+    golden files are held to."""
+    spec = importlib.util.spec_from_file_location("bench_gate", GOLDEN.parent / "gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate
+
+
+class TestReadmeCommands:
+    """The README's five commands write the bytes recorded in bench/golden."""
+
+    @pytest.mark.parametrize("command", README_COMMANDS,
+                             ids=[" ".join(c["argv"]) for c in README_COMMANDS])
+    def test_outputs_match_the_golden_files(self, command, gate, tmp_path, monkeypatch):
+        # each command in a directory of its own, so the sidecar records
+        # the README's relative output path
+        if "run.conf" in command["argv"]:
+            shutil.copy(GOLDEN / "run.conf", tmp_path / "run.conf")
+        monkeypatch.chdir(tmp_path)
+        assert main(list(command["argv"])) == 0
+        out = tmp_path / command["out"]
+        name = " ".join(command["argv"])
+        assert gate.check_csv(out.read_bytes(), command["csv_sha256"], name) == []
+        sidecar = out.with_name(out.name + ".meta.json").read_bytes()
+        assert gate.check_sidecar(sidecar, command["sidecar"], name) == []

@@ -1,9 +1,10 @@
 import cmath
 import gc
 import operator
+import pickle
 import struct
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -474,6 +475,39 @@ class TestStackMapping:
         assert [_bits(o) for o in together] == [_bits(o) for o in alone]
         assert {type(o) for o in together} == {
             response.ResponseRecord, DegenerateProbe, SingularSystem, NonPhysicalState}
+
+
+class TestSlotBuiltRecords:
+    """_stack_records sets each record's slots itself instead of calling the
+    dataclass __init__: its records must be the ones __init__ builds."""
+
+    def test_records_are_constructor_records(self, calibrated_base):
+        points = PointsAlong(replace(calibrated_base, p_align=0.7), "delta_p",
+                             np.linspace(-20.0, 20.0, 64).tolist())
+        rho = np.stack([state.m for state in steady_state(points)])
+        records, flagged = response._stack_records(rho, *columns(points, MAPPING))
+        assert flagged == []
+        assert {record.handedness for record in records} >= {Handedness.LEFT_HANDED,
+                                                             Handedness.NEG_EPS_ONLY}
+        for record in records:
+            assert type(record) is response.ResponseRecord
+            built = response.ResponseRecord(*(getattr(record, f.name) for f in fields(record)))
+            assert record == built
+            assert hash(record) == hash(built)
+            assert _bits(record) == _bits(built)
+            copy = pickle.loads(pickle.dumps(record))
+            assert type(copy) is response.ResponseRecord
+            assert _bits(copy) == _bits(record)
+            with pytest.raises(FrozenInstanceError):
+                record.p_align = 0.0
+
+    def test_record_class_has_what_the_slot_setters_assume(self):
+        # a __post_init__ would not run for slot-built records, and the
+        # setters are taken in field order
+        cls = response.ResponseRecord
+        assert not hasattr(cls, "__post_init__")
+        assert cls.__slots__ == tuple(f.name for f in fields(cls))
+        assert response._SET_SLOTS == [getattr(cls, name).__set__ for name in cls.__slots__]
 
 
 class TestCalibratedSpotChecks:

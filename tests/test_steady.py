@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import types
 import warnings
@@ -19,7 +20,7 @@ from sgcvapor import (DensityMatrix, EquationVariant, NonPhysicalState,
 from sgcvapor import steady
 from sgcvapor.model import unvectorize, vectorize
 from sgcvapor.params import PointsAlong
-from sgcvapor.steady import CHUNK_POINTS, _solve_trace_normalized
+from sgcvapor.steady import CHUNK_POINTS
 
 from conftest import ORACLE_DETUNINGS, ORACLE_P_VALUES, from_populations, random_hermitian
 
@@ -108,23 +109,23 @@ class TestSteadyState:
         assert str(NonPhysicalState("in range", error.state)) == "in range"
 
     def test_singular_system_detected(self):
-        _, failures = _solve_trace_normalized(np.zeros((1, 16, 16)))
+        _, failures = _solve_stack(np.zeros((1, 16, 16)))
         assert list(failures) == [0]
         assert isinstance(failures[0], SingularSystem)
 
     def test_ill_conditioned_solve_warns(self):
         L = np.diag([0.0, -1.0, -1.0, -1.0] + [-1e-13] * 12)
         with pytest.warns(RuntimeWarning, match="ill-conditioned"):
-            _solve_trace_normalized(L[None])
+            _solve_stack(L[None])
 
     def test_stacked_rows_fail_and_warn_independently(self):
         regular = build_generator(SystemParams(p_align=0.5, delta_p=3.0))
         ill = np.diag([0.0, -1.0, -1.0, -1.0] + [-1e-13] * 12)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rho, failures = _solve_trace_normalized(np.stack([regular, np.zeros((16, 16)), ill]))
+            rho, failures = _solve_stack(np.stack([regular, np.zeros((16, 16)), ill]))
         assert len(rho) == 3
-        assert rho[0].tobytes() == _solve_trace_normalized(regular[None])[0][0].tobytes()
+        assert rho[0].tobytes() == _solve_stack(regular[None])[0][0].tobytes()
         assert list(failures) == [1]
         assert isinstance(failures[1], SingularSystem)
         ill_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)
@@ -148,12 +149,12 @@ class TestSteadyState:
                           regular])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rho, failures = _solve_trace_normalized(stack)
+            rho, failures = _solve_stack(stack)
         assert sorted(failures) == [0, 1, 2, 3, 4, 5]
         got = [_outcome(rho, failures, i) for i in range(6)]
         assert got == [_reference_outcome(L) for L in stack[:6]]
         assert {message[-4:-1] for _, message in got} == {"inf", "nan"}
-        assert rho[6].tobytes() == _solve_trace_normalized(regular[None])[0][0].tobytes()
+        assert rho[6].tobytes() == _solve_stack(regular[None])[0][0].tobytes()
 
     @pytest.mark.parametrize("entries, value", [(slice(None), np.nan), (5, np.inf)])
     def test_non_finite_solution_row_fails_alone(self, entries, value):
@@ -161,16 +162,17 @@ class TestSteadyState:
         # non-finite gate; the other rows are solved as if it were absent
         L = build_generator([SystemParams(p_align=p, delta_p=d)
                              for p, d in ((0.0, 0.0), (0.5, 3.0), (0.99, -2.0), (0.7, 1.0))])
-        cond, X = steady._factor(steady._trace_constrained(L))
+        pair, bound = steady._trace_constrained(L)
+        cond, X, residual = steady._factor(pair)
         assert all(c <= steady.CONDITION_WARN for c in cond)
         bad = X.copy()
         bad[1, entries] = value
         rest = [0, 2, 3]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rho, failures = _solve_trace_normalized(L, factored=(cond, bad))
-            expected, no_failures = _solve_trace_normalized(
-                L[rest], factored=([cond[i] for i in rest], X[rest].copy()))
+            rho, failures = steady._gate(cond, bad, residual, bound)
+            expected, no_failures = steady._gate(
+                [cond[i] for i in rest], X[rest].copy(), residual[rest], bound[rest])
         assert list(failures) == [1]
         assert isinstance(failures[1], SingularSystem)
         assert str(failures[1]) == "solution has non-finite entries"
@@ -197,7 +199,7 @@ class TestSteadyState:
                 else:
                     L[k, :, 3] = L[k, :, 7] + 10.0 ** -rng.uniform(6, 17) * L[k, :, 3]
             A = np.stack([_trace_constrained(row) for row in L])
-            cond, X = steady._factor(steady._trace_constrained(L))
+            cond, X, _ = steady._factor(steady._trace_constrained(L)[0])
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 expected = np.linalg.cond(A, 1)
@@ -229,7 +231,7 @@ class TestSteadyState:
             M = rng.normal(size=(16, 16))
             rows.append(M - np.outer(M @ x, x) / (x @ x))
         stack = np.stack(rows)
-        rho, failures = _solve_trace_normalized(stack)
+        rho, failures = _solve_stack(stack)
         got = [_outcome(rho, failures, i) for i in range(len(stack))]
         # the single-solve reference hands back x; a good row's state is its
         # unvectorize, bit for bit
@@ -238,7 +240,7 @@ class TestSteadyState:
         assert [outcome[:2] for outcome in got] == expected
         # each row's outcome, a NonPhysicalState's state included, is its
         # outcome as a stack of one
-        assert got == [_outcome(*_solve_trace_normalized(stack[i:i + 1]), 0)
+        assert got == [_outcome(*_solve_stack(stack[i:i + 1]), 0)
                        for i in range(len(stack))]
         assert {kind for kind, *_ in got} == {"ok", "SingularSystem", "NonPhysicalState"}
         passed = [i for i, (kind, message, *_) in enumerate(got)
@@ -366,6 +368,27 @@ class TestDoubleBufferedSolve:
         assert len(started) == 2
         # each worker is joined before its chunk is used
         assert not any(thread.is_alive() for thread in started)
+
+    def test_an_error_in_the_gates_joins_the_worker(self, monkeypatch):
+        # a stack is gated while the worker inverts the next one: a warning
+        # raised as an error there leaves no worker running after the call
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+
+        def slow_on_the_worker(pair, invert=steady._invert):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.2)
+            invert(pair)
+
+        monkeypatch.setattr(steady, "_invert", slow_on_the_worker)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="ill-conditioned"):
+                steady_state([self.ILL] + self.REGULAR)
+        assert len(started) == 1
+        assert not started[0].is_alive()
 
     def test_one_cpu_or_no_thread_factors_inline(self, monkeypatch):
         # where no thread can help or none can be started, every chunk is
@@ -599,8 +622,15 @@ def _trace_constrained(L):
     return A
 
 
+def _solve_stack(L):
+    """The generator stack ``L`` solved and gated as ``steady._stacks``
+    solves and gates a stack inverted inline: ``(rho, failures)``."""
+    pair, bound = steady._trace_constrained(L)
+    return steady._gate(*steady._factor(pair), bound)
+
+
 def _outcome(rho, failures, i):
-    """Row i of a _solve_trace_normalized result: (kind, message) for a
+    """Row i of a _solve_stack result: (kind, message) for a
     SingularSystem, with the state's bytes for a NonPhysicalState, and
     ("ok", bytes of the state) for a good row."""
     error = failures.get(i)
@@ -613,7 +643,7 @@ def _outcome(rho, failures, i):
 
 def _reference_outcome(L):
     """One generator solved alone, each gate in the arithmetic of a single
-    solve: the reference for the batched gates of _solve_trace_normalized.
+    solve: the reference for the batched gates of steady._gate.
     Returns (kind, message) for a failure, ("ok", bytes of x) otherwise."""
     A = _trace_constrained(L)
     cond = np.linalg.cond(A[None], 1)[0]
