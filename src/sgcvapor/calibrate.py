@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .params import SystemParams
+from .params import SystemParams, ValidationError
 from .response import electric_polarizability, magnetic_polarizability
 from .steady import steady_state
 from .sweep import ALIGNMENT_GUARD
@@ -84,8 +84,10 @@ def calibrate_dipoles(base: SystemParams | None = None) -> CalibratedDipoles:
 
 
 def calibrated_params(base: SystemParams | None = None, **overrides) -> SystemParams:
-    """SystemParams with calibrated d42/mu23 applied (plus any overrides)."""
-    if base is None:
-        base = SystemParams()
+    """``base`` (defaults if omitted) with any ``overrides`` applied, and
+    d42/mu23 calibrated at that point: overriding them is a ValidationError."""
+    if {"d42", "mu23"} & overrides.keys():
+        raise ValidationError("calibrated_params sets d42 and mu23 itself")
+    base = replace(SystemParams() if base is None else base, **overrides)
     cal = calibrate_dipoles(base)
-    return replace(base, d42=cal.d42, mu23=cal.mu23, **overrides)
+    return replace(base, d42=cal.d42, mu23=cal.mu23)

@@ -150,15 +150,17 @@ class PointsAlong:
     "p_align") set to each of ``values`` (a list of floats) in turn.
 
     A sequence of SystemParams that builds an item only when it is
-    indexed or iterated: the layers that take a sequence of points read
-    it a whole column at a time through :func:`columns`, so a sweep makes
-    no SystemParams per point. The column of ``field`` is ``values``
-    itself, so what is built from it holds the same float objects. The
-    values are not validated here; the caller must check them as
-    ``SystemParams`` would.
+    indexed or iterated, and a PointsAlong when sliced: the layers that
+    take a sequence of points read it a whole column at a time through
+    :func:`columns`, so a sweep makes no SystemParams per point. The
+    column of ``field`` is ``values`` itself, so what is built from it
+    holds the same float objects. The values are not validated here; the
+    caller must check them as ``SystemParams`` would.
     """
 
     def __init__(self, base: SystemParams, field: str, values: list):
+        if field not in _DEPENDENT:
+            raise ValidationError(f"PointsAlong sweeps 'delta_p' or 'p_align', not {field!r}")
         self.base = base
         self.field = field
         self.values = values
@@ -167,7 +169,10 @@ class PointsAlong:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, i) -> SystemParams:
+    def __getitem__(self, i):
+        """The point at ``i``, or the PointsAlong of a slice of the values."""
+        if isinstance(i, slice):
+            return PointsAlong(self.base, self.field, self.values[i])
         return replace(self.base, **{self.field: self.values[i]})
 
     def column(self, name: str) -> list:
@@ -190,10 +195,7 @@ def columns(points, names) -> list:
 
 def take(points, rows):
     """The points of ``points`` at the increasing indices ``rows``, as a
-    sequence of the same kind: ``points`` itself if ``rows`` are all its
-    indices."""
-    if len(rows) == len(points):
-        return points
+    sequence of the same kind."""
     if isinstance(points, PointsAlong):
         return PointsAlong(points.base, points.field, [points.values[i] for i in rows])
     return [points[i] for i in rows]

@@ -19,21 +19,22 @@ branch and the overall sign fixed by passivity, Im(n) >= 0; for a
 double-negative (left-handed) medium with small losses this reproduces
 n = -sqrt(eps_r mu_r).
 
-``response_at`` on a sequence of points is also what a sweep runs, on
-a ``params.PointsAlong`` of its grid. It fails points whose probe coupling
-vanishes before the solve, solves the rest with ``steady_state`` in
-stacks of CHUNK_POINTS, and maps each stack through ``steady_state``'s
-private ``_map``, on the caller's thread while the worker thread inverts
-the next stack. A stack of more than one state is mapped in one pass of
-float-array arithmetic that replays the scalar functions below op for op,
-as CPython does complex arithmetic, so each record is bitwise the one
-those functions give; a row whose check may fail, or whose values are not
-all finite, is mapped by the scalar functions themselves, which raise its
-error. A single point is mapped by the scalar functions alone. The few
-values the mapping needs besides the steady state (``_MAPPING_FIELDS``)
-are read a column at a time. No SystemParams is built per point of a
-sweep. A point whose polarizability numerator underflows, a probe too weak
-for double precision, fails with DegenerateProbe rather than reading as
+``response_at`` on a sequence of points is also what a sweep runs, on a
+``params.PointsAlong`` of its grid. It fails points whose probe coupling
+vanishes (|p_align| = 1 among them) before the solve, solves the rest with
+``steady_state`` in stacks of CHUNK_POINTS, and maps each stack, with its
+own points, through ``steady_state``'s private ``_map``, on the caller's
+thread while the worker thread inverts the next stack. A stack of more
+than one state is mapped in one pass of float-array arithmetic that
+replays the scalar functions below op for op, as CPython does complex
+arithmetic, so each record is bitwise the one those functions give; a row
+whose check may fail, or whose values are not all finite, is mapped by the
+scalar functions themselves, which raise its error. A single point is
+mapped by the scalar functions alone. The few values the mapping needs
+besides the steady state (``_MAPPING_FIELDS``) are read from a stack's
+points a column at a time. No SystemParams is built per point of a sweep.
+A point whose polarizability numerator underflows, a probe too weak for
+double precision, fails with DegenerateProbe rather than reading as
 vacuum.
 """
 
@@ -106,8 +107,8 @@ def _degenerate_probe(p_align: float, omegap_bare: float, omegap_si: float) -> D
     """The DegenerateProbe of a vanishing probe coupling, naming why it
     vanishes."""
     if abs(p_align) == 1.0:
-        cause = "at |p_align| = 1"
-    elif omegap_bare == 0.0:
+        return DegenerateProbe(_DEGENERATE)
+    if omegap_bare == 0.0:
         cause = "at omegap_bare = 0"
     elif omegap_si == 0.0:
         cause = "by underflow of omegap_bare * sqrt(1 - p_align^2) * gamma_unit"
@@ -238,10 +239,10 @@ def classify_handedness(eps_r: complex, mu_r: complex) -> Handedness:
 
 _DEGENERATE = "response is undefined at |p_align| = 1"
 
-# What the response of a point needs besides its steady state, read from
-# the points a whole column at a time (``params.columns``).
-_MAPPING_FIELDS = ("p_align", "delta_p", "omegap_bare", "omegap_si", "d42", "mu23",
-                   "density_n")
+# What the response of a point needs besides its steady state, in the
+# order of ``_record``'s arguments, read from a stack's points a whole
+# column at a time (``params.columns``).
+_MAPPING_FIELDS = ("omegap_si", "d42", "mu23", "density_n", "delta_p", "p_align")
 
 
 def response_at(params):
@@ -252,34 +253,27 @@ def response_at(params):
     when a polarizability numerator underflows, and LocalFieldPole at a
     Clausius-Mossotti divergence.
 
-    ``params`` may also be a sequence of SystemParams, whose steady states
-    are solved as stacks of at most CHUNK_POINTS points: the result is then
-    a list whose item i is the record of point i, or the exception it
-    would raise alone, returned instead of raised. Points whose probe
-    coupling vanishes, at zero or by underflow, fail before the solve.
+    ``params`` may also be a sequence of SystemParams that supports
+    slicing, whose steady states are solved as stacks of at most
+    CHUNK_POINTS points: the result is then a list whose item i is the
+    record of point i, or the exception it would raise alone, returned
+    instead of raised. Points whose probe coupling vanishes, at zero or by
+    underflow, fail before the solve.
     """
     single = isinstance(params, SystemParams)
     points = [params] if single else params
-    p_align, delta_p, omegap_bare, omegap_si, d42, mu23, density_n = columns(
-        points, _MAPPING_FIELDS)
+    p_align, omegap_bare, omegap_si = columns(points, ("p_align", "omegap_bare", "omegap_si"))
     early = {}   # the points that fail before the solve, by index
-    for i, (p, w) in enumerate(zip(p_align, omegap_si)):
-        if abs(p) >= 1.0:
-            early[i] = DegenerateProbe(_DEGENERATE)
-        elif _probe_vanishes(w):
-            early[i] = _degenerate_probe(p, omegap_bare[i], w)
-    mapping = (omegap_si, d42, mu23, density_n, delta_p, p_align)
-    # where no point failed here, as on most sweeps, a range holds no int
-    # per point, the columns are those of the solved points already and
-    # the solved outcomes are the result
-    live = range(len(points))
+    for i, w in enumerate(omegap_si):
+        if _probe_vanishes(w):
+            early[i] = _degenerate_probe(p_align[i], omegap_bare[i], w)
+    live = points
     if early:
-        live = [i for i in live if i not in early]
-        mapping = [[column[i] for i in live] for column in mapping]
+        live = take(points, [i for i in range(len(points)) if i not in early])
 
     # mapped on this thread while steady_state inverts the next stack
-    out = steady_state(take(points, live), _map=lambda start, rho, failures: _map_stack(
-        rho, failures, *(column[start:start + len(rho)] for column in mapping)))
+    out = steady_state(live, _map=lambda stack, rho, failures: _map_stack(
+        rho, failures, *columns(stack, _MAPPING_FIELDS)))
     if early:
         # popped, so that no local refers to the exception _only may raise
         solved = out[::-1]

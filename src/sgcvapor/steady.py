@@ -8,18 +8,19 @@ resulting square system by dense LU with partial pivoting.
 
 The solve is array-valued: ``steady_state`` also takes a sequence of
 operating points and solves it a stack of at most CHUNK_POINTS points at a
-time. For each stack it assembles the (N, 16, 16) generators, inverts
-the trace-constrained stack once for the exact 1-norm condition numbers
-and solves it once (``_factor``, one call each to the LAPACK gufuncs
-behind numpy.linalg, where a singular row comes out as NaN and leaves the
-others alone), and applies the non-finite, residual, trace and population
-gates to the whole stack (``_gate``), each by arithmetic whose value for a
-row does not depend on the other rows: a row's outcome is its outcome as a
-stack of one, wherever the chunks split a sequence. A row that fails gets
-its SingularSystem or NonPhysicalState as its item of the result, the
-other rows unaffected; a single SystemParams is the one-point case, and
-its exception is raised. Each state handed out, good or carried by a
-NonPhysicalState, is a DensityMatrix on its slice of its stack.
+time, each stack a slice of the sequence. For each stack it assembles the
+(N, 16, 16) generators, inverts the trace-constrained stack once for the
+exact 1-norm condition numbers and solves it once (``_factor``, one call
+each to the LAPACK gufuncs behind numpy.linalg, where a singular row comes
+out as NaN and leaves the others alone), and applies the non-finite,
+residual, trace and population gates to the whole stack (``_gate``), each
+by arithmetic whose value for a row does not depend on the other rows: a
+row's outcome is its outcome as a stack of one, wherever the chunks split
+a sequence. A row that fails gets its SingularSystem or NonPhysicalState
+as its item of the result, the other rows unaffected; a single
+SystemParams is the one-point case, and its exception is raised. Each
+state handed out, good or carried by a NonPhysicalState, is a
+DensityMatrix on its slice of its stack.
 
 A sequence of more than one chunk is double-buffered in one loop, the
 generator ``_stacks``: once the caller's thread has solved a stack, taken
@@ -27,12 +28,13 @@ its residual, joined the worker that inverted it and taken the norms, it
 builds the next chunk's generators and hands the next stack's inverse, its
 longest LAPACK call, to a thread of its own, which holds no GIL from start
 to end of that call and runs nothing else. While it runs, the caller gates
-and maps the stack (``steady_state``, or through its private ``_map``
-``response_at``) and solves the next; each row meets the same gufuncs on
-the same data, so the bits do not depend on the split. A single point, or
-any call of at most CHUNK_POINTS points, starts no thread, nor does a
-process that may run on one CPU only or an interpreter that no longer
-starts threads: there every inverse is computed inline. The
+and maps the stack (``steady_state``, or ``response_at`` through the
+private ``_map``, which is handed the stack's own points) and solves the
+next; each row meets the same gufuncs on the same data, so the bits do
+not depend on the split. A single point, or any call of at most
+CHUNK_POINTS points, starts no thread, nor does a process that may run on
+one CPU only or an interpreter that no longer starts threads: there every
+inverse is computed inline. The
 ill-conditioning RuntimeWarning names the first caller outside this
 package: the line that called ``steady_state``, ``response_at`` or a
 sweep.
@@ -60,7 +62,7 @@ from numpy.linalg import _umath_linalg
 
 from .model import (DensityMatrix, IDX_N1, IDX_N2, IDX_N3, IDX_N4, build_generator,
                     unvectorize, vectorize)
-from .params import SystemParams, ValidationError, take
+from .params import SystemParams, ValidationError
 
 # Populations this far outside [0, 1] mean the fixed point is unphysical.
 POPULATION_BOUND_TOL = 1e-6
@@ -258,30 +260,31 @@ def steady_state(params, _map=None):
     NonPhysicalState if a population of the fixed point leaves [0, 1] by
     more than 1e-6 (the PAPER_LITERAL fixed point often does).
 
-    ``params`` may also be a sequence of SystemParams, solved as stacks of
-    at most CHUNK_POINTS points: the result is then a list whose item i is
-    the state of point i, or the exception it would raise alone, returned
-    instead of raised. With the private ``_map``, a stack's outcomes are
-    the list ``_map(start, rho, failures)`` returns instead, ``rho`` being
-    the (N, 4, 4) unit-trace states of the stack from point ``start`` and
+    ``params`` may also be a sequence of SystemParams that supports
+    slicing, solved as stacks of at most CHUNK_POINTS points, each a slice
+    of it: the result is then a list whose item i is the state of point i,
+    or the exception it would raise alone, returned instead of raised.
+    With the private ``_map``, a stack's outcomes are the list
+    ``_map(stack, rho, failures)`` returns instead, ``stack`` being the
+    slice of points solved, ``rho`` their (N, 4, 4) unit-trace states and
     ``failures`` the SingularSystem or NonPhysicalState of each failed
     row, by row.
     """
     single = isinstance(params, SystemParams)
     states = []
-    for start, rho, failures in _stacks([params] if single else params):
+    for stack, rho, failures in _stacks([params] if single else params):
         if _map is None:
             # popped, so that no local refers to the exception _only may raise
             states += [failures.pop(i, None) or DensityMatrix._view(m) for i, m in enumerate(rho)]
         else:
-            states += _map(start, rho, failures)
+            states += _map(stack, rho, failures)
     return _only(states) if single else states
 
 
 def _stacks(points):
     """Solve ``points`` a stack of at most CHUNK_POINTS at a time, yielding
-    ``(start, rho, failures)`` per stack as ``_gate`` gives them, ``start``
-    being the index of its first point.
+    ``(stack, rho, failures)`` per stack as ``_gate`` gives them, ``stack``
+    being the slice of ``points`` that was solved.
 
     A loop left by an exception joins its worker. ``Thread.start`` returns
     only once the worker runs, and the worker then keeps the GIL into the
@@ -289,20 +292,22 @@ def _stacks(points):
     at once, the worker would have waited ``sys.getswitchinterval()`` for
     the GIL, longer than gating a stack takes.
     """
-    if not points:
+    following = points[:CHUNK_POINTS]
+    if not following:
         return
-    pair, bound = _trace_constrained(build_generator(_chunk(points, 0)))
+    pair, bound = _trace_constrained(build_generator(following))
     # the first stack is inverted inline: no worker, and no error in its box
     worker, box = None, [None]
     try:
-        for start in range(0, len(points), CHUNK_POINTS):
-            (cond, X, residual), this_bound = _factor(pair, worker), bound
+        # end: where this stack ends and the following one starts
+        for end in range(CHUNK_POINTS, len(points) + CHUNK_POINTS, CHUNK_POINTS):
+            (cond, X, residual), this_bound, stack = _factor(pair, worker), bound, following
             # freed before the next stack's pair is allocated
             pair = None
             _only(box)   # raises what the worker raised
-            if start + CHUNK_POINTS < len(points):
-                pair, bound = _trace_constrained(
-                    build_generator(_chunk(points, start + CHUNK_POINTS)))
+            following = points[end:end + CHUNK_POINTS]
+            if following:
+                pair, bound = _trace_constrained(build_generator(following))
                 box = []
                 worker = threading.Thread(target=_invert_into, args=(box, pair),
                                           name="sgcvapor-factor")
@@ -312,15 +317,10 @@ def _stacks(points):
                     except RuntimeError:   # no new threads at interpreter shutdown
                         pass
             rho, failures = _gate(cond, X, residual, this_bound)
-            yield start, rho, failures
+            yield stack, rho, failures
     finally:
         if worker is not None and worker.ident is not None:
             worker.join()
-
-
-def _chunk(points, start: int):
-    """The CHUNK_POINTS points of ``points`` from ``start`` (fewer at the end)."""
-    return take(points, range(start, min(start + CHUNK_POINTS, len(points))))
 
 
 def _cpus() -> int:

@@ -2,7 +2,8 @@ from dataclasses import replace
 
 import pytest
 
-from sgcvapor import SystemParams, calibrate_dipoles, calibrated_params, response_at
+from sgcvapor import (SystemParams, ValidationError, calibrate_dipoles, calibrated_params,
+                      response_at)
 from sgcvapor.calibrate import (CALIBRATION_DETUNING, CALIBRATION_P_CROSS,
                                 CALIBRATION_P_END)
 
@@ -42,3 +43,22 @@ class TestCalibration:
         assert p.d42 == calibrated.d42
         assert p.mu23 == calibrated.mu23
         assert p.p_align == 0.2
+
+    def test_calibrated_params_without_base_overrides_is_the_default_calibration(
+            self, calibrated_base):
+        # calibration sets its own p and delta_p, so a p_align override
+        # does not move the dipoles
+        assert calibrated_params() == calibrated_base
+        assert calibrated_params(p_align=0.3) == replace(calibrated_base, p_align=0.3)
+
+    def test_overrides_are_applied_before_calibrating(self):
+        p = calibrated_params(density_n=1e25)
+        assert p == calibrated_params(replace(SystemParams(), density_n=1e25))
+        rec = response_at(replace(p, p_align=CALIBRATION_P_CROSS, delta_p=CALIBRATION_DETUNING))
+        assert rec.mu_r.real == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("override", [{"d42": 1e-29}, {"mu23": 1e-23},
+                                          {"d42": 1e-29, "mu23": 1e-23}])
+    def test_dipole_overrides_are_rejected(self, override):
+        with pytest.raises(ValidationError, match="^calibrated_params sets d42 and mu23 itself$"):
+            calibrated_params(**override)

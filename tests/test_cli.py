@@ -220,6 +220,37 @@ class TestRun:
         # the oracle tolerance of 1e-6
         assert float(checks[0]["max_abs_diff"]) < 1e-11
 
+    def test_oracle_checks_first_middle_and_last_points_of_a_sweep(self, tmp_path):
+        out = tmp_path / "sw.csv"
+        run(parse_config(f"out = {out}\nmode = sweep-detuning\nd_min = -2\nd_max = 2\n"
+                         "steps = 5\noracle = true"))
+        checks = json.loads((tmp_path / "sw.csv.meta.json").read_text())["oracle_checks"]
+        assert [c["axis_value"] for c in checks] == ["-2", "0", "2"]
+        assert all(float(c["max_abs_diff"]) < 1e-9 for c in checks)
+
+    def test_oracle_skips_failed_points_and_records_divergence(self, tmp_path):
+        # the paper's equations fail -10..10 and leave -20, -15, 15 and 20,
+        # from each of which their integration diverges
+        out = tmp_path / "lit.csv"
+        run(parse_config(f"out = {out}\nmode = sweep-detuning\nsteps = 9\n"
+                         "equations = paper\noracle = true"))
+        meta = json.loads((tmp_path / "lit.csv.meta.json").read_text())
+        assert [f["axis_value"] for f in meta["failures"]] == ["-10", "-5", "0", "5", "10"]
+        checks = meta["oracle_checks"]
+        assert [c["axis_value"] for c in checks] == ["-20", "15", "20"]
+        assert all(set(c) == {"axis_value", "error"} for c in checks)
+        assert all(c["error"].startswith("StepUnstable: integration diverged at t = ")
+                   for c in checks)
+
+    def test_oracle_writes_no_checks_without_a_successful_point(self, tmp_path):
+        out = tmp_path / "none.csv"
+        run(parse_config(f"out = {out}\nmode = sweep-detuning\nsteps = 5\n"
+                         "omegap_bare = 0\noracle = true"))
+        meta = json.loads((tmp_path / "none.csv.meta.json").read_text())
+        assert meta["points_failed"] == 5
+        assert "oracle_checks" not in meta
+        assert out.read_text() == ",".join(CSV_COLUMNS) + "\n"
+
     def test_near_resonant_alignment_sweep_reproduces_reference_features(
             self, tmp_path, calibrated):
         out = tmp_path / "psweep.csv"
@@ -278,6 +309,13 @@ class TestMain:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "NonPhysicalState" in capsys.readouterr().err
+
+    def test_out_naming_a_directory_exit_one_leaves_no_temp_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert main(["--mode", "point", "--out", str(out)]) == 1
+        assert "IsADirectoryError" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
 
     def test_config_file_plus_flag_override(self, tmp_path):
         cfg = tmp_path / "run.conf"

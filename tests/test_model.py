@@ -101,6 +101,20 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError):
             DensityMatrix(m)
 
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValidationError, match=r"^density matrix must be 4x4, got \(3, 3\)$"):
+            DensityMatrix(np.eye(3, dtype=complex) / 3.0)
+
+    def test_non_finite_entry_rejected(self):
+        m = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        m[1, 2] = complex(float("nan"), 0.0)
+        with pytest.raises(ValidationError, match="^density matrix has non-finite entries$"):
+            DensityMatrix(m)
+
+    def test_repr_shows_the_populations(self):
+        assert repr(DensityMatrix.ground()) == (
+            "DensityMatrix(populations=[1.000000, 0.000000, 0.000000, 0.000000])")
+
     def test_coherence_accessors(self):
         m = np.zeros((4, 4), dtype=complex)
         m[np.diag_indices(4)] = 0.25

@@ -45,7 +45,7 @@ class TestElectricPolarizability:
         assert got.real == pytest.approx(1.2367e-21, rel=1e-4)
 
     def test_degenerate_probe(self):
-        with pytest.raises(DegenerateProbe):
+        with pytest.raises(DegenerateProbe, match=r"^response is undefined at \|p_align\| = 1$"):
             electric_polarizability(0.1 + 0j, SystemParams(p_align=1.0))
 
 
@@ -70,7 +70,7 @@ class TestMagneticPolarizability:
             pytest.approx(expected, rel=1e-15)
 
     def test_degenerate_probe(self):
-        with pytest.raises(DegenerateProbe):
+        with pytest.raises(DegenerateProbe, match=r"^response is undefined at \|p_align\| = 1$"):
             magnetic_polarizability(0.1 + 0j, SystemParams(p_align=-1.0))
 
 
@@ -188,7 +188,7 @@ class TestResponseAt:
         with pytest.raises(DegenerateProbe,
                            match=r"^effective probe Rabi frequency is zero at omegap_bare = 0$"):
             response_at(SystemParams(omegap_bare=0.0, p_align=0.5))
-        # the |p_align| = 1 check before the solve keeps its own text
+        # |p_align| = 1 is named before omegap_bare = 0
         with pytest.raises(DegenerateProbe, match=r"^response is undefined at \|p_align\| = 1$"):
             response_at(SystemParams(omegap_bare=0.0, p_align=1.0))
         with pytest.raises(DegenerateProbe, match=r"at \|p_align\| = 1$"):
@@ -368,9 +368,8 @@ class TestStackMapping:
                       for d in (1e-16, 5.0)]
         stacked, alone = [], []
 
-        def each(start, rho, failures, mapping=None):
-            stop = start + len(rho)
-            mapping = [column[start:stop] for column in mapping]
+        def each(stack, rho, failures):
+            mapping = columns(stack, MAPPING)
             records, flagged = response._stack_records(rho, *mapping)
             # every row that did not fail the solve is mapped by the arrays
             assert set(flagged) <= set(failures)
@@ -380,8 +379,7 @@ class TestStackMapping:
             return records
 
         for points in sequences:
-            mapping = columns(points, MAPPING)
-            steady_state(points, _map=lambda *stack: each(*stack, mapping=mapping))
+            steady_state(points, _map=each)
         # 25,007 points per case, 100,028 over the four; the paper's
         # equations leave about a third of theirs to map
         assert len(stacked) > (25_000 if variant is EquationVariant.CORRECTED else 5_000)

@@ -580,6 +580,12 @@ class TestEvolve:
         with pytest.raises(StepUnstable):
             evolve(SystemParams(), DensityMatrix.ground(), step, dt=step)
 
+    def test_divergence_in_the_final_partial_step_is_detected(self):
+        # no full step fits, so only the final-time check sees the overflow
+        with pytest.raises(StepUnstable, match=r"^integration diverged "
+                                               r"\(max \|component\| > 10 at final time\)$"):
+            evolve(SystemParams(), DensityMatrix.ground(), 5e99, dt=1e100)
+
     @pytest.mark.parametrize("variant", list(EquationVariant))
     @pytest.mark.parametrize("p,delta", [(0.0, 0.0), (0.5, -3.0), (0.99, 10.0)])
     def test_one_step_is_textbook_rk4_on_the_complex_equations(self, variant, p, delta):

@@ -447,6 +447,23 @@ def test_points_along_columns_are_the_attributes_of_its_items(field, values, bar
         else:
             assert [v.hex() for v in column] == [v.hex() for v in expected], name
 
+
+def test_a_slice_of_points_along_holds_the_same_floats():
+    # a stack of a sweep is a slice of its points
+    values = [0.1 * k for k in range(10)]
+    points = PointsAlong(SystemParams(), "delta_p", values)
+    part = points[2:7]
+    assert isinstance(part, PointsAlong) and (part.base, part.field) == (points.base, "delta_p")
+    assert len(part) == 5 and all(a is b for a, b in zip(part.values, values[2:7]))
+    assert list(part) == list(points)[2:7]
+    assert len(points[8:8 + CHUNK_POINTS]) == 2 and not points[10:]
+
+
+def test_points_along_rejects_a_field_it_does_not_sweep():
+    with pytest.raises(ValidationError,
+                       match="^PointsAlong sweeps 'delta_p' or 'p_align', not 'gamma2'$"):
+        PointsAlong(SystemParams(), "gamma2", [0.5])
+
 @pytest.mark.parametrize("sweep_along,field,lo,hi", [(sweep_detuning, "delta_p", -20.0, 20.0),
                                                      (sweep_alignment, "p_align", 0.0, 0.9)])
 def test_records_and_failures_hold_the_grid_floats_of_the_table(sweep_along, field, lo, hi):
