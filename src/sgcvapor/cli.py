@@ -17,7 +17,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,9 +160,11 @@ def parse_config(text: str | None = None, flags: dict | None = None) -> RunConfi
 
 def _atomic_write(path: Path, data: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # open() gives a new file mode 0o666 & ~umask; mkstemp would make it
+    # 0600, and os.replace keeps the mode
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as handle:
             handle.write(data)
         os.replace(tmp, path)
     except BaseException:

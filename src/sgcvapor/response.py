@@ -24,18 +24,19 @@ n = -sqrt(eps_r mu_r).
 vanishes (|p_align| = 1 among them) before the solve, solves the rest with
 ``steady_state`` in stacks of CHUNK_POINTS, and maps each stack, with its
 own points, through ``steady_state``'s private ``_map``, on the caller's
-thread while the worker thread inverts the next stack. A stack of more
-than one state is mapped in one pass of float-array arithmetic that
-replays the scalar functions below op for op, as CPython does complex
-arithmetic, so each record is bitwise the one those functions give; a row
-whose check may fail, or whose values are not all finite, is mapped by the
-scalar functions themselves, which raise its error. A single point is
-mapped by the scalar functions alone. The few values the mapping needs
-besides the steady state (``_MAPPING_FIELDS``) are read from a stack's
-points a column at a time. No SystemParams is built per point of a sweep.
-A point whose polarizability numerator underflows, a probe too weak for
-double precision, fails with DegenerateProbe rather than reading as
-vacuum.
+thread while the worker thread inverts the next stack. The mapping's
+arithmetic is written once, on pairs of floats or of float arrays, by
+helpers that take no complex operator (``_scale`` to ``_index``), so no
+bit of it rests on the interpreter's complex arithmetic: the scalar
+functions below and the array pass that maps a stack of more than one
+state both compute with them, and give each record the same bits. A
+single point, and a row whose check may fail or whose values are not all
+finite, is mapped by the scalar functions, which raise its error. The few
+values the mapping needs besides the steady state (``_MAPPING_FIELDS``)
+are read from a stack's points a column at a time. No SystemParams is
+built per point of a sweep. A point whose polarizability numerator
+underflows, a probe too weak for double precision, fails with
+DegenerateProbe rather than reading as vacuum.
 """
 
 from __future__ import annotations
@@ -133,10 +134,10 @@ def electric_polarizability(rho24: complex, params: SystemParams) -> complex:
 
 
 def _electric(rho24: complex, d42: float, omegap_si: float) -> complex:
-    numerator = 2.0 * d42 ** 2 * rho24
+    numerator = _scale(2.0 * d42 ** 2, rho24.real, rho24.imag)
     if _underflows(numerator, rho24):
         raise _numerator_underflow("2 d42^2 rho24", "rho24", rho24)
-    return numerator / (EPSILON_0 * HBAR * omegap_si)
+    return complex(*_over(*numerator, EPSILON_0 * HBAR * omegap_si))
 
 
 def magnetic_polarizability(rho32: complex, params: SystemParams) -> complex:
@@ -151,13 +152,13 @@ def magnetic_polarizability(rho32: complex, params: SystemParams) -> complex:
 def _magnetic(rho32: complex, d42: float, mu23: float, omegap_si: float) -> complex:
     # checked before * C_LIGHT too, which can lift a product that lost its
     # digits back into the normal range
-    numerator = 2.0 * MU_0 * mu23 * rho32
+    numerator = _scale(2.0 * MU_0 * mu23, rho32.real, rho32.imag)
     if _underflows(numerator, rho32):
         raise _numerator_underflow("2 mu0 mu23 rho32", "rho32", rho32)
-    numerator = numerator * C_LIGHT * d42
+    numerator = _times(*_times(*numerator, C_LIGHT), d42)
     if _underflows(numerator, rho32):
         raise _numerator_underflow("2 mu0 mu23 rho32 c d42", "rho32", rho32)
-    return numerator / (HBAR * omegap_si)
+    return complex(*_over(*numerator, HBAR * omegap_si))
 
 
 # Below this magnitude a double is subnormal and rounds to a multiple of
@@ -166,13 +167,13 @@ def _magnetic(rho32: complex, d42: float, mu23: float, omegap_si: float) -> comp
 _UNDERFLOW_BOUND = 2.0 ** -1074 / RESIDUAL_TOL
 
 
-def _underflows(product: complex, coherence: complex) -> bool:
-    """True if a part of ``product``, a multiple of ``coherence`` by
-    positive reals taken part by part, has underflowed: it is zero, or
-    subnormal and below _UNDERFLOW_BOUND, where that part of the coherence
-    is not zero."""
-    return ((abs(product.real) < _UNDERFLOW_BOUND and coherence.real != 0.0)
-            or (abs(product.imag) < _UNDERFLOW_BOUND and coherence.imag != 0.0))
+def _underflows(product, coherence):
+    """True if a part of ``product``, the pair of a multiple of
+    ``coherence`` by positive reals taken part by part, has underflowed: it
+    is zero, or subnormal and below _UNDERFLOW_BOUND, where that part of
+    the coherence is not zero. On arrays, row by row."""
+    return (((abs(product[0]) < _UNDERFLOW_BOUND) & (coherence.real != 0.0))
+            | ((abs(product[1]) < _UNDERFLOW_BOUND) & (coherence.imag != 0.0)))
 
 
 def _numerator_underflow(numerator: str, name: str, coherence: complex) -> DegenerateProbe:
@@ -183,21 +184,19 @@ def _numerator_underflow(numerator: str, name: str, coherence: complex) -> Degen
 def permittivity(gamma_e: complex, density_n: float) -> complex:
     """Relative permittivity with the local-field (Clausius-Mossotti)
     correction: eps_r = 1 + N*ge / (1 - N*ge/3)."""
-    w = density_n * gamma_e
-    denom = 1.0 - w / 3.0
-    if abs(denom) <= LOCAL_FIELD_POLE_TOL:
-        raise LocalFieldPole(f"N*gamma_e = {w} is at the local-field pole (= 3)")
-    return 1.0 + w / denom
+    w, denom = _local_field((gamma_e.real, gamma_e.imag), density_n)
+    if abs(complex(*denom)) <= LOCAL_FIELD_POLE_TOL:
+        raise LocalFieldPole(f"N*gamma_e = {complex(*w)} is at the local-field pole (= 3)")
+    return complex(*_plus(1.0, _quot(*w, *denom)))
 
 
 def permeability(gamma_m: complex, density_n: float) -> complex:
     """Relative permeability from the magnetic Clausius-Mossotti relation:
     mu_r = (1 + 2*N*gm/3) / (1 - N*gm/3)."""
-    w = density_n * gamma_m
-    denom = 1.0 - w / 3.0
-    if abs(denom) <= LOCAL_FIELD_POLE_TOL:
-        raise LocalFieldPole(f"N*gamma_m = {w} is at the local-field pole (= 3)")
-    return (1.0 + 2.0 * w / 3.0) / denom
+    w, denom = _local_field((gamma_m.real, gamma_m.imag), density_n)
+    if abs(complex(*denom)) <= LOCAL_FIELD_POLE_TOL:
+        raise LocalFieldPole(f"N*gamma_m = {complex(*w)} is at the local-field pole (= 3)")
+    return complex(*_quot(*_plus(1.0, _over(*_scale(2.0, *w), 3.0)), *denom))
 
 
 def refractive_index(eps_r: complex, mu_r: complex) -> complex:
@@ -208,33 +207,21 @@ def refractive_index(eps_r: complex, mu_r: complex) -> complex:
     flipped if needed so the wave decays. When both real parts are negative
     and losses are small this gives Re(n) < 0, and n^2 = eps_r*mu_r always.
     """
-    # fold a signed-zero imaginary part onto the passive side (Im -> 0+)
-    eps_r = complex(eps_r)
-    mu_r = complex(mu_r)
-    if eps_r.imag == 0.0:
-        eps_r = complex(eps_r.real, 0.0)
-    if mu_r.imag == 0.0:
-        mu_r = complex(mu_r.real, 0.0)
-    n = complex(np.sqrt(eps_r) * np.sqrt(mu_r))
-    if n.imag < 0.0:
-        n = -n
-    elif n.imag == 0.0 and n.real > 0.0 and eps_r.real < 0.0 and mu_r.real < 0.0:
-        # lossless double-negative limit: take the left-handed root
-        n = -n
-    return n
+    roots = [complex(np.sqrt(complex(z.real, z.imag + 0.0))) for z in (eps_r, mu_r)]
+    n, flip = _index(*roots, eps_r.real < 0.0, mu_r.real < 0.0)
+    return complex(-n[0], -n[1]) if flip else complex(*n)
+
+
+# The handedness of each (Re eps_r < 0, Re mu_r < 0), indexed by 2 * the
+# first plus the second.
+_BY_SIGNS = np.array([Handedness.RIGHT_HANDED, Handedness.NEG_MU_ONLY,
+                      Handedness.NEG_EPS_ONLY, Handedness.LEFT_HANDED], dtype=object)
 
 
 def classify_handedness(eps_r: complex, mu_r: complex) -> Handedness:
-    """Sign classification of the real parts; Re = 0 counts as non-negative."""
-    neg_eps = eps_r.real < 0.0
-    neg_mu = mu_r.real < 0.0
-    if neg_eps and neg_mu:
-        return Handedness.LEFT_HANDED
-    if neg_eps:
-        return Handedness.NEG_EPS_ONLY
-    if neg_mu:
-        return Handedness.NEG_MU_ONLY
-    return Handedness.RIGHT_HANDED
+    """Sign classification of the real parts; Re = 0 counts as non-negative.
+    On complex arrays, an object array of the classes, row by row."""
+    return _BY_SIGNS[2 * (eps_r.real < 0.0) + (mu_r.real < 0.0)]
 
 
 _DEGENERATE = "response is undefined at |p_align| = 1"
@@ -333,10 +320,6 @@ def _map_stack(rho, failures: dict, *mapping) -> list:
     return outcomes
 
 
-# The handedness of each (Re eps_r < 0, Re mu_r < 0), indexed by 2 * the
-# first plus the second.
-_BY_SIGNS = np.array([Handedness.RIGHT_HANDED, Handedness.NEG_MU_ONLY,
-                      Handedness.NEG_EPS_ONLY, Handedness.LEFT_HANDED], dtype=object)
 # Each field's slot setter, in order: a stack's records are set as the dataclass
 # __init__ sets one (there is no __post_init__), a slot at a time, but a column at a time.
 _SET_SLOTS = [getattr(ResponseRecord, f.name).__set__ for f in fields(ResponseRecord)]
@@ -346,99 +329,115 @@ def _stack_records(rho, omegap_si, d42, mu23, density_n, delta_p, p_align):
     """``_record`` of each row of a stack, as arrays: ``(records, flagged)``,
     with the indices of the rows to map by ``_record`` instead.
 
-    The complex values are pairs of float arrays, and every operation of
-    ``_record`` is replayed on them as CPython does it: a product with a
-    float f is the product with f + 0j, each division is ``_Py_c_quot``
-    (``_quot``), and sqrt(eps_r) sqrt(mu_r) is written out in its parts.
-    numpy's complex multiply and divide would not do: they may round
-    otherwise (FMA, other formulas). The checks are flagged, not raised:
-    the underflow checks as ``_record`` makes them, the local-field pole
-    with a margin, and any row with a value that is not finite (whose NaN
-    may carry another sign bit here).
+    Each step is the scalar functions' own, by the same pair helpers on
+    float arrays (numpy's complex multiply and divide may round otherwise:
+    FMA, other formulas), so each row gets the bits ``_record`` gives it.
+    The checks are flagged, not raised: the underflow checks as ``_record``
+    makes them, the local-field pole with a margin, and any row with a
+    value that is not finite (whose NaN may carry another sign bit here).
     """
     r24, r32 = rho[:, 1, 3], rho[:, 2, 1]
     omegap_si, mu23, density_n = np.array(omegap_si), np.array(mu23), np.array(density_n)
     values = np.empty((7, len(rho)), dtype=complex)
     values[0], values[1] = r24, r32
+    # a row at or near a pole goes to _record: the margin of 2 keeps the
+    # decision from resting on np.hypot matching abs() to the last bit
+    pole = 2.0 * LOCAL_FIELD_POLE_TOL
     with np.errstate(all="ignore"):
         # 2.0 * d42 ** 2 by Python's float power, which numpy's may not match
         numerator = _scale(np.array([2.0 * d ** 2 for d in d42]), r24.real, r24.imag)
-        flagged = _underflows_rows(numerator, r24)
-        ge = _quot(*numerator, EPSILON_0 * HBAR * omegap_si, 0.0)
+        flagged = _underflows(numerator, r24)
+        ge = _over(*numerator, EPSILON_0 * HBAR * omegap_si)
         numerator = _scale(2.0 * MU_0 * mu23, r32.real, r32.imag)
-        flagged |= _underflows_rows(numerator, r32)
-        numerator = _scale(np.array(d42), *_scale(C_LIGHT, *numerator))
-        flagged |= _underflows_rows(numerator, r32)
-        gm = _quot(*numerator, HBAR * omegap_si, 0.0)
+        flagged |= _underflows(numerator, r32)
+        numerator = _times(*_times(*numerator, C_LIGHT), np.array(d42))
+        flagged |= _underflows(numerator, r32)
+        gm = _over(*numerator, HBAR * omegap_si)
         values.real[2], values.imag[2] = ge
         values.real[3], values.imag[3] = gm
 
-        w, denom, pole = _local_field(ge, density_n)
-        flagged |= pole
+        w, denom = _local_field(ge, density_n)
+        flagged |= ~(np.hypot(*denom) > pole)
         values.real[4], values.imag[4] = _plus(1.0, _quot(*w, *denom))
-        w, denom, pole = _local_field(gm, density_n)
-        flagged |= pole
-        values.real[5], values.imag[5] = _quot(*_plus(1.0, _quot(*_scale(2.0, *w), 3.0, 0.0)),
-                                               *denom)
+        w, denom = _local_field(gm, density_n)
+        flagged |= ~(np.hypot(*denom) > pole)
+        values.real[5], values.imag[5] = _quot(*_plus(1.0, _over(*_scale(2.0, *w), 3.0)), *denom)
 
         # refractive_index: a signed-zero imaginary part folded onto +0.0
         roots = values[4:6].copy()
         roots.imag += 0.0
         np.sqrt(roots, out=roots)
-        (er, mr), (ei, mi) = roots.real, roots.imag
-        n = (er * mr - ei * mi, er * mi + ei * mr)
-        neg_eps, neg_mu = values.real[4] < 0.0, values.real[5] < 0.0
-        flip = (n[1] < 0.0) | ((n[1] == 0.0) & (n[0] > 0.0) & neg_eps & neg_mu)
+        n, flip = _index(*roots, values.real[4] < 0.0, values.real[5] < 0.0)
         values.real[6] = np.where(flip, -n[0], n[0])
         values.imag[6] = np.where(flip, -n[1], n[1])
         flagged |= ~np.isfinite(values).all(axis=0)
     records = [object.__new__(ResponseRecord) for _ in delta_p]
-    by_field = (delta_p, p_align, *values.tolist(), _BY_SIGNS[2 * neg_eps + neg_mu].tolist())
+    by_field = (delta_p, p_align, *values.tolist(),
+                classify_handedness(values[4], values[5]).tolist())
     for set_slot, column in zip(_SET_SLOTS, by_field):
         any(map(set_slot, records, column))   # each call returns None
     return records, flagged.nonzero()[0].tolist()
 
 
 def _scale(f, re, im):
-    """f * (re + i im) for a float f, as CPython multiplies (f + 0j) by it."""
+    """f * (re + i im) for a real f, as (f + 0j) * (re + i im)."""
     return f * re - 0.0 * im, f * im + 0.0 * re
 
 
+def _times(re, im, f):
+    """(re + i im) * f for a real f, as (re + i im) * (f + 0j): ``_scale``'s
+    operations in the other order, which decides the sign of a NaN."""
+    return re * f - im * 0.0, re * 0.0 + im * f
+
+
 def _plus(f, z):
-    """f + z for a float f, as CPython adds (f + 0j) to it."""
+    """f + z for a real f and a pair z, as (f + 0j) + z."""
     return f + z[0], 0.0 + z[1]
 
 
+def _over(re, im, x):
+    """(re + i im) / x for a real, nonzero x, as divided by x + 0j."""
+    ratio = 0.0 / x
+    return (re + im * ratio) / x, (im - re * ratio) / x
+
+
 def _quot(ar, ai, br, bi):
-    """(ar + i ai) / (br + i bi) row by row as CPython's ``_Py_c_quot``
-    divides: Smith's method, through whichever part of the divisor is the
-    larger in magnitude. A row with a zero or NaN divisor, where CPython
-    raises or gives NaN, comes out as whatever; the caller flags it."""
-    real_larger = np.abs(br) >= np.abs(bi)
-    ratio = bi / br
-    denom = br + bi * ratio
-    by_real = ((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
-    if real_larger.all():
-        return by_real
+    """(ar + i ai) / (br + i bi) as CPython's ``_Py_c_quot`` divides:
+    Smith's method, through whichever part of the divisor is the larger in
+    magnitude, and NaN if neither is, at a NaN divisor. On arrays, row by
+    row; a row with a zero or NaN divisor comes out as whatever, and the
+    caller flags it."""
+    real_larger = abs(br) >= abs(bi)
+    rows = isinstance(real_larger, np.ndarray)
+    if rows or real_larger:
+        ratio = bi / br
+        denom = br + bi * ratio
+        by_real = ((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
+        if not rows or real_larger.all():
+            return by_real
+    elif not abs(bi) >= abs(br):
+        return np.nan, np.nan
     ratio = br / bi
     denom = br * ratio + bi
-    return (np.where(real_larger, by_real[0], (ar * ratio + ai) / denom),
-            np.where(real_larger, by_real[1], (ai * ratio - ar) / denom))
-
-
-def _underflows_rows(product, coherence):
-    """``_underflows`` row by row, ``product`` a pair of float arrays."""
-    return (((np.abs(product[0]) < _UNDERFLOW_BOUND) & (coherence.real != 0.0))
-            | ((np.abs(product[1]) < _UNDERFLOW_BOUND) & (coherence.imag != 0.0)))
+    by_imag = ((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
+    if not rows:
+        return by_imag
+    return (np.where(real_larger, by_real[0], by_imag[0]),
+            np.where(real_larger, by_real[1], by_imag[1]))
 
 
 def _local_field(gamma, density_n):
-    """Of a polarizability ``gamma`` (a pair of float arrays), as
-    ``permittivity`` and ``permeability`` compute them: w = N gamma, the
-    Clausius-Mossotti denominator 1 - w / 3, and the rows at or near its
-    pole. The margin of 2 keeps the decision from resting on np.hypot
-    matching abs() to the last bit: the rows in it go to ``_record``."""
+    """Of a polarizability ``gamma``, a pair: w = N gamma and the
+    Clausius-Mossotti denominator 1 - w / 3, as pairs."""
     w = _scale(density_n, *gamma)
-    third = _quot(*w, 3.0, 0.0)
-    denom = (1.0 - third[0], 0.0 - third[1])
-    return w, denom, ~(np.hypot(*denom) > 2.0 * LOCAL_FIELD_POLE_TOL)
+    third = _over(*w, 3.0)
+    return w, (1.0 - third[0], 0.0 - third[1])
+
+
+def _index(eps_root, mu_root, neg_eps, neg_mu):
+    """n = sqrt(eps_r) sqrt(mu_r) as a pair, from the roots (numbers or
+    complex arrays), and where ``refractive_index``'s passive branch flips
+    its sign, given where Re eps_r and Re mu_r are negative."""
+    er, ei, mr, mi = eps_root.real, eps_root.imag, mu_root.real, mu_root.imag
+    n = (er * mr - ei * mi, er * mi + ei * mr)
+    return n, (n[1] < 0.0) | ((n[1] == 0.0) & (n[0] > 0.0) & neg_eps & neg_mu)

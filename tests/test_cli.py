@@ -2,7 +2,9 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -316,6 +318,17 @@ class TestMain:
         assert main(["--mode", "point", "--out", str(out)]) == 1
         assert "IsADirectoryError" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+    def test_outputs_take_the_mode_open_gives_under_the_umask(self, tmp_path):
+        # a new file and one that replaces a file of another mode alike
+        out, meta = tmp_path / "pt.csv", tmp_path / "pt.csv.meta.json"
+        meta.touch(mode=0o600)
+        previous = os.umask(0o022)
+        try:
+            assert main(["--mode", "point", "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert [stat.S_IMODE(path.stat().st_mode) for path in (out, meta)] == [0o644, 0o644]
 
     def test_config_file_plus_flag_override(self, tmp_path):
         cfg = tmp_path / "run.conf"

@@ -1,5 +1,6 @@
 import cmath
 import gc
+import math
 import operator
 import pickle
 import struct
@@ -90,6 +91,10 @@ class TestLocalFieldRelations:
         assert permittivity(-6.0 / N_DEFAULT, N_DEFAULT) == pytest.approx(-1.0)
         # N*gm = -3: mu = (1-2)/(1+1) = -1/2
         assert permeability(-3.0 / N_DEFAULT, N_DEFAULT) == pytest.approx(-0.5)
+        # a real polarizability, N*g = 1/2, gives a complex result too
+        eps, mu = permittivity(1e-25, N_DEFAULT), permeability(1e-25, N_DEFAULT)
+        assert type(eps) is complex and eps == 1.6
+        assert type(mu) is complex and mu == 1.6000000000000003
 
     def test_round_trip_through_the_inverse_relation(self):
         gm = (1.0 + 1.0j) / N_DEFAULT
@@ -121,6 +126,8 @@ class TestRefractiveIndex:
 
     def test_lossless_double_negative(self):
         assert refractive_index(-1 + 0j, -1 + 0j) == pytest.approx(-1.0 + 0j)
+        n = refractive_index(-1.0, -1.0)
+        assert type(n) is complex and n == -1.0
         # Im n cancels exactly here (eps_r = conj(mu_r)), so only the
         # lossless double-negative branch takes the left-handed root
         assert refractive_index(-1 - 0.5j, -1 + 0.5j) == -1.118033988749895
@@ -473,6 +480,30 @@ class TestStackMapping:
         assert [_bits(o) for o in together] == [_bits(o) for o in alone]
         assert {type(o) for o in together} == {
             response.ResponseRecord, DegenerateProbe, SingularSystem, NonPhysicalState}
+
+
+class TestPairArithmetic:
+    """The mapping's arithmetic is written out on float pairs, so its bits
+    do not depend on the interpreter's complex operators. Each case is one
+    where Python 3.14's mixed real/complex rules (C99 Annex G) would give
+    another result than the CPython 3.10-3.13 operators these bits are."""
+
+    def test_signed_zeros(self):
+        # (2 d42^2) * (0.37 - 0j): the 0.0 * 0.37 term lifts Im to +0.0
+        ge = response._electric(complex(0.37, -0.0), 1e-29, SystemParams().omegap_si)
+        assert [ge.real.hex(), ge.imag.hex()] == ["0x1.59b899475b15ep-68", "0x0.0p+0"]
+        assert [x.hex() for x in response._scale(2.0, 0.37, -0.0)] == [
+            "0x1.7ae147ae147aep-1", "0x0.0p+0"]
+        assert [x.hex() for x in response._plus(1.0, (0.5, -0.0))] == [
+            "0x1.8000000000000p+0", "0x0.0p+0"]
+
+    def test_nan_divisor(self):
+        # N gamma / (1 - N gamma / 3) with a NaN divisor: _Py_c_quot's NaN,
+        # whose sign bit is clear, where Smith's formulas would keep -NaN's
+        for relation in (permittivity, permeability):
+            value = relation(complex(-math.nan, 0.0), N_DEFAULT)
+            assert [math.copysign(1.0, x) for x in (value.real, value.imag)] == [1.0, 1.0]
+            assert math.isnan(value.real) and math.isnan(value.imag)
 
 
 class TestSlotBuiltRecords:
