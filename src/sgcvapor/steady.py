@@ -32,12 +32,13 @@ and maps the stack (``steady_state``, or ``response_at`` through the
 private ``_map``, which is handed the stack's own points) and solves the
 next; each row meets the same gufuncs on the same data, so the bits do
 not depend on the split. A single point, or any call of at most
-CHUNK_POINTS points, starts no thread, nor does a process that may run on
-one CPU only or an interpreter that no longer starts threads: there every
-inverse is computed inline. The
-ill-conditioning RuntimeWarning names the first caller outside this
-package: the line that called ``steady_state``, ``response_at`` or a
-sweep.
+CHUNK_POINTS points, starts no thread, nor does an interpreter that no
+longer starts threads: there every inverse is computed inline. A process
+pinned to one CPU starts the worker too, which then shares that CPU with
+the caller: sweeps then take 3-7% longer per point than with every stack
+inverted inline, which is not worth a second path. The ill-conditioning
+RuntimeWarning names the first caller outside this package: the line that
+called ``steady_state``, ``response_at`` or a sweep.
 
 ``evolve`` integrates the same equations of motion with classical
 fixed-step fourth-order Runge-Kutta and serves as an independent check: for
@@ -311,23 +312,15 @@ def _stacks(points):
                 box = []
                 worker = threading.Thread(target=_invert_into, args=(box, pair),
                                           name="sgcvapor-factor")
-                if _cpus() > 1:
-                    try:
-                        worker.start()
-                    except RuntimeError:   # no new threads at interpreter shutdown
-                        pass
+                try:
+                    worker.start()
+                except RuntimeError:   # no new threads at interpreter shutdown
+                    pass
             rho, failures = _gate(cond, X, residual, this_bound)
             yield stack, rho, failures
     finally:
         if worker is not None and worker.ident is not None:
             worker.join()
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _invert_into(box: list, pair: np.ndarray) -> None:

@@ -298,9 +298,9 @@ class TestDoubleBufferedSolve:
     ILL = SystemParams(gamma2=1e-13, gamma3=1e-13, gamma4=1e-13)
 
     @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        # the worker runs only where the process may use a second CPU
-        monkeypatch.setattr(steady, "_cpus", lambda: 2)
+    def one_cpu(self, monkeypatch):
+        # the worker runs however few CPUs the process may use
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
     def test_warning_from_a_worker_chunk_names_the_caller(self, monkeypatch):
         # a singular and an ill-conditioned point in the second stack of a
@@ -390,9 +390,9 @@ class TestDoubleBufferedSolve:
         assert len(started) == 1
         assert not started[0].is_alive()
 
-    def test_one_cpu_or_no_thread_factors_inline(self, monkeypatch):
-        # where no thread can help or none can be started, every chunk is
-        # inverted on the caller's thread, to the same bits
+    def test_a_refused_thread_factors_inline(self, monkeypatch):
+        # where no thread can be started, every chunk is inverted on the
+        # caller's thread, to the same bits
         points = self.REGULAR * 2 + [self.ILL, SystemParams()]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -407,11 +407,9 @@ class TestDoubleBufferedSolve:
                 raise RuntimeError("can't create new thread at interpreter shutdown")
 
             monkeypatch.setattr(steady, "_invert", spy)
-            for patch in ((steady, "_cpus", lambda: 1), (threading.Thread, "start", refused)):
-                with monkeypatch.context() as context:
-                    context.setattr(*patch)
-                    assert [s.m.tobytes() for s in steady_state(points)] == expected
-        assert threads == [threading.main_thread()] * 6
+            monkeypatch.setattr(threading.Thread, "start", refused)
+            assert [s.m.tobytes() for s in steady_state(points)] == expected
+        assert threads == [threading.main_thread()] * 3
 
     def test_holds_at_most_two_stacks(self):
         # the stack being mapped and the one being inverted: what the call
@@ -484,14 +482,13 @@ def test_one_point_calls_each_lapack_gufunc_once_and_no_linalg_wrapper(monkeypat
     assert calls == ["solve", "inv"]
 
 
-# Solves CHUNK_POINTS + 1 points, on two CPUs if the machine has them, and
+# Solves CHUNK_POINTS + 1 points, the second stack inverted on a worker, and
 # prints the sha256 of their states: what `when` runs it from.
 _SOLVE = """
 import hashlib, sys, threading, atexit
 from sgcvapor import SystemParams, steady, steady_state
 
 def solve():
-    steady._cpus = lambda: 2
     points = [SystemParams(delta_p=0.01 * k) for k in range(steady.CHUNK_POINTS + 1)]
     states = steady_state(points)
     print(hashlib.sha256(b"".join(s.m.tobytes() for s in states)).hexdigest(), flush=True)
