@@ -331,7 +331,11 @@ def build_generator(params) -> GeneratorMatrix:
     single = isinstance(params, SystemParams)
     rates = _rate_table((params,) if single else params)
     L = np.zeros((len(rates), 16 * 16))
-    L[:, _TERM_FLAT] = rates.take(_TERM_RATES, axis=1) * _TERM_COEFS
+    # scaled in place: a sequence may build its next stack while the one
+    # before is still held, so the build keeps one temporary, not two
+    terms = rates.take(_TERM_RATES, axis=1)
+    terms *= _TERM_COEFS
+    L[:, _TERM_FLAT] = terms
     L = L.reshape(len(rates), 16, 16)
     # trace-conserving completion of the rho22 row
     L[:, IDX_N2, :] = -(L[:, IDX_N1, :] + L[:, IDX_N3, :] + L[:, IDX_N4, :])

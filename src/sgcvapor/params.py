@@ -154,7 +154,10 @@ class PointsAlong:
     take a sequence of points read it a whole column at a time through
     :func:`columns`, so a sweep makes no SystemParams per point. The
     column of ``field`` is ``values`` itself, so what is built from it
-    holds the same float objects. The values are not validated here; the
+    holds the same float objects. A column derived from ``p_align`` is
+    derived once: it is kept, and a slice or ``take`` carries its part of
+    it. A part keeps no column it derives itself, since each stack of a
+    sweep reads its columns once. The values are not validated here; the
     caller must check them as ``SystemParams`` would.
     """
 
@@ -165,6 +168,8 @@ class PointsAlong:
         self.field = field
         self.values = values
         self._dependent = _DEPENDENT[field]
+        # the derived columns so far, by name, and whether to keep more
+        self._derived, self._keeps = {}, True
 
     def __len__(self) -> int:
         return len(self.values)
@@ -172,17 +177,29 @@ class PointsAlong:
     def __getitem__(self, i):
         """The point at ``i``, or the PointsAlong of a slice of the values."""
         if isinstance(i, slice):
-            return PointsAlong(self.base, self.field, self.values[i])
+            return self._part(self.values[i], lambda column: column[i])
         return replace(self.base, **{self.field: self.values[i]})
+
+    def _part(self, values: list, cut) -> PointsAlong:
+        """The PointsAlong of ``values``, with ``cut`` of each derived column."""
+        part = PointsAlong(self.base, self.field, values)
+        part._derived = {name: cut(column) for name, column in self._derived.items()}
+        part._keeps = False
+        return part
 
     def column(self, name: str) -> list:
         """The attribute ``name`` of each point, as a list of floats."""
         if name == self.field:
             return self.values
-        derive = self._dependent.get(name)
-        if derive is None:
-            return [getattr(self.base, name)] * len(self.values)
-        return [derive(self.base, v) for v in self.values]
+        column = self._derived.get(name)
+        if column is None:
+            derive = self._dependent.get(name)
+            if derive is None:
+                return [getattr(self.base, name)] * len(self.values)
+            column = [derive(self.base, v) for v in self.values]
+            if self._keeps:
+                self._derived[name] = column
+        return column
 
 
 def columns(points, names) -> list:
@@ -197,5 +214,6 @@ def take(points, rows):
     """The points of ``points`` at the increasing indices ``rows``, as a
     sequence of the same kind."""
     if isinstance(points, PointsAlong):
-        return PointsAlong(points.base, points.field, [points.values[i] for i in rows])
+        return points._part([points.values[i] for i in rows],
+                            lambda column: [column[i] for i in rows])
     return [points[i] for i in rows]

@@ -23,20 +23,24 @@ state handed out, good or carried by a NonPhysicalState, is a
 DensityMatrix on its slice of its stack.
 
 A sequence of more than one chunk is double-buffered in one loop, the
-generator ``_stacks``: once the caller's thread has solved a stack, taken
-its residual, joined the worker that inverted it and taken the norms, it
-builds the next chunk's generators and hands the next stack's inverse, its
-longest LAPACK call, to a thread of its own, which holds no GIL from start
-to end of that call and runs nothing else. While it runs, the caller gates
-and maps the stack (``steady_state``, or ``response_at`` through the
-private ``_map``, which is handed the stack's own points) and solves the
-next; each row meets the same gufuncs on the same data, so the bits do
-not depend on the split. A single point, or any call of at most
-CHUNK_POINTS points, starts no thread, nor does an interpreter that no
-longer starts threads: there every inverse is computed inline. A process
-pinned to one CPU starts the worker too, which then shares that CPU with
-the caller: sweeps then take 3-7% longer per point than with every stack
-inverted inline, which is not worth a second path. The ill-conditioning
+generator ``_stacks``, with one worker thread per call (``_Inverter``).
+The first stack is solved inline. Each later stack is handed to the
+worker, which inverts it, the longest LAPACK call of a stack, and takes
+the 1-norms of the inverses, while the caller's thread takes its 1-norms
+from its own copy of the generators, solves it, gates and maps the stack
+before it (``steady_state``, or ``response_at`` through the private
+``_map``, which is handed the stack's own points), and builds the next
+stack's generators. Between taking the worker's norms and handing it the
+next stack, the caller only multiplies the norms and constrains the next
+generators. Each row meets the same gufuncs and reductions on the same
+data, so the bits do not depend on the split or the thread. numpy releases
+the GIL in a gufunc call only over more than 500 matrices, so the inverse
+of a full stack holds it: what overlaps is the work that runs without the
+GIL, such as the norms and the generator assembly. A single point, or any
+call of at most CHUNK_POINTS points, starts no thread, nor does an
+interpreter that no longer starts threads: there every inverse is computed
+on the caller's thread. A process pinned to one CPU starts the worker too,
+which then shares that CPU with the caller. The ill-conditioning
 RuntimeWarning names the first caller outside this package: the line that
 called ``steady_state``, ``response_at`` or a sweep.
 
@@ -146,7 +150,7 @@ def _outside_stacklevel() -> int:
 def _trace_constrained(L: np.ndarray):
     """``(pair, bound)``: ``L`` with each rho11 row replaced by the trace
     row, as the first half of a (2, N, 16, 16) array whose second half
-    ``_factor`` fills, and each row's residual bound RESIDUAL_TOL ||L||_F."""
+    takes the inverses, and each row's residual bound RESIDUAL_TOL ||L||_F."""
     pair = np.empty((2,) + L.shape)
     pair[0] = L
     pair[0, :, IDX_N1] = _TRACE_ROW
@@ -156,52 +160,67 @@ def _trace_constrained(L: np.ndarray):
 
 def _invert(pair: np.ndarray) -> None:
     """Put the inverse of each matrix of the first half of ``pair`` into
-    its second half; a singular one comes out as NaN. The one LAPACK call
-    of a stack's solve that the worker thread of ``_stacks`` runs:
-    the longest, and it holds no GIL from start to end. The caller ignores
-    floating-point errors."""
+    its second half; a singular one comes out as NaN. The longest LAPACK
+    call of a stack's solve, and the one the worker of ``_stacks`` runs;
+    numpy holds the GIL through it unless the stack has more than 500
+    matrices. The caller ignores floating-point errors."""
     _umath_linalg.inv(pair[0], signature="d->d", out=pair[1])
 
 
-def _factor(pair: np.ndarray, worker=None):
+def _one_norms(M: np.ndarray) -> np.ndarray:
+    """The 1-norm of each 16x16 matrix of ``M``, as np.linalg.norm(M, 1)
+    takes it; ``M`` holds ``|M|`` after. The caller ignores floating-point
+    errors."""
+    return np.maximum.reduce(np.add.reduce(np.abs(M, out=M), axis=-2), axis=-1)
+
+
+def _cond(norms: np.ndarray, inverse_norms: np.ndarray) -> list:
+    """Each row's exact 1-norm condition number from the 1-norms of A and
+    of its inverse, as np.linalg.cond(A, 1) takes it: their product, with
+    NaN read as inf unless A's 1-norm is NaN. That is cond's "unless A has
+    a NaN": |A| has no negative entries, so its column sums are NaN only
+    where A has one. The caller ignores floating-point errors."""
+    cond = (norms * inverse_norms).tolist()
+    for i, c in enumerate(cond):
+        if c != c and norms[i] == norms[i]:
+            cond[i] = math.inf
+    return cond
+
+
+def _solve(A: np.ndarray):
+    """``(X, residual)`` of a trace-constrained stack A: the (N, 16)
+    solutions x, and the 2-norm of each row's residual A x on the 15 rows
+    that A shares with L. A row with a zero pivot comes out as NaN, the
+    other rows untouched. The caller ignores floating-point errors."""
+    X = _umath_linalg.solve(A, _UNIT_TRACE, signature="dd->d")[:, :, 0]
+    # A x is L x but in the trace row, zeroed; a huge x may overflow here
+    R = np.matmul(A, X[:, :, None])[:, :, 0]
+    R[:, IDX_N1] = 0.0
+    return X, np.sqrt(np.einsum("ij,ij->i", R, R))
+
+
+def _factor(pair: np.ndarray):
     """The LAPACK half of the solve of a trace-constrained stack A, the
-    first half of ``pair`` (``_trace_constrained``), which it overwrites.
+    first half of ``pair`` (``_trace_constrained``), which it overwrites,
+    all on this thread.
 
     Returns ``(cond, X, residual)``: a list of each row's exact 1-norm
-    condition number, the (N, 16) solutions x, and the 2-norm of each
-    row's residual A x on the 15 rows that A shares with L. One LU solves
-    each row of A and another inverts it (``_invert``); a row with a zero
-    pivot comes out of either as NaN, the other rows untouched, so neither
-    call raises. ``worker`` is None to invert here, or the thread of
-    ``_stacks`` that inverts ``pair``, joined before the norms, or run here
-    if it never started.
+    condition number, and ``_solve``'s X and residual. One LU solves each
+    row of A and another inverts it (``_invert``); a row with a zero pivot
+    comes out of either as NaN, the other rows untouched, so neither call
+    raises.
     """
-    A, inverse = pair
     # numpy's own gufuncs behind np.linalg.solve and np.linalg.cond(A, 1),
     # called once each: the public wrappers cost more than the LAPACK work
     # of one point, and solve raises for the whole stack on a singular row.
-    # The condition number is cond's arithmetic, op for op: the 1-norms of
-    # A and its inverse, multiplied, and NaN read as inf unless A has a
-    # NaN. tests/test_steady.py checks the bits against the public
+    # The condition number is cond's arithmetic, op for op (_one_norms,
+    # _cond). tests/test_steady.py checks the bits against the public
     # functions and that the one-point path calls no wrapper.
     with np.errstate(all="ignore"):
-        X = _umath_linalg.solve(A, _UNIT_TRACE, signature="dd->d")[:, :, 0]
-        # A x is L x but in the trace row, zeroed; a huge x may overflow here
-        R = np.matmul(A, X[:, :, None])[:, :, 0]
-        R[:, IDX_N1] = 0.0
-        residual = np.sqrt(np.einsum("ij,ij->i", R, R))
-        if worker is None:
-            _invert(pair)
-        elif worker.ident is None:   # never started
-            worker.run()
-        else:
-            worker.join()
-        norms = np.maximum.reduce(np.add.reduce(np.abs(pair, out=pair), axis=-2), axis=-1)
-        cond = (norms[0] * norms[1]).tolist()
-    # A holds |A| now, which has a NaN where A has one
-    for i, c in enumerate(cond):
-        if c != c and not np.isnan(A[i]).any():
-            cond[i] = math.inf
+        X, residual = _solve(pair[0])
+        _invert(pair)
+        norms = _one_norms(pair)
+        cond = _cond(norms[0], norms[1])
     return cond, X, residual
 
 
@@ -287,51 +306,131 @@ def _stacks(points):
     ``(stack, rho, failures)`` per stack as ``_gate`` gives them, ``stack``
     being the slice of ``points`` that was solved.
 
-    A loop left by an exception joins its worker. ``Thread.start`` returns
-    only once the worker runs, and the worker then keeps the GIL into the
-    LAPACK call of ``_invert``, which releases it: had this thread gone on
-    at once, the worker would have waited ``sys.getswitchinterval()`` for
-    the GIL, longer than gating a stack takes.
+    The first stack is solved inline (``_factor``). Each later one is
+    handed to one worker thread (``_Inverter``), which inverts it and takes
+    its inverses' 1-norms, while this thread takes its 1-norms from its own
+    generator stack, solves it, builds the next stack's generators, and
+    gates and maps the stack before. The thread starts with the second
+    stack and is stopped and joined when the loop ends, however it ends.
     """
-    following = points[:CHUNK_POINTS]
-    if not following:
+    stack = points[:CHUNK_POINTS]
+    if not stack:
         return
-    pair, bound = _trace_constrained(build_generator(following))
-    # the first stack is inverted inline: no worker, and no error in its box
-    worker, box = None, [None]
+    pair, bound = _trace_constrained(build_generator(stack))
+    cond, X, residual = _factor(pair)
+    # norms: the 1-norms of the stack whose inverse the worker holds
+    pair = norms = worker = None
     try:
-        # end: where this stack ends and the following one starts
         for end in range(CHUNK_POINTS, len(points) + CHUNK_POINTS, CHUNK_POINTS):
-            (cond, X, residual), this_bound, stack = _factor(pair, worker), bound, following
-            # freed before the next stack's pair is allocated
-            pair = None
-            _only(box)   # raises what the worker raised
             following = points[end:end + CHUNK_POINTS]
             if following:
-                pair, bound = _trace_constrained(build_generator(following))
-                box = []
-                worker = threading.Thread(target=_invert_into, args=(box, pair),
-                                          name="sgcvapor-factor")
-                try:
-                    worker.start()
-                except RuntimeError:   # no new threads at interpreter shutdown
-                    pass
-            rho, failures = _gate(cond, X, residual, this_bound)
+                # built while the worker inverts this stack
+                L = build_generator(following)
+            if norms is not None:
+                with np.errstate(all="ignore"):
+                    cond = _cond(norms, worker.take())
+                pair = None   # freed before the next stack's pair is allocated
+            if following:
+                pair, following_bound = _trace_constrained(L)
+                if worker is None:
+                    worker = _Inverter()
+                worker.hand(pair)
+                with np.errstate(all="ignore"):
+                    # L with its trace row is A, and a copy of it the
+                    # worker does not read; freed before the solve
+                    L[:, IDX_N1] = _TRACE_ROW
+                    norms = _one_norms(L)
+                    L = None
+                    following_solution = _solve(pair[0])
+            rho, failures = _gate(cond, X, residual, bound)
             yield stack, rho, failures
+            if following:
+                stack, bound, (X, residual) = following, following_bound, following_solution
     finally:
-        if worker is not None and worker.ident is not None:
-            worker.join()
+        if worker is not None:
+            worker.stop()
 
 
-def _invert_into(box: list, pair: np.ndarray) -> None:
-    """Invert ``pair`` (``_invert``) and append None, or the exception that
-    raises, to ``box``: what the worker of ``_stacks`` runs."""
+class _Inverter(threading.Thread):
+    """The worker thread of one ``_stacks`` call: it inverts each stack
+    handed to it (``_invert``) and takes the 1-norms of the inverses.
+
+    ``hand`` gives it a pair and returns once the worker has taken it, so
+    the worker goes straight into the inverse: had this thread gone on at
+    once, holding the GIL, the worker could have waited up to
+    ``sys.getswitchinterval()`` for it, longer than gating a stack takes.
+    ``take`` waits for the norms, or raises what the worker raised;
+    ``stop`` ends the thread and joins it. Where no thread can start (an
+    interpreter shutting down), ``hand`` does the work on the caller's
+    thread.
+    """
+
+    def __init__(self):
+        super().__init__(name="sgcvapor-factor")
+        # released when a pair, or None to stop, waits in _pair; when the
+        # worker has taken it; when it is done. Each is released by one
+        # thread and acquired by the other, in turn: a lock counts as held
+        # only once its acquirer has the GIL back, so a lock released twice
+        # in a row by the worker could be released while unlocked.
+        self._given, self._taken, self._done = locks = [threading.Lock() for _ in range(3)]
+        for lock in locks:
+            lock.acquire()
+        self._pair = self._outcome = None
+        self._owed = False   # the worker owes the norms of a pair
+        try:
+            self.start()
+        except RuntimeError:   # no new threads at interpreter shutdown
+            pass
+
+    def run(self) -> None:
+        while True:
+            self._given.acquire()
+            pair, self._pair = self._pair, None
+            if pair is None:
+                return
+            self._taken.release()
+            self._outcome = _inverse_norms(pair)
+            pair = None   # the caller frees it once it has the norms
+            self._done.release()
+
+    def hand(self, pair: np.ndarray) -> None:
+        if self.ident is None:
+            self._outcome = _inverse_norms(pair)
+            return
+        self._owed = True
+        self._pair = pair
+        self._given.release()
+        self._taken.acquire()
+
+    def take(self) -> np.ndarray:
+        if self._owed:
+            self._done.acquire()
+            self._owed = False
+        # in a list that _only empties, so no frame refers to an exception
+        outcomes = [self._outcome]
+        self._outcome = None
+        return _only(outcomes)
+
+    def stop(self) -> None:
+        """Wait for the pair in hand, if any, then stop the thread and join it."""
+        if self.ident is not None:
+            if self._owed:
+                self._done.acquire()
+                self._owed = False
+            self._outcome = None
+            self._given.release()
+            self.join()
+
+
+def _inverse_norms(pair: np.ndarray):
+    """The 1-norms of the inverses of the first half of ``pair``, put in
+    its second half by ``_invert``, or the exception that raises."""
     try:
         with np.errstate(all="ignore"):
             _invert(pair)
-        box.append(None)
+            return _one_norms(pair[1])
     except Exception as exc:
-        box.append(exc)
+        return exc
 
 
 def _only(outcomes: list):

@@ -132,7 +132,7 @@ class TestSteadyState:
                         and "ill-conditioned" in str(w.message)]
         assert len(ill_warnings) == 1
 
-    def test_degenerate_rows_fail_the_condition_gate_without_raising(self):
+    def test_degenerate_rows_fail_the_condition_gate_without_raising(self, monkeypatch):
         # a singular row comes out of the batched inverse and solve as NaN,
         # and neither raises; each kind of bad row fails the condition gate
         # with the message, "cond ~ inf" or "cond ~ nan", that numpy's
@@ -149,12 +149,20 @@ class TestSteadyState:
                           regular])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rho, failures = _solve_stack(stack)
-        assert sorted(failures) == [0, 1, 2, 3, 4, 5]
-        got = [_outcome(rho, failures, i) for i in range(6)]
-        assert got == [_reference_outcome(L) for L in stack[:6]]
-        assert {message[-4:-1] for _, message in got} == {"inf", "nan"}
-        assert rho[6].tobytes() == _solve_stack(regular[None])[0][0].tobytes()
+            inline = _solve_stack(stack)
+        # and as a stack after the first, inverted on the worker
+        cond, *rest = _worker_factor(stack, monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            on_the_worker = steady._gate(cond, *rest)
+            expected = np.linalg.cond(np.stack([_trace_constrained(L) for L in stack]), 1)
+        assert np.array(cond).tobytes() == expected.tobytes()
+        for rho, failures in (inline, on_the_worker):
+            assert sorted(failures) == [0, 1, 2, 3, 4, 5]
+            got = [_outcome(rho, failures, i) for i in range(6)]
+            assert got == [_reference_outcome(L) for L in stack[:6]]
+            assert {message[-4:-1] for _, message in got} == {"inf", "nan"}
+            assert rho[6].tobytes() == _solve_stack(regular[None])[0][0].tobytes()
 
     @pytest.mark.parametrize("entries, value", [(slice(None), np.nan), (5, np.inf)])
     def test_non_finite_solution_row_fails_alone(self, entries, value):
@@ -179,7 +187,7 @@ class TestSteadyState:
         assert no_failures == {}
         assert rho[rest].tobytes() == expected.tobytes()
 
-    def test_factor_matches_numpy_cond_and_solve_bitwise(self):
+    def test_factor_matches_numpy_cond_and_solve_bitwise(self, monkeypatch):
         # _factor calls the gufuncs behind np.linalg.cond(A, 1) and
         # np.linalg.solve itself; its condition numbers, and the solutions of
         # the rows that pass the gate, are theirs to the bit
@@ -199,14 +207,17 @@ class TestSteadyState:
                 else:
                     L[k, :, 3] = L[k, :, 7] + 10.0 ** -rng.uniform(6, 17) * L[k, :, 3]
             A = np.stack([_trace_constrained(row) for row in L])
-            cond, X, _ = steady._factor(steady._trace_constrained(L)[0])
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 expected = np.linalg.cond(A, 1)
-            assert np.array(cond).tobytes() == expected.tobytes()
-            for k in np.flatnonzero(expected <= steady.CONDITION_FAIL):
-                x = np.linalg.solve(A[k:k + 1], np.eye(16)[:, :1])[0, :, 0]
-                assert X[k].tobytes() == x.tobytes()
+            # inline, and as a stack after the first: its 1-norms taken on
+            # this thread, its inverse's on the worker
+            for cond, X, *_ in (steady._factor(steady._trace_constrained(L)[0]),
+                                _worker_factor(L, monkeypatch)):
+                assert np.array(cond).tobytes() == expected.tobytes()
+                for k in np.flatnonzero(expected <= steady.CONDITION_FAIL):
+                    x = np.linalg.solve(A[k:k + 1], np.eye(16)[:, :1])[0, :, 0]
+                    assert X[k].tobytes() == x.tobytes()
 
     def test_batched_gates_match_a_row_by_row_reference(self):
         # rows whose x grows like 1/s have a roundoff residual near the
@@ -317,31 +328,31 @@ class TestDoubleBufferedSolve:
                     L[k, :, 5] = 0.0
             return L
 
-        inverts, factors = [], []
+        inverts, solves = [], []
 
         def spy_invert(pair, invert=steady._invert):
             inverts.append(threading.current_thread())
             invert(pair)
 
-        def spy_factor(pair, worker=None, factor=steady._factor):
-            factors.append(threading.current_thread())
-            return factor(pair, worker)
+        def spy_solve(A, solve=steady._solve):
+            solves.append(threading.current_thread())
+            return solve(A)
 
         monkeypatch.setattr(steady, "build_generator", with_singular)
         monkeypatch.setattr(steady, "_invert", spy_invert)
-        monkeypatch.setattr(steady, "_factor", spy_factor)
+        monkeypatch.setattr(steady, "_solve", spy_solve)
         points = self.REGULAR + [singular, self.ILL] + self.REGULAR[2:] + [SystemParams()]
         assert len(points) == 2 * CHUNK_POINTS + 1
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             line = sys._getframe().f_lineno + 1
             states = steady_state(points)
-        # the first stack is inverted inline and the next two on a worker;
-        # every stack's solve and norms run on this thread
+        # the first stack is inverted inline and the next two on one
+        # worker; every stack's solve runs on this thread
         assert inverts[0] is threading.main_thread()
         assert len(inverts) == 3
-        assert all(thread is not threading.main_thread() for thread in inverts[1:])
-        assert factors == [threading.main_thread()] * 3
+        assert inverts[1] is inverts[2] is not threading.main_thread()
+        assert solves == [threading.main_thread()] * 3
         error = states[CHUNK_POINTS]
         assert (type(error).__name__, str(error)) == _reference_outcome(with_singular([singular])[0])
         with pytest.warns(RuntimeWarning, match="ill-conditioned"):
@@ -365,9 +376,10 @@ class TestDoubleBufferedSolve:
         assert started == []
         assert threading.active_count() == threads
         steady_state(self.REGULAR * 2 + [SystemParams()])
-        assert len(started) == 2
-        # each worker is joined before its chunk is used
-        assert not any(thread.is_alive() for thread in started)
+        # one worker inverts both stacks after the first, and is joined
+        # before the call returns
+        assert len(started) == 1
+        assert not started[0].is_alive()
 
     def test_an_error_in_the_gates_joins_the_worker(self, monkeypatch):
         # a stack is gated while the worker inverts the next one: a warning
@@ -389,6 +401,59 @@ class TestDoubleBufferedSolve:
                 steady_state([self.ILL] + self.REGULAR)
         assert len(started) == 1
         assert not started[0].is_alive()
+
+    def test_no_worker_outlives_its_call(self, monkeypatch):
+        # the worker is stopped and joined however the loop ends: a call
+        # that completes, a worker error, a gate error, and a consumer that
+        # stops iterating _stacks after its first or second stack
+        def workers():
+            return [t for t in threading.enumerate() if t.name == "sgcvapor-factor"]
+
+        points = self.REGULAR * 3 + [self.ILL] + self.REGULAR
+        gone = []
+
+        def spy_stop(worker, stop=steady._Inverter.stop):
+            stop(worker)
+            gone.append(not worker.is_alive())
+
+        monkeypatch.setattr(steady._Inverter, "stop", spy_stop)
+        assert workers() == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="ill-conditioned"):
+                steady_state(points)
+        assert workers() == [] and gone == [True]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            steady_state(points)
+            assert workers() == [] and gone == [True] * 2
+
+            with monkeypatch.context() as patch:
+                def fails_on_the_worker(pair, invert=steady._invert):
+                    if threading.current_thread() is not threading.main_thread():
+                        raise MemoryError("no memory on the worker")
+                    invert(pair)
+
+                patch.setattr(steady, "_invert", fails_on_the_worker)
+                with pytest.raises(MemoryError):
+                    steady_state(points)
+            assert workers() == [] and gone == [True] * 3
+
+            for taken in (1, 2):
+                stacks = steady._stacks(points)
+                for _ in range(taken):
+                    next(stacks)
+                # the worker holds, or inverts, the next stack
+                assert len(workers()) == 1
+                stacks.close()
+                assert workers() == [] and gone == [True] * (3 + taken)
+            # dropped unfinished, as a consumer's exception leaves it
+            stacks = steady._stacks(points)
+            next(stacks)
+            next(stacks)
+            del stacks
+            assert workers() == [] and gone == [True] * 6
 
     def test_a_refused_thread_factors_inline(self, monkeypatch):
         # where no thread can be started, every chunk is inverted on the
@@ -630,6 +695,34 @@ def _solve_stack(L):
     solves and gates a stack inverted inline: ``(rho, failures)``."""
     pair, bound = steady._trace_constrained(L)
     return steady._gate(*steady._factor(pair), bound)
+
+
+def _worker_factor(L, monkeypatch):
+    """The generator stack ``L`` solved as ``steady._stacks`` solves a
+    stack after the first, its inverse and the inverse's norms taken on the
+    worker thread: ``(cond, X, residual, bound)`` as ``_gate`` is handed
+    them."""
+    stacks = [np.zeros((CHUNK_POINTS, 16, 16)), L]
+    handed, inverts = [], []
+
+    def gate(*args, gate=steady._gate):
+        handed.append([list(a) if isinstance(a, list) else a.copy() for a in args])
+        return gate(*args)
+
+    def invert(pair, invert=steady._invert):
+        inverts.append(threading.current_thread())
+        invert(pair)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(steady, "build_generator", lambda points: stacks.pop(0).copy())
+        patch.setattr(steady, "_gate", gate)
+        patch.setattr(steady, "_invert", invert)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for _ in steady._stacks([SystemParams()] * (CHUNK_POINTS + len(L))):
+                pass
+    assert inverts[0] is threading.main_thread() is not inverts[1]
+    return handed[1]
 
 
 def _outcome(rho, failures, i):

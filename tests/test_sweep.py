@@ -15,7 +15,7 @@ from sgcvapor import (DegenerateProbe, EmptyTable, EquationVariant, Handedness,
                       ValidationError, build_generator, classify_handedness,
                       detect_bands, find_extrema, response_at, steady_state,
                       sweep_alignment, sweep_detuning)
-from sgcvapor import response, steady, sweep
+from sgcvapor import params, response, steady, sweep
 from sgcvapor.params import PointsAlong, columns
 from sgcvapor.steady import CHUNK_POINTS
 from sgcvapor.sweep import ALIGNMENT_GUARD, SweepFailure
@@ -457,6 +457,40 @@ def test_a_slice_of_points_along_holds_the_same_floats():
     assert len(part) == 5 and all(a is b for a, b in zip(part.values, values[2:7]))
     assert list(part) == list(points)[2:7]
     assert len(points[8:8 + CHUNK_POINTS]) == 2 and not points[10:]
+
+
+def test_a_slice_or_take_of_points_along_carries_its_derived_columns():
+    points = PointsAlong(SystemParams(), "p_align", [0.1 * k for k in range(10)])
+    omegap_si = points.column("omegap_si")
+    assert points.column("omegap_si") is omegap_si
+    part = points[2:7]
+    assert all(a is b for a, b in zip(part.column("omegap_si"), omegap_si[2:7]))
+    taken = params.take(points, [1, 4, 8])
+    assert all(a is b for a, b in zip(taken.column("omegap_si"), [omegap_si[i] for i in (1, 4, 8)]))
+    # a column first derived on a part is not the whole's, and the part
+    # does not keep it
+    assert [v.hex() for v in part.column("omega1")] == [v.hex() for v in points.column("omega1")[2:7]]
+    assert part.column("omega1") is not part.column("omega1")
+
+
+@pytest.mark.parametrize("values", [
+    np.linspace(0.0, 0.99, 2 * CHUNK_POINTS + 1).tolist(),
+    # |p| = 1 fails before the solve, so the solved points are a take
+    np.linspace(-1.0, 1.0, 2 * CHUNK_POINTS + 1).tolist(),
+])
+def test_an_alignment_sweep_derives_omegap_si_once_per_point(calibrated_base, monkeypatch, values):
+    points = PointsAlong(replace(calibrated_base, delta_p=1e-16), "p_align", values)
+    expected = [record_bits(r) if isinstance(r, ResponseRecord) else str(r)
+                for r in response_at(points)]
+    calls = []
+    derive = params._DEPENDENT["p_align"]["omegap_si"]
+    monkeypatch.setitem(params._DEPENDENT["p_align"], "omegap_si",
+                        lambda point, p: calls.append(p) or derive(point, p))
+    points = PointsAlong(points.base, "p_align", values)
+    got = [record_bits(r) if isinstance(r, ResponseRecord) else str(r)
+           for r in response_at(points)]
+    assert got == expected
+    assert calls == values
 
 
 def test_points_along_rejects_a_field_it_does_not_sweep():
