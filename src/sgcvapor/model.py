@@ -99,6 +99,15 @@ def unvectorize(x: np.ndarray) -> np.ndarray:
     return rho.take(_FROM_PARTS, axis=-1).reshape(x.shape[:-1] + (4, 4))
 
 
+def _rho24_rho32(x):
+    """rho24 and rho32 of the 16-vector ``x`` (floats, or a stack's transpose
+    for arrays) as (re, im) pairs, bitwise :func:`unvectorize`'s [1, 3] and
+    [2, 1]: numpy takes 1j * im as (0.0 * im - 0.0, 0.0 + im)."""
+    re24, im24, re23, im23 = x[IDX_RE24], x[IDX_IM24], x[IDX_RE23], x[IDX_IM23]
+    return ((re24 + (0.0 * im24 - 0.0), 0.0 + (0.0 + im24)),
+            (re23 - (0.0 * im23 - 0.0), 0.0 - (0.0 + im23)))
+
+
 class DensityMatrix:
     """4x4 complex Hermitian unit-trace state of the atom.
 

@@ -109,7 +109,7 @@ class SystemParams:
     @property
     def omegap_si(self) -> float:
         """Effective probe Rabi frequency in SI rad/s."""
-        return _omegap_si(self, self.p_align)
+        return _omegap_si(self, self.omegap)
 
     @property
     def sgc_rate(self) -> float:
@@ -118,9 +118,9 @@ class SystemParams:
         return _sgc_rate(self, self.p_align)
 
 
-# The derived values that depend on p_align, as functions of a point and a
-# p_align value: the properties above take the point's own, a PointsAlong
-# of p_align each grid value.
+# The derived values that depend on p_align, as functions of a point and of
+# p_align (omegap for omegap_si): the properties above take the point's own
+# value, a PointsAlong each item of that column.
 def _omega1(point: SystemParams, p_align: float) -> float:
     return effective_rabi(point.omega1_bare, p_align)
 
@@ -129,19 +129,19 @@ def _omegap(point: SystemParams, p_align: float) -> float:
     return effective_rabi(point.omegap_bare, p_align)
 
 
-def _omegap_si(point: SystemParams, p_align: float) -> float:
-    return _omegap(point, p_align) * point.gamma_unit
+def _omegap_si(point: SystemParams, omegap: float) -> float:
+    return omegap * point.gamma_unit
 
 
 def _sgc_rate(point: SystemParams, p_align: float) -> float:
     return p_align * math.sqrt(point.gamma3 * point.gamma4)
 
 
-# per swept field, the derived values that vary with it
+# per swept field, the derived values that vary with it and their sources
 _DEPENDENT = {
     "delta_p": {},
-    "p_align": {"omega1": _omega1, "omegap": _omegap, "omegap_si": _omegap_si,
-                "sgc_rate": _sgc_rate},
+    "p_align": {"omega1": (_omega1, "p_align"), "omegap": (_omegap, "p_align"),
+                "omegap_si": (_omegap_si, "omegap"), "sgc_rate": (_sgc_rate, "p_align")},
 }
 
 
@@ -156,9 +156,10 @@ class PointsAlong:
     column of ``field`` is ``values`` itself, so what is built from it
     holds the same float objects. A column derived from ``p_align`` is
     derived once: it is kept, and a slice or ``take`` carries its part of
-    it. A part keeps no column it derives itself, since each stack of a
-    sweep reads its columns once. The values are not validated here; the
-    caller must check them as ``SystemParams`` would.
+    it. omegap_si, one product per item of the omegap column, is not kept,
+    nor is a column a part derives itself, since each stack of a sweep
+    reads its columns once. The values are not validated here; the caller
+    must check them as ``SystemParams`` would.
     """
 
     def __init__(self, base: SystemParams, field: str, values: list):
@@ -193,11 +194,11 @@ class PointsAlong:
             return self.values
         column = self._derived.get(name)
         if column is None:
-            derive = self._dependent.get(name)
+            derive, source = self._dependent.get(name, (None, None))
             if derive is None:
                 return [getattr(self.base, name)] * len(self.values)
-            column = [derive(self.base, v) for v in self.values]
-            if self._keeps:
+            column = [derive(self.base, v) for v in self.column(source)]
+            if self._keeps and source == self.field:
                 self._derived[name] = column
         return column
 

@@ -22,20 +22,19 @@ n = -sqrt(eps_r mu_r).
 ``response_at`` on a sequence of points is also what a sweep runs, on a
 ``params.PointsAlong`` of its grid. It fails points whose probe coupling
 vanishes (|p_align| = 1 among them) before the solve, solves the rest with
-``steady_state`` in stacks of CHUNK_POINTS, and maps each stack, with its
+``steady_state`` in stacks of CHUNK_POINTS and maps each stack, with its
 own points, through ``steady_state``'s private ``_map``, on the caller's
-thread while the worker thread inverts the next stack. The mapping's
-arithmetic is written once, on pairs of floats or of float arrays, by
-helpers that take no complex operator (``_scale`` to ``_index``), so no
-bit of it rests on the interpreter's complex arithmetic: the scalar
-functions below and the array pass that maps a stack of more than one
-state both compute with them, and give each record the same bits. A
-single point, and a row whose check may fail or whose values are not all
-finite, is mapped by the scalar functions, which raise its error. The few
-values the mapping needs besides the steady state (``_MAPPING_FIELDS``)
-are read from a stack's points a column at a time. No SystemParams is
+thread while the worker thread inverts the next stack. The mapping reads
+rho24 and rho32 from a stack's unit-trace solutions X, and builds a state
+only for a NonPhysicalState, from its row alone. Its arithmetic is written
+once, on pairs of floats or of float arrays, by helpers that take no
+complex operator (``_scale`` to ``_index``), so no bit of it rests on the
+interpreter's complex arithmetic: the scalar functions below and the
+array pass over a longer stack give each record the same bits. A single
+point, and a row whose check may fail or whose values are not all finite,
+goes to the scalar functions, which raise its error. No SystemParams is
 built per point of a sweep. A point whose polarizability numerator
-underflows, a probe too weak for double precision, fails with
+underflows (a probe too weak for double precision) fails with
 DegenerateProbe rather than reading as vacuum.
 """
 
@@ -46,8 +45,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .model import DensityMatrix, _rho24_rho32, unvectorize
 from .params import SystemParams, columns, take
-from .steady import RESIDUAL_TOL, _only, steady_state
+from .steady import RESIDUAL_TOL, NonPhysicalState, _only, steady_state
 
 # CODATA 2018 / SI 2019 exact-based values.
 HBAR = 1.054571817e-34       # J s
@@ -130,14 +130,14 @@ def _probe_rabi_si(params: SystemParams) -> float:
 
 def electric_polarizability(rho24: complex, params: SystemParams) -> complex:
     """Electric polarizability volume (m^3) from the 2-4 coherence."""
-    return _electric(rho24, params.d42, _probe_rabi_si(params))
+    return complex(*_electric((rho24.real, rho24.imag), params.d42, _probe_rabi_si(params)))
 
 
-def _electric(rho24: complex, d42: float, omegap_si: float) -> complex:
-    numerator = _scale(2.0 * d42 ** 2, rho24.real, rho24.imag)
+def _electric(rho24, d42: float, omegap_si: float):   # on pairs
+    numerator = _scale(2.0 * d42 ** 2, rho24)
     if _underflows(numerator, rho24):
         raise _numerator_underflow("2 d42^2 rho24", "rho24", rho24)
-    return complex(*_over(*numerator, EPSILON_0 * HBAR * omegap_si))
+    return _over(numerator, EPSILON_0 * HBAR * omegap_si)
 
 
 def magnetic_polarizability(rho32: complex, params: SystemParams) -> complex:
@@ -146,19 +146,20 @@ def magnetic_polarizability(rho32: complex, params: SystemParams) -> complex:
     Uses the probe magnetic amplitude B_p = E_p/c with E_p = hbar*Omega_p/d42,
     so the electric dipole moment enters the conversion.
     """
-    return _magnetic(rho32, params.d42, params.mu23, _probe_rabi_si(params))
+    return complex(*_magnetic((rho32.real, rho32.imag), params.d42, params.mu23,
+                              _probe_rabi_si(params)))
 
 
-def _magnetic(rho32: complex, d42: float, mu23: float, omegap_si: float) -> complex:
+def _magnetic(rho32, d42: float, mu23: float, omegap_si: float):   # on pairs
     # checked before * C_LIGHT too, which can lift a product that lost its
     # digits back into the normal range
-    numerator = _scale(2.0 * MU_0 * mu23, rho32.real, rho32.imag)
+    numerator = _scale(2.0 * MU_0 * mu23, rho32)
     if _underflows(numerator, rho32):
         raise _numerator_underflow("2 mu0 mu23 rho32", "rho32", rho32)
-    numerator = _scale(d42, *_scale(C_LIGHT, *numerator))
+    numerator = _scale(d42, _scale(C_LIGHT, numerator))
     if _underflows(numerator, rho32):
         raise _numerator_underflow("2 mu0 mu23 rho32 c d42", "rho32", rho32)
-    return complex(*_over(*numerator, HBAR * omegap_si))
+    return _over(numerator, HBAR * omegap_si)
 
 
 # Below this magnitude a double is subnormal and rounds to a multiple of
@@ -168,17 +169,17 @@ _UNDERFLOW_BOUND = 2.0 ** -1074 / RESIDUAL_TOL
 
 
 def _underflows(product, coherence):
-    """True if a part of ``product``, the pair of a multiple of
+    """True if a part of ``product``, the pair of a multiple of the pair
     ``coherence`` by positive reals taken part by part, has underflowed: it
     is zero, or subnormal and below _UNDERFLOW_BOUND, where that part of
     the coherence is not zero. On arrays, row by row."""
-    return (((abs(product[0]) < _UNDERFLOW_BOUND) & (coherence.real != 0.0))
-            | ((abs(product[1]) < _UNDERFLOW_BOUND) & (coherence.imag != 0.0)))
+    return (((abs(product[0]) < _UNDERFLOW_BOUND) & (coherence[0] != 0.0))
+            | ((abs(product[1]) < _UNDERFLOW_BOUND) & (coherence[1] != 0.0)))
 
 
-def _numerator_underflow(numerator: str, name: str, coherence: complex) -> DegenerateProbe:
+def _numerator_underflow(numerator: str, name: str, coherence) -> DegenerateProbe:
     return DegenerateProbe(f"polarizability numerator {numerator} underflows at "
-                           f"{name} = {coherence:.3g}: the probe is too weak")
+                           f"{name} = {complex(*coherence):.3g}: the probe is too weak")
 
 
 def permittivity(gamma_e: complex, density_n: float) -> complex:
@@ -187,7 +188,7 @@ def permittivity(gamma_e: complex, density_n: float) -> complex:
     w, denom = _local_field((gamma_e.real, gamma_e.imag), density_n)
     if abs(complex(*denom)) <= LOCAL_FIELD_POLE_TOL:
         raise LocalFieldPole(f"N*gamma_e = {complex(*w)} is at the local-field pole (= 3)")
-    return complex(*_plus(1.0, _quot(*w, *denom)))
+    return complex(*_plus(1.0, _quot(w, denom)))
 
 
 def permeability(gamma_m: complex, density_n: float) -> complex:
@@ -196,7 +197,7 @@ def permeability(gamma_m: complex, density_n: float) -> complex:
     w, denom = _local_field((gamma_m.real, gamma_m.imag), density_n)
     if abs(complex(*denom)) <= LOCAL_FIELD_POLE_TOL:
         raise LocalFieldPole(f"N*gamma_m = {complex(*w)} is at the local-field pole (= 3)")
-    return complex(*_quot(*_plus(1.0, _over(*_scale(2.0, *w), 3.0)), *denom))
+    return complex(*_quot(_plus(1.0, _over(_scale(2.0, w), 3.0)), denom))
 
 
 def refractive_index(eps_r: complex, mu_r: complex) -> complex:
@@ -226,9 +227,8 @@ def classify_handedness(eps_r: complex, mu_r: complex) -> Handedness:
 
 _DEGENERATE = "response is undefined at |p_align| = 1"
 
-# What the response of a point needs besides its steady state, in the
-# order of ``_record``'s arguments, read from a stack's points a whole
-# column at a time (``params.columns``).
+# What the response of a point needs besides its steady state, in the order
+# of ``_record``'s arguments, read a column at a time (``params.columns``).
 _MAPPING_FIELDS = ("omegap_si", "d42", "mu23", "density_n", "delta_p", "p_align")
 
 
@@ -250,17 +250,16 @@ def response_at(params):
     single = isinstance(params, SystemParams)
     points = [params] if single else params
     p_align, omegap_bare, omegap_si = columns(points, ("p_align", "omegap_bare", "omegap_si"))
-    early = {}   # the points that fail before the solve, by index
-    for i, w in enumerate(omegap_si):
-        if _probe_vanishes(w):
-            early[i] = _degenerate_probe(p_align[i], omegap_bare[i], w)
+    early = {i: _degenerate_probe(p_align[i], omegap_bare[i], w)   # fail before the solve
+             for i, w in enumerate(omegap_si) if _probe_vanishes(w)}
+    del p_align, omegap_bare, omegap_si   # not held through a sweep
     live = points
     if early:
         live = take(points, [i for i in range(len(points)) if i not in early])
 
     # mapped on this thread while steady_state inverts the next stack
-    out = steady_state(live, _map=lambda stack, rho, failures: _map_stack(
-        rho, failures, *columns(stack, _MAPPING_FIELDS)))
+    out = steady_state(live, _map=lambda stack, X, failures, unphysical: _map_stack(
+        X, failures, unphysical, *columns(stack, _MAPPING_FIELDS)))
     if early:
         # popped, so that no local refers to the exception _only may raise
         solved = out[::-1]
@@ -268,53 +267,48 @@ def response_at(params):
     return _only(out) if single else out
 
 
-def _record(rho24: complex, rho32: complex, omegap_si: float, d42: float,
-            mu23: float, density_n: float, delta_p: float, p_align: float) -> ResponseRecord:
-    """The response of one point from its coherences and mapping values."""
-    ge = _electric(rho24, d42, omegap_si)
-    gm = _magnetic(rho32, d42, mu23, omegap_si)
+def _record(rho24, rho32, omegap_si: float, d42: float, mu23: float, density_n: float,
+            delta_p: float, p_align: float) -> ResponseRecord:
+    """The response of one point from its coherences, as pairs, and its
+    mapping values."""
+    ge = complex(*_electric(rho24, d42, omegap_si))
+    gm = complex(*_magnetic(rho32, d42, mu23, omegap_si))
     eps_r = permittivity(ge, density_n)
     mu_r = permeability(gm, density_n)
     n = refractive_index(eps_r, mu_r)
-    return ResponseRecord(
-        delta_p=delta_p,
-        p_align=p_align,
-        rho24=rho24,
-        rho32=rho32,
-        gamma_e=ge,
-        gamma_m=gm,
-        eps_r=eps_r,
-        mu_r=mu_r,
-        n_index=n,
-        handedness=classify_handedness(eps_r, mu_r),
-    )
+    record = object.__new__(ResponseRecord)
+    for set_slot, value in zip(_SET_SLOTS, (delta_p, p_align, complex(*rho24), complex(*rho32),
+                                            ge, gm, eps_r, mu_r, n,
+                                            classify_handedness(eps_r, mu_r))):
+        set_slot(record, value)
+    return record
 
 
-def _map_stack(rho, failures: dict, *mapping) -> list:
-    """The record of each state of the stack ``rho`` (N, 4, 4), or its
-    exception: the one ``failures`` holds for its row, or the one
-    ``_record`` raises. ``mapping`` holds the columns of ``_record``'s
-    mapping values, omegap_si to p_align, one item per row.
+def _map_stack(X, failures: dict, unphysical: list, *mapping) -> list:
+    """The record of each row of the unit-trace stack ``X`` (N, 16), or its
+    exception: its SingularSystem in ``failures``, its NonPhysicalState if
+    it is in ``unphysical`` (its state unvectorized here), or the one
+    ``_record`` raises; ``mapping`` holds ``_record``'s values, a column each.
 
-    A stack of one, as a one-point call solves, goes to ``_record``: on one
-    row the array pass costs about ten times as much (about 150 against
-    15 µs, Python 3.11, numpy 2.4), most of it numpy's per-call overhead,
-    for the same bits. A longer stack is mapped in one pass of array
-    arithmetic (``_stack_records``) that gives each row the bits
-    ``_record`` gives it; a row it flags, where a check of ``_record`` may
-    fail or a value is not finite, is handed to ``_record``, so the
-    errors, their texts and the order of the checks have one source.
+    A stack of one goes to ``_record``: on one row the array pass
+    (``_stack_records``) costs about ten times as much (150 against 15 µs,
+    Python 3.11, numpy 2.4) for the same bits. A row that pass flags, where
+    a check may fail or a value is not finite, goes to ``_record`` too, so
+    the errors, their texts and the order of the checks have one source.
     """
-    if len(rho) == 1:
+    if len(X) == 1:
         outcomes, flagged = [None], [0]
     else:
-        outcomes, flagged = _stack_records(rho, *mapping)
+        outcomes, flagged = _stack_records(X, *mapping)
+    if unphysical:
+        for k, m in zip(unphysical, unvectorize(X[unphysical])):
+            failures[k] = NonPhysicalState(None, DensityMatrix._view(m))
     for k, error in failures.items():
         outcomes[k] = error
     for k in flagged:
         if k not in failures:
             try:
-                outcomes[k] = _record(rho.item(k, 1, 3), rho.item(k, 2, 1),
+                outcomes[k] = _record(*_rho24_rho32(X[k].tolist()),
                                       *[column[k] for column in mapping])
             except (DegenerateProbe, LocalFieldPole) as exc:
                 # its traceback would hold this frame, and so the stack
@@ -322,12 +316,12 @@ def _map_stack(rho, failures: dict, *mapping) -> list:
     return outcomes
 
 
-# Each field's slot setter, in order: a stack's records are set as the dataclass
-# __init__ sets one (there is no __post_init__), a slot at a time, but a column at a time.
+# Each field's slot setter, in order: records are set as the dataclass __init__
+# sets them (there is no __post_init__), a slot at a time.
 _SET_SLOTS = [getattr(ResponseRecord, f.name).__set__ for f in fields(ResponseRecord)]
 
 
-def _stack_records(rho, omegap_si, d42, mu23, density_n, delta_p, p_align):
+def _stack_records(X, omegap_si, d42, mu23, density_n, delta_p, p_align):
     """``_record`` of each row of a stack, as arrays: ``(records, flagged)``,
     with the indices of the rows to map by ``_record`` instead.
 
@@ -338,32 +332,33 @@ def _stack_records(rho, omegap_si, d42, mu23, density_n, delta_p, p_align):
     makes them, the local-field pole with a margin, and any row with a
     value that is not finite (whose NaN may carry another sign bit here).
     """
-    r24, r32 = rho[:, 1, 3], rho[:, 2, 1]
+    r24, r32 = _rho24_rho32(X.T)
     omegap_si, mu23, density_n = np.array(omegap_si), np.array(mu23), np.array(density_n)
-    values = np.empty((7, len(rho)), dtype=complex)
-    values[0], values[1] = r24, r32
+    values = np.empty((7, len(X)), dtype=complex)
+    values.real[0], values.imag[0] = r24
+    values.real[1], values.imag[1] = r32
     # a row at or near a pole goes to _record: the margin of 2 keeps the
     # decision from resting on np.hypot matching abs() to the last bit
     pole = 2.0 * LOCAL_FIELD_POLE_TOL
     with np.errstate(all="ignore"):
         # 2.0 * d42 ** 2 by Python's float power, which numpy's may not match
-        numerator = _scale(np.array([2.0 * d ** 2 for d in d42]), r24.real, r24.imag)
+        numerator = _scale(np.array([2.0 * d ** 2 for d in d42]), r24)
         flagged = _underflows(numerator, r24)
-        ge = _over(*numerator, EPSILON_0 * HBAR * omegap_si)
-        numerator = _scale(2.0 * MU_0 * mu23, r32.real, r32.imag)
+        ge = _over(numerator, EPSILON_0 * HBAR * omegap_si)
+        numerator = _scale(2.0 * MU_0 * mu23, r32)
         flagged |= _underflows(numerator, r32)
-        numerator = _scale(np.array(d42), *_scale(C_LIGHT, *numerator))
+        numerator = _scale(np.array(d42), _scale(C_LIGHT, numerator))
         flagged |= _underflows(numerator, r32)
-        gm = _over(*numerator, HBAR * omegap_si)
+        gm = _over(numerator, HBAR * omegap_si)
         values.real[2], values.imag[2] = ge
         values.real[3], values.imag[3] = gm
 
         w, denom = _local_field(ge, density_n)
         flagged |= ~(np.hypot(*denom) > pole)
-        values.real[4], values.imag[4] = _plus(1.0, _quot(*w, *denom))
+        values.real[4], values.imag[4] = _plus(1.0, _quot(w, denom))
         w, denom = _local_field(gm, density_n)
         flagged |= ~(np.hypot(*denom) > pole)
-        values.real[5], values.imag[5] = _quot(*_plus(1.0, _over(*_scale(2.0, *w), 3.0)), *denom)
+        values.real[5], values.imag[5] = _quot(_plus(1.0, _over(_scale(2.0, w), 3.0)), denom)
 
         # refractive_index: a signed-zero imaginary part folded onto +0.0
         roots = values[4:6].copy()
@@ -381,8 +376,9 @@ def _stack_records(rho, omegap_si, d42, mu23, density_n, delta_p, p_align):
     return records, flagged.nonzero()[0].tolist()
 
 
-def _scale(f, re, im):
-    """f * (re + i im) for a real f, as (f + 0j) * (re + i im)."""
+def _scale(f, z):
+    """f * z for a real f and a pair z, as (f + 0j) * z."""
+    re, im = z
     return f * re - 0.0 * im, f * im + 0.0 * re
 
 
@@ -391,18 +387,20 @@ def _plus(f, z):
     return f + z[0], 0.0 + z[1]
 
 
-def _over(re, im, x):
-    """(re + i im) / x for a real, nonzero x, as divided by x + 0j."""
+def _over(z, x):
+    """z / x for a pair z and a real, nonzero x, as divided by x + 0j."""
+    re, im = z
     ratio = 0.0 / x
     return (re + im * ratio) / x, (im - re * ratio) / x
 
 
-def _quot(ar, ai, br, bi):
-    """(ar + i ai) / (br + i bi) as CPython's ``_Py_c_quot`` divides:
+def _quot(a, b):
+    """a / b for pairs a = (ar, ai), b = (br, bi) as CPython's ``_Py_c_quot`` divides:
     Smith's method, through whichever part of the divisor is the larger in
     magnitude, and NaN if neither is, at a NaN divisor. On arrays, row by
     row; a row with a zero or NaN divisor comes out as whatever, and the
     caller flags it."""
+    (ar, ai), (br, bi) = a, b
     real_larger = abs(br) >= abs(bi)
     rows = isinstance(real_larger, np.ndarray)
     if rows or real_larger:
@@ -425,8 +423,8 @@ def _quot(ar, ai, br, bi):
 def _local_field(gamma, density_n):
     """Of a polarizability ``gamma``, a pair: w = N gamma and the
     Clausius-Mossotti denominator 1 - w / 3, as pairs."""
-    w = _scale(density_n, *gamma)
-    third = _over(*w, 3.0)
+    w = _scale(density_n, gamma)
+    third = _over(w, 3.0)
     return w, (1.0 - third[0], 0.0 - third[1])
 
 

@@ -16,33 +16,30 @@ out as NaN and leaves the others alone), and applies the non-finite,
 residual, trace and population gates to the whole stack (``_gate``), each
 by arithmetic whose value for a row does not depend on the other rows: a
 row's outcome is its outcome as a stack of one, wherever the chunks split
-a sequence. A row that fails gets its SingularSystem or NonPhysicalState
-as its item of the result, the other rows unaffected; a single
-SystemParams is the one-point case, and its exception is raised. Each
-state handed out, good or carried by a NonPhysicalState, is a
-DensityMatrix on its slice of its stack.
+a sequence. A failing row gets its SingularSystem or NonPhysicalState as
+its item of the result; a single SystemParams is the one-point case, and
+its exception is raised. The gates build no state: ``steady_state``
+unvectorizes each stack's unit-trace solutions X (N, 16) once, after its
+gates, and each state it hands out, good or carried by a
+NonPhysicalState, is a DensityMatrix on its row of that stack.
 
 A sequence of more than one chunk is double-buffered in one loop, the
-generator ``_stacks``, with one worker thread per call (``_Inverter``).
-The first stack is solved inline. Each later stack is handed to the
-worker, which inverts it, the longest LAPACK call of a stack, and takes
-the 1-norms of the inverses, while the caller's thread takes its 1-norms
-from its own copy of the generators, solves it, gates and maps the stack
-before it (``steady_state``, or ``response_at`` through the private
-``_map``, which is handed the stack's own points), and builds the next
-stack's generators. Between taking the worker's norms and handing it the
-next stack, the caller only multiplies the norms and constrains the next
-generators. Each row meets the same gufuncs and reductions on the same
-data, so the bits do not depend on the split or the thread. numpy releases
-the GIL in a gufunc call only over more than 500 matrices, so the inverse
-of a full stack holds it: what overlaps is the work that runs without the
-GIL, such as the norms and the generator assembly. A single point, or any
-call of at most CHUNK_POINTS points, starts no thread, nor does an
-interpreter that no longer starts threads: there every inverse is computed
-on the caller's thread. A process pinned to one CPU starts the worker too,
-which then shares that CPU with the caller. The ill-conditioning
-RuntimeWarning names the first caller outside this package: the line that
-called ``steady_state``, ``response_at`` or a sweep.
+generator ``_stacks``: one worker thread per call (``_Inverter``) inverts
+each stack after the first, the longest LAPACK call of a stack, while the
+caller solves it, gates and maps the stack before (``steady_state``, or
+``response_at`` through the private ``_map``, which is handed the stack's
+own points) and builds the next. Each row meets the same gufuncs and
+reductions on the same data, so the bits do not depend on the split or
+the thread. numpy releases the GIL in a gufunc call only over more than
+500 matrices, so the inverse of a full stack holds it: what overlaps is
+the work that runs without the GIL, such as the norms and the generator
+assembly. A call of at most CHUNK_POINTS points starts no thread, nor
+does an interpreter that no longer starts threads: there every inverse is
+computed on the caller's thread. A process pinned to one CPU starts the
+worker too, which then shares that CPU with the caller. The
+ill-conditioning RuntimeWarning names the first caller outside this
+package: the line that called ``steady_state``, ``response_at`` or a
+sweep.
 
 ``evolve`` integrates the same equations of motion with classical
 fixed-step fourth-order Runge-Kutta and serves as an independent check: for
@@ -161,9 +158,8 @@ def _trace_constrained(L: np.ndarray):
 def _invert(pair: np.ndarray) -> None:
     """Put the inverse of each matrix of the first half of ``pair`` into
     its second half; a singular one comes out as NaN. The longest LAPACK
-    call of a stack's solve, and the one the worker of ``_stacks`` runs;
-    numpy holds the GIL through it unless the stack has more than 500
-    matrices. The caller ignores floating-point errors."""
+    call of a stack, which the worker of ``_stacks`` runs. The caller
+    ignores floating-point errors."""
     _umath_linalg.inv(pair[0], signature="d->d", out=pair[1])
 
 
@@ -202,36 +198,31 @@ def _solve(A: np.ndarray):
 def _factor(pair: np.ndarray):
     """The LAPACK half of the solve of a trace-constrained stack A, the
     first half of ``pair`` (``_trace_constrained``), which it overwrites,
-    all on this thread.
+    all on this thread: ``(cond, X, residual)``, a list of each row's exact
+    1-norm condition number and ``_solve``'s X and residual.
 
-    Returns ``(cond, X, residual)``: a list of each row's exact 1-norm
-    condition number, and ``_solve``'s X and residual. One LU solves each
-    row of A and another inverts it (``_invert``); a row with a zero pivot
-    comes out of either as NaN, the other rows untouched, so neither call
-    raises.
+    It calls numpy's own gufuncs behind np.linalg.solve and
+    np.linalg.cond(A, 1) once each: the public wrappers cost more than the
+    LAPACK work of one point, and solve raises for the whole stack on a
+    singular row, which here comes out as NaN, the other rows untouched.
+    The condition number is cond's arithmetic, op for op (``_one_norms``,
+    ``_cond``). The caller ignores floating-point errors.
     """
-    # numpy's own gufuncs behind np.linalg.solve and np.linalg.cond(A, 1),
-    # called once each: the public wrappers cost more than the LAPACK work
-    # of one point, and solve raises for the whole stack on a singular row.
-    # The condition number is cond's arithmetic, op for op (_one_norms,
-    # _cond). tests/test_steady.py checks the bits against the public
-    # functions and that the one-point path calls no wrapper.
-    with np.errstate(all="ignore"):
-        X, residual = _solve(pair[0])
-        _invert(pair)
-        norms = _one_norms(pair)
-        cond = _cond(norms[0], norms[1])
-    return cond, X, residual
+    X, residual = _solve(pair[0])
+    _invert(pair)
+    norms = _one_norms(pair)
+    return _cond(norms[0], norms[1]), X, residual
 
 
 def _gate(cond: list, X: np.ndarray, residual: np.ndarray, bound: np.ndarray):
-    """``(rho, failures)`` of a stack from its ``_factor`` and residual
-    ``bound``: rho (N, 4, 4) holds each row's x divided by its trace,
-    unvectorized once as one stack, and ``failures`` maps the index of each
-    row that failed a gate to its SingularSystem or NonPhysicalState (whose
-    state is its row of rho). Each gate is decided in arithmetic whose value
-    for a row does not depend on the other rows, so each row's outcome is
-    bitwise that of its solve as a stack of one.
+    """``(failures, unphysical)`` of a stack from its ``_factor`` and
+    residual ``bound``, X divided by each row's trace in place: the
+    SingularSystem of each row that fails a gate, by index, and the other
+    rows whose populations leave [0, 1], whose NonPhysicalState the caller
+    builds. Each gate's value for a row does not depend on the other rows,
+    so each row's outcome is bitwise that of its solve as a stack of one.
+    The caller ignores floating-point errors: a row with a non-finite or
+    huge x may overflow or give NaN, and the gates decide it on its values.
     """
     failures = {}
     for i, c in enumerate(cond):
@@ -248,18 +239,14 @@ def _gate(cond: list, X: np.ndarray, residual: np.ndarray, bound: np.ndarray):
     gates = np.empty((len(X), 25), dtype=bool)
     np.logical_not(np.isfinite(X, out=gates[:, :16]), out=gates[:, :16])
     np.greater(residual, bound, out=gates[:, 16])
+    # renormalize the trace (the solve already puts the sum at 1 to
+    # roundoff; dividing pins it there)
+    X /= (X[:, IDX_N1] + X[:, IDX_N2] + X[:, IDX_N3] + X[:, IDX_N4])[:, None]
+    pops = X[:, IDX_N1:IDX_N4 + 1]
+    np.less(pops, -POPULATION_BOUND_TOL, out=gates[:, 17:21])
+    np.greater(pops, 1.0 + POPULATION_BOUND_TOL, out=gates[:, 21:])
 
-    # a row with a non-finite or huge x may overflow or give NaN here; the
-    # gates below decide it on its own values
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # renormalize the trace (the solve already puts the sum at 1 to
-        # roundoff; dividing pins it there)
-        X /= (X[:, IDX_N1] + X[:, IDX_N2] + X[:, IDX_N3] + X[:, IDX_N4])[:, None]
-        pops = X[:, IDX_N1:IDX_N4 + 1]
-        np.less(pops, -POPULATION_BOUND_TOL, out=gates[:, 17:21])
-        np.greater(pops, 1.0 + POPULATION_BOUND_TOL, out=gates[:, 21:])
-        rho = unvectorize(X)
-
+    unphysical = []
     for k in np.logical_or.reduce(gates, axis=1).nonzero()[0].tolist():
         if k in failures:
             continue
@@ -269,8 +256,8 @@ def _gate(cond: list, X: np.ndarray, residual: np.ndarray, bound: np.ndarray):
             failures[k] = SingularSystem(
                 f"steady-state residual {residual[k]:.2e} exceeds {RESIDUAL_TOL:.0e} * ||L||")
         else:
-            failures[k] = NonPhysicalState(None, DensityMatrix._view(rho[k]))
-    return rho, failures
+            unphysical.append(k)
+    return failures, unphysical
 
 
 def steady_state(params, _map=None):
@@ -285,65 +272,70 @@ def steady_state(params, _map=None):
     of it: the result is then a list whose item i is the state of point i,
     or the exception it would raise alone, returned instead of raised.
     With the private ``_map``, a stack's outcomes are the list
-    ``_map(stack, rho, failures)`` returns instead, ``stack`` being the
-    slice of points solved, ``rho`` their (N, 4, 4) unit-trace states and
-    ``failures`` the SingularSystem or NonPhysicalState of each failed
-    row, by row.
+    ``_map(stack, X, failures, unphysical)`` returns instead, given what
+    ``_stacks`` yields: no state is built.
     """
     single = isinstance(params, SystemParams)
     states = []
-    for stack, rho, failures in _stacks([params] if single else params):
+    for stack, X, failures, unphysical in _stacks([params] if single else params):
         if _map is None:
+            rho = unvectorize(X)
+            for k in unphysical:
+                failures[k] = NonPhysicalState(None, DensityMatrix._view(rho[k]))
             # popped, so that no local refers to the exception _only may raise
             states += [failures.pop(i, None) or DensityMatrix._view(m) for i, m in enumerate(rho)]
         else:
-            states += _map(stack, rho, failures)
+            states += _map(stack, X, failures, unphysical)
     return _only(states) if single else states
 
 
 def _stacks(points):
     """Solve ``points`` a stack of at most CHUNK_POINTS at a time, yielding
-    ``(stack, rho, failures)`` per stack as ``_gate`` gives them, ``stack``
-    being the slice of ``points`` that was solved.
+    ``(stack, X, failures, unphysical)`` per stack: the slice of ``points``
+    solved, and the rest as ``_gate`` gives them.
 
     The first stack is solved inline (``_factor``). Each later one is
     handed to one worker thread (``_Inverter``), which inverts it and takes
     its inverses' 1-norms, while this thread takes its 1-norms from its own
     generator stack, solves it, builds the next stack's generators, and
-    gates and maps the stack before. The thread starts with the second
-    stack and is stopped and joined when the loop ends, however it ends.
+    gates and maps the stack before; from taking the worker's norms to
+    handing it the next stack, it only multiplies them and constrains the
+    next generators. The thread starts with the second stack and is stopped
+    and joined however the loop ends. Floating-point errors are ignored in
+    one np.errstate per stack, from its solve or join to its gates, never
+    while the consumer has the stack.
     """
     stack = points[:CHUNK_POINTS]
     if not stack:
         return
     pair, bound = _trace_constrained(build_generator(stack))
-    cond, X, residual = _factor(pair)
     # norms: the 1-norms of the stack whose inverse the worker holds
-    pair = norms = worker = None
+    norms = worker = None
     try:
         for end in range(CHUNK_POINTS, len(points) + CHUNK_POINTS, CHUNK_POINTS):
             following = points[end:end + CHUNK_POINTS]
             if following:
                 # built while the worker inverts this stack
                 L = build_generator(following)
-            if norms is not None:
-                with np.errstate(all="ignore"):
+            with np.errstate(all="ignore"):
+                if norms is None:
+                    cond, X, residual = _factor(pair)
+                else:
                     cond = _cond(norms, worker.take())
                 pair = None   # freed before the next stack's pair is allocated
-            if following:
-                pair, following_bound = _trace_constrained(L)
-                if worker is None:
-                    worker = _Inverter()
-                worker.hand(pair)
-                with np.errstate(all="ignore"):
+                if following:
+                    pair, following_bound = _trace_constrained(L)
+                    if worker is None:
+                        worker = _Inverter()
+                    worker.hand(pair)
                     # L with its trace row is A, and a copy of it the
                     # worker does not read; freed before the solve
                     L[:, IDX_N1] = _TRACE_ROW
                     norms = _one_norms(L)
                     L = None
                     following_solution = _solve(pair[0])
-            rho, failures = _gate(cond, X, residual, bound)
-            yield stack, rho, failures
+                failures, unphysical = _gate(cond, X, residual, bound)
+            yield stack, X, failures, unphysical
             if following:
                 stack, bound, (X, residual) = following, following_bound, following_solution
     finally:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,24 @@ class TestDensityMatrix:
             ref = _unvectorize_reference(x)
             assert unvectorize(x).tobytes() == ref.tobytes()
             assert m.tobytes() == ref.tobytes()
+
+    def test_coherences_read_from_x_match_unvectorize_bitwise(self):
+        # the mapping reads rho24 and rho32 straight from the solution x,
+        # one row as floats or a stack's columns as arrays; each part in
+        # every combination of signs and magnitudes
+        parts = [0.0, 5e-324, 1e-300, 0.37, 1e300]
+        parts += [-v for v in parts]
+        X = np.zeros((len(parts) ** 4, 16))
+        X[:, [model.IDX_RE24, model.IDX_IM24, model.IDX_RE23, model.IDX_IM23]] = list(
+            itertools.product(parts, repeat=4))
+        rho = unvectorize(X)
+        expected = [rho[:, 1, 3].tobytes(), rho[:, 2, 1].tobytes()]
+        stacked = model._rho24_rho32(X.T)
+        assert [np.array(complex_parts).T.copy().view(complex).tobytes()
+                for complex_parts in stacked] == expected
+        rows = [model._rho24_rho32(x) for x in X.tolist()]
+        for k, part in enumerate(expected):
+            assert np.array([row[k] for row in rows]).view(complex).tobytes() == part
 
     def test_vectorize_matches_elementwise_reference_bitwise(self):
         rng = np.random.default_rng(10)

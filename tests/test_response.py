@@ -16,7 +16,8 @@ from sgcvapor import (DegenerateProbe, DensityMatrix, EquationVariant,
                       electric_polarizability, evolve, magnetic_polarizability,
                       permeability, permittivity, refractive_index,
                       response_at, steady_state, sweep_detuning)
-from sgcvapor import SingularSystem, response
+from sgcvapor import SingularSystem, response, steady
+from sgcvapor.model import IDX_IM23, IDX_IM24, IDX_RE23, IDX_RE24, unvectorize
 from sgcvapor.params import PointsAlong, columns
 
 from conftest import magnetic_polarizability_from_permeability
@@ -314,6 +315,24 @@ class TestResponseAt:
         # value -2 even this far from resonance, so only mu stays positive
         assert rec.handedness is Handedness.NEG_EPS_ONLY
 
+    def test_one_point_unvectorizes_only_an_unphysical_state(self, monkeypatch):
+        # a good point's coherences are read from the solution x; a
+        # NonPhysicalState's state is unvectorized from its row alone, with
+        # the bytes steady_state gives it from its whole stack
+        literal = SystemParams(p_align=0.5, equation_variant=EquationVariant.PAPER_LITERAL)
+        expected = steady_state([literal])[0].state.m.tobytes()
+        good = response_at(SystemParams(p_align=0.5, delta_p=3.0))
+        calls = []
+        for module in (response, steady):
+            monkeypatch.setattr(module, "unvectorize",
+                                lambda x: calls.append(len(x)) or unvectorize(x))
+        assert response_at(SystemParams(p_align=0.5, delta_p=3.0)) == good
+        assert calls == []
+        with pytest.raises(NonPhysicalState) as info:
+            response_at(literal)
+        assert calls == [1]
+        assert info.value.state.m.tobytes() == expected
+
     def test_errors_propagate_from_solver(self):
         from sgcvapor import EquationVariant, NonPhysicalState
         with pytest.raises(NonPhysicalState):
@@ -331,14 +350,19 @@ _FIELDS = operator.attrgetter("delta_p", "p_align", "rho24", "rho32", "gamma_e",
 
 
 def _alone(rho, k, failures, mapping):
-    """Row k of a stack as _record maps it alone: its record or exception."""
+    """Row k of a stack as _record maps it alone, its coherences read from
+    rho, the stack's unvectorize: its record or exception."""
     if k in failures:
         return failures[k]
     try:
-        return response._record(rho.item(k, 1, 3), rho.item(k, 2, 1),
+        return response._record(_pair(rho.item(k, 1, 3)), _pair(rho.item(k, 2, 1)),
                                 *[column[k] for column in mapping])
     except (DegenerateProbe, LocalFieldPole) as exc:
         return exc
+
+
+def _pair(z):
+    return z.real, z.imag
 
 
 def _bits(outcome):
@@ -351,10 +375,13 @@ def _bits(outcome):
 
 
 def _stack(rho24, rho32):
-    """A stack of states whose only coherences are rho24 and rho32."""
-    rho = np.zeros((len(rho24), 4, 4), dtype=complex)
-    rho[:, 1, 3], rho[:, 2, 1] = rho24, rho32
-    return rho
+    """A stack X (N, 16) whose only coherences are rho24 and rho32 (rho23
+    = conj(rho32) is stored)."""
+    rho24, rho32 = np.asarray(rho24, dtype=complex), np.asarray(rho32, dtype=complex)
+    X = np.zeros((len(rho24), 16))
+    X[:, IDX_RE24], X[:, IDX_IM24] = rho24.real, rho24.imag
+    X[:, IDX_RE23], X[:, IDX_IM23] = rho32.real, -rho32.imag
+    return X
 
 
 class TestStackMapping:
@@ -375,13 +402,14 @@ class TestStackMapping:
                       for d in (1e-16, 5.0)]
         stacked, alone = [], []
 
-        def each(stack, rho, failures):
+        def each(stack, X, failures, unphysical):
             mapping = columns(stack, MAPPING)
-            records, flagged = response._stack_records(rho, *mapping)
+            records, flagged = response._stack_records(X, *mapping)
             # every row that did not fail the solve is mapped by the arrays
-            assert set(flagged) <= set(failures)
-            rows = [k for k in range(len(rho)) if k not in failures]
+            assert set(flagged) <= set(failures) | set(unphysical)
+            rows = [k for k in range(len(X)) if k not in failures and k not in unphysical]
             stacked.extend(records[k] for k in rows)
+            rho = unvectorize(X)
             alone.extend(_alone(rho, k, failures, mapping) for k in rows)
             return records
 
@@ -409,22 +437,23 @@ class TestStackMapping:
         rows = [(complex(a, b), complex(c, d), density) for density in (5e24, 1e30)
                 for a in parts24 for b in parts24[::2] for c in parts32[::3] for d in parts32[1::2]]
         for r in (1e-3, -2.5e-4, 0.37):
-            ge = response._electric(complex(r, 0.0), d42, omegap_si).real
-            gm = response._magnetic(complex(r, 0.0), d42, mu23, omegap_si).real
+            ge = response._electric((r, 0.0), d42, omegap_si)[0]
+            gm = response._magnetic((r, 0.0), d42, mu23, omegap_si)[0]
             # at N gamma = 6 a real mu_r is negative with Im = -0.0, and
             # refractive_index folds that onto +0.0
             for k in (3.0, 3.0 * (1 + 5e-13), 3.0 * (1 - 3e-12), 3.0 * (1 - 1e-11), 6.0):
                 for other in (1e-4j, 0j):
                     rows.append((complex(r, 0.0), other, k / ge))
                     rows.append((other, complex(r, 0.0), k / gm))
-        rho = _stack([r[0] for r in rows], [r[1] for r in rows])
+        X = _stack([r[0] for r in rows], [r[1] for r in rows])
         n = len(rows)
         mapping = ([omegap_si] * n, [d42] * n, [mu23] * n, [r[2] for r in rows],
                    [0.0] * n, [0.5] * n)
         with warnings.catch_warnings():
             # the scalar sqrt of a NaN or inf may warn
             warnings.simplefilter("ignore", RuntimeWarning)
-            stacked = response._map_stack(rho, {}, *mapping)
+            stacked = response._map_stack(X, {}, [], *mapping)
+            rho = unvectorize(X)
             alone = [_alone(rho, k, {}, mapping) for k in range(n)]
         assert list(map(_bits, stacked)) == list(map(_bits, alone))
         assert {type(o) for o in alone} == {response.ResponseRecord, DegenerateProbe,
@@ -432,33 +461,36 @@ class TestStackMapping:
         assert any("nan" in repr(o) for o in alone)
         # the rows the arrays map, signed zeros among them, and the rows
         # they leave to _record
-        _, flagged = response._stack_records(rho, *mapping)
+        _, flagged = response._stack_records(X, *mapping)
         assert 0 < len(flagged) < n - 500
 
     def test_failing_rows_fail_as_alone_and_leave_the_others(self):
         omegap_si, d42, mu23 = SystemParams().omegap_si, 1e-29, 9.274e-24
-        gm = response._magnetic(0.37 + 0j, d42, mu23, omegap_si).real
+        gm = response._magnetic((0.37, 0.0), d42, mu23, omegap_si)[0]
         rng = np.random.default_rng(3)
         rho24 = (rng.normal(size=24) + 1j * rng.normal(size=24)) * 1e-3
         rho32 = (rng.normal(size=24) + 1j * rng.normal(size=24)) * 1e-4
         density = [5e24] * 24
         rho24[5] = 1e-270j               # the electric numerator underflows
         rho32[9], density[9] = 0.37, 3.0 / gm   # the magnetic pole
-        rho = _stack(rho24, rho32)
-        failures = {2: SingularSystem("solution has non-finite entries"),
-                    14: NonPhysicalState(None, DensityMatrix._view(rho[14]))}
+        X = _stack(rho24, rho32)
+        X[14, :4] = (1.5, -0.5, 0.0, 0.0)   # its populations leave [0, 1]
+        failures = {2: SingularSystem("solution has non-finite entries")}
         mapping = ([omegap_si] * 24, [d42] * 24, [mu23] * 24, density,
                    np.linspace(-3.0, 3.0, 24).tolist(), [0.5] * 24)
-        stacked = response._map_stack(rho, dict(failures), *mapping)
+        stacked = response._map_stack(X, dict(failures), [14], *mapping)
         for k, outcome in enumerate(stacked):
-            alone, = response._map_stack(rho[k:k + 1], {0: failures[k]} if k in failures else {},
+            alone, = response._map_stack(X[k:k + 1], {0: failures[k]} if k in failures else {},
+                                         [0] if k == 14 else [],
                                          *[column[k:k + 1] for column in mapping])
             assert _bits(outcome) == _bits(alone)
+        # the unphysical row's state is its row of X unvectorized
+        assert stacked[14].state.m.tobytes() == unvectorize(X[14]).tobytes()
         assert [type(stacked[k]) for k in (2, 5, 9, 14)] == [
             SingularSystem, DegenerateProbe, LocalFieldPole, NonPhysicalState]
         rest = [k for k in range(24) if k not in (2, 5, 9, 14)]
-        without = response._map_stack(rho[rest], {}, *[[column[k] for k in rest]
-                                                        for column in mapping])
+        without = response._map_stack(X[rest], {}, [], *[[column[k] for k in rest]
+                                                           for column in mapping])
         assert [_bits(stacked[k]) for k in rest] == [_bits(o) for o in without]
         assert all(isinstance(o, response.ResponseRecord) for o in without)
 
@@ -490,9 +522,9 @@ class TestPairArithmetic:
 
     def test_signed_zeros(self):
         # (2 d42^2) * (0.37 - 0j): the 0.0 * 0.37 term lifts Im to +0.0
-        ge = response._electric(complex(0.37, -0.0), 1e-29, SystemParams().omegap_si)
-        assert [ge.real.hex(), ge.imag.hex()] == ["0x1.59b899475b15ep-68", "0x0.0p+0"]
-        assert [x.hex() for x in response._scale(2.0, 0.37, -0.0)] == [
+        ge = response._electric((0.37, -0.0), 1e-29, SystemParams().omegap_si)
+        assert [x.hex() for x in ge] == ["0x1.59b899475b15ep-68", "0x0.0p+0"]
+        assert [x.hex() for x in response._scale(2.0, (0.37, -0.0))] == [
             "0x1.7ae147ae147aep-1", "0x0.0p+0"]
         assert [x.hex() for x in response._plus(1.0, (0.5, -0.0))] == [
             "0x1.8000000000000p+0", "0x0.0p+0"]
@@ -513,8 +545,8 @@ class TestSlotBuiltRecords:
     def test_records_are_constructor_records(self, calibrated_base):
         points = PointsAlong(replace(calibrated_base, p_align=0.7), "delta_p",
                              np.linspace(-20.0, 20.0, 64).tolist())
-        rho = np.stack([state.m for state in steady_state(points)])
-        records, flagged = response._stack_records(rho, *columns(points, MAPPING))
+        X = np.stack([state.vector() for state in steady_state(points)])
+        records, flagged = response._stack_records(X, *columns(points, MAPPING))
         assert flagged == []
         assert {record.handedness for record in records} >= {Handedness.LEFT_HANDED,
                                                              Handedness.NEG_EPS_ONLY}

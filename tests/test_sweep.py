@@ -462,11 +462,15 @@ def test_a_slice_of_points_along_holds_the_same_floats():
 def test_a_slice_or_take_of_points_along_carries_its_derived_columns():
     points = PointsAlong(SystemParams(), "p_align", [0.1 * k for k in range(10)])
     omegap_si = points.column("omegap_si")
-    assert points.column("omegap_si") is omegap_si
+    # derived from the omegap column, which is kept; omegap_si, one
+    # product per point, is not
+    omegap = points.column("omegap")
+    assert points.column("omegap") is omegap and points.column("omegap_si") is not omegap_si
+    assert [v.hex() for v in omegap_si] == [(w * points.base.gamma_unit).hex() for w in omegap]
     part = points[2:7]
-    assert all(a is b for a, b in zip(part.column("omegap_si"), omegap_si[2:7]))
+    assert all(a is b for a, b in zip(part.column("omegap"), omegap[2:7]))
     taken = params.take(points, [1, 4, 8])
-    assert all(a is b for a, b in zip(taken.column("omegap_si"), [omegap_si[i] for i in (1, 4, 8)]))
+    assert all(a is b for a, b in zip(taken.column("omegap"), [omegap[i] for i in (1, 4, 8)]))
     # a column first derived on a part is not the whole's, and the part
     # does not keep it
     assert [v.hex() for v in part.column("omega1")] == [v.hex() for v in points.column("omega1")[2:7]]
@@ -478,19 +482,27 @@ def test_a_slice_or_take_of_points_along_carries_its_derived_columns():
     # |p| = 1 fails before the solve, so the solved points are a take
     np.linspace(-1.0, 1.0, 2 * CHUNK_POINTS + 1).tolist(),
 ])
-def test_an_alignment_sweep_derives_omegap_si_once_per_point(calibrated_base, monkeypatch, values):
+def test_an_alignment_sweep_derives_each_rabi_frequency_once_per_point(calibrated_base,
+                                                                       monkeypatch, values):
     points = PointsAlong(replace(calibrated_base, delta_p=1e-16), "p_align", values)
     expected = [record_bits(r) if isinstance(r, ResponseRecord) else str(r)
                 for r in response_at(points)]
     calls = []
-    derive = params._DEPENDENT["p_align"]["omegap_si"]
-    monkeypatch.setitem(params._DEPENDENT["p_align"], "omegap_si",
-                        lambda point, p: calls.append(p) or derive(point, p))
+    rabi = params.effective_rabi
+    monkeypatch.setattr(params, "effective_rabi",
+                        lambda omega_bare, p: calls.append((omega_bare, p)) or rabi(omega_bare, p))
     points = PointsAlong(points.base, "p_align", values)
     got = [record_bits(r) if isinstance(r, ResponseRecord) else str(r)
            for r in response_at(points)]
     assert got == expected
-    assert calls == values
+    # omegap for every point, by the probe test before the solve, and omega1
+    # for each point solved; omegap_si is the omegap column times
+    # gamma_unit. Each stack also takes the base point's rates once.
+    solved = [p for p in values if abs(p) < 1.0]
+    base = [points.base.p_align] * -(-len(solved) // CHUNK_POINTS)
+    assert sorted(p for w, p in calls if w == points.base.omegap_bare) == sorted(values + base)
+    assert sorted(p for w, p in calls if w == points.base.omega1_bare) == sorted(solved + base)
+    assert len(calls) == len(values) + len(solved) + 2 * len(base)
 
 
 def test_points_along_rejects_a_field_it_does_not_sweep():
