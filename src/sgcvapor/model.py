@@ -301,12 +301,11 @@ _TERM_RATES = np.array([_RATE_NAMES.index(name) for _, _, name, _ in _TERMS])
 _TERM_COEFS = np.array([coef for _, _, _, coef in _TERMS])
 
 
-def _rates(params: SystemParams) -> tuple:
-    """The values named in _RATE_NAMES at one operating point."""
+def _decay_rates(params: SystemParams) -> tuple:
+    """The decay rates of _RATE_NAMES, g2 ... s3, at one operating point."""
     g2, g3, g4 = params.gamma2, params.gamma3, params.gamma4
     literal = params.equation_variant is EquationVariant.PAPER_LITERAL
-    return (g2, g3, g4, g2 + g3, g2 + g4, g3 + g4, g3 if literal else -g3,
-            params.omega1, params.omegap, params.sgc_rate, params.delta_p)
+    return g2, g3, g4, g2 + g3, g2 + g4, g3 + g4, g3 if literal else -g3
 
 
 # the columns of _RATE_NAMES that vary from point to point along a sweep,
@@ -316,14 +315,15 @@ _POINT_RATES = tuple((_RATE_NAMES.index(name), attr) for name, attr in
 
 
 def _rate_table(points) -> np.ndarray:
-    """The (N, 11) table of _rates of a sequence of N SystemParams."""
+    """The (N, 11) table of the _RATE_NAMES values of N SystemParams."""
     if isinstance(points, PointsAlong):
         rates = np.empty((len(points), len(_RATE_NAMES)))
-        rates[:] = _rates(points.base)
+        rates[:, :7] = _decay_rates(points.base)   # the columns before _POINT_RATES
         for col, attr in _POINT_RATES:
             rates[:, col] = points.column(attr)
         return rates
-    rates = np.array([_rates(p) for p in points], dtype=float)
+    rates = np.array([_decay_rates(p) + (p.omega1, p.omegap, p.sgc_rate, p.delta_p)
+                      for p in points], dtype=float)
     return rates.reshape(len(points), len(_RATE_NAMES))   # also for no points
 
 

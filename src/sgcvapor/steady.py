@@ -58,6 +58,7 @@ import os
 import sys
 import threading
 import warnings
+from _queue import SimpleQueue   # queue.SimpleQueue, without importing queue (1 ms)
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -302,7 +303,7 @@ def _stacks(points):
     handing it the next stack, it only multiplies them and constrains the
     next generators. The thread starts with the second stack and is stopped
     and joined however the loop ends. Floating-point errors are ignored in
-    one np.errstate per stack, from its solve or join to its gates, never
+    one np.errstate per stack, from its solve or take to its gates, never
     while the consumer has the stack.
     """
     stack = points[:CHUNK_POINTS]
@@ -347,80 +348,52 @@ class _Inverter(threading.Thread):
     """The worker thread of one ``_stacks`` call: it inverts each stack
     handed to it (``_invert``) and takes the 1-norms of the inverses.
 
-    ``hand`` gives it a pair and returns once the worker has taken it, so
-    the worker goes straight into the inverse: had this thread gone on at
-    once, holding the GIL, the worker could have waited up to
-    ``sys.getswitchinterval()`` for it, longer than gating a stack takes.
-    ``take`` waits for the norms, or raises what the worker raised;
-    ``stop`` ends the thread and joins it. Where no thread can start (an
-    interpreter shutting down), ``hand`` does the work on the caller's
-    thread.
+    ``hand`` queues a pair and returns at once; ``take`` waits for the next
+    outcome, the norms, or raises what the worker raised. Where no thread
+    can start (an interpreter shutting down), ``hand`` does the work itself,
+    under the caller's np.errstate.
     """
 
     def __init__(self):
         super().__init__(name="sgcvapor-factor")
-        # released when a pair, or None to stop, waits in _pair; when the
-        # worker has taken it; when it is done. Each is released by one
-        # thread and acquired by the other, in turn: a lock counts as held
-        # only once its acquirer has the GIL back, so a lock released twice
-        # in a row by the worker could be released while unlocked.
-        self._given, self._taken, self._done = locks = [threading.Lock() for _ in range(3)]
-        for lock in locks:
-            lock.acquire()
-        self._pair = self._outcome = None
-        self._owed = False   # the worker owes the norms of a pair
+        self._pairs, self._outcomes = SimpleQueue(), SimpleQueue()
         try:
             self.start()
         except RuntimeError:   # no new threads at interpreter shutdown
             pass
 
     def run(self) -> None:
-        while True:
-            self._given.acquire()
-            pair, self._pair = self._pair, None
-            if pair is None:
-                return
-            self._taken.release()
-            self._outcome = _inverse_norms(pair)
-            pair = None   # the caller frees it once it has the norms
-            self._done.release()
+        with np.errstate(all="ignore"):
+            # `is`, not iter(get, None), which would compare an array with None
+            while (pair := self._pairs.get()) is not None:
+                self._outcomes.put(_inverse_norms(pair))
+                pair = None   # the caller frees it once it has the norms
 
     def hand(self, pair: np.ndarray) -> None:
         if self.ident is None:
-            self._outcome = _inverse_norms(pair)
-            return
-        self._owed = True
-        self._pair = pair
-        self._given.release()
-        self._taken.acquire()
+            self._outcomes.put(_inverse_norms(pair))
+        else:
+            self._pairs.put(pair)
 
     def take(self) -> np.ndarray:
-        if self._owed:
-            self._done.acquire()
-            self._owed = False
         # in a list that _only empties, so no frame refers to an exception
-        outcomes = [self._outcome]
-        self._outcome = None
-        return _only(outcomes)
+        return _only([self._outcomes.get()])
 
     def stop(self) -> None:
-        """Wait for the pair in hand, if any, then stop the thread and join it."""
+        """Stop the thread once it is done with any pair in hand, join it, and
+        drop an outcome left queued: an error's frames refer back to this."""
         if self.ident is not None:
-            if self._owed:
-                self._done.acquire()
-                self._owed = False
-            self._outcome = None
-            self._given.release()
+            self._pairs.put(None)
             self.join()
+        self._outcomes = None
 
 
 def _inverse_norms(pair: np.ndarray):
-    """The 1-norms of the inverses of the first half of ``pair``, put in
-    its second half by ``_invert``, or the exception that raises."""
+    """The 1-norms of the inverses ``_invert`` puts in ``pair``, or the
+    exception it raises. The caller ignores floating-point errors."""
     try:
-        with np.errstate(all="ignore"):
-            _invert(pair)
-            return _one_norms(pair[1])
+        _invert(pair)
+        return _one_norms(pair[1])
     except Exception as exc:
         return exc
 

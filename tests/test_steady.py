@@ -9,6 +9,7 @@ import time
 import tracemalloc
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -407,55 +408,83 @@ class TestDoubleBufferedSolve:
     def test_no_worker_outlives_its_call(self, monkeypatch):
         # the worker is stopped and joined however the loop ends: a call
         # that completes, a worker error, a gate error, and a consumer that
-        # stops iterating _stacks after its first or second stack
+        # stops iterating _stacks after its first or second stack. No stack
+        # outlives the call either, not even through an outcome the worker
+        # queued after the caller stopped taking them: with gc off, each
+        # pair is freed by its last reference
         def workers():
             return [t for t in threading.enumerate() if t.name == "sgcvapor-factor"]
 
         points = self.REGULAR * 3 + [self.ILL] + self.REGULAR
-        gone = []
+        gone, pairs = [], []
 
         def spy_stop(worker, stop=steady._Inverter.stop):
             stop(worker)
             gone.append(not worker.is_alive())
 
+        def spy_constrained(L, constrained=steady._trace_constrained):
+            pair, bound = constrained(L)
+            pairs.append(weakref.ref(pair))
+            return pair, bound
+
+        def ended(stops):
+            # no worker alive, the last one stopped, and no stack made since
+            # the last look alive
+            alive = [ref for ref in pairs if ref() is not None]
+            made = len(pairs)
+            pairs.clear()
+            return workers() == [] and gone == [True] * stops and made > 1 and alive == []
+
         monkeypatch.setattr(steady._Inverter, "stop", spy_stop)
+        monkeypatch.setattr(steady, "_trace_constrained", spy_constrained)
         assert workers() == []
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(RuntimeWarning, match="ill-conditioned"):
-                steady_state(points)
-        assert workers() == [] and gone == [True]
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            steady_state(points)
-            assert workers() == [] and gone == [True] * 2
-
-            with monkeypatch.context() as patch:
-                def fails_on_the_worker(pair, invert=steady._invert):
-                    if threading.current_thread() is not threading.main_thread():
-                        raise MemoryError("no memory on the worker")
-                    invert(pair)
-
-                patch.setattr(steady, "_invert", fails_on_the_worker)
-                with pytest.raises(MemoryError):
+        gc.collect()
+        gc.disable()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(RuntimeWarning, match="ill-conditioned"):
                     steady_state(points)
-            assert workers() == [] and gone == [True] * 3
+            assert ended(1)
 
-            for taken in (1, 2):
-                stacks = steady._stacks(points)
-                for _ in range(taken):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                steady_state(points)
+                assert ended(2)
+
+                with monkeypatch.context() as patch:
+                    def fails_on_the_worker(pair, invert=steady._invert):
+                        if threading.current_thread() is not threading.main_thread():
+                            raise MemoryError("no memory on the worker")
+                        invert(pair)
+
+                    patch.setattr(steady, "_invert", fails_on_the_worker)
+                    with pytest.raises(MemoryError):
+                        steady_state(points)
+                    assert ended(3)
+                    # closed while the worker fails on the next stack: its
+                    # error, whose frames hold that stack, is left queued
+                    stacks = steady._stacks(points)
                     next(stacks)
-                # the worker holds, or inverts, the next stack
-                assert len(workers()) == 1
-                stacks.close()
-                assert workers() == [] and gone == [True] * (3 + taken)
-            # dropped unfinished, as a consumer's exception leaves it
-            stacks = steady._stacks(points)
-            next(stacks)
-            next(stacks)
-            del stacks
-            assert workers() == [] and gone == [True] * 6
+                    stacks.close()
+                assert ended(4)
+
+                for taken in (1, 2):
+                    stacks = steady._stacks(points)
+                    for _ in range(taken):
+                        next(stacks)
+                    # the worker holds, or inverts, the next stack
+                    assert len(workers()) == 1
+                    stacks.close()
+                    assert ended(4 + taken)
+                # dropped unfinished, as a consumer's exception leaves it
+                stacks = steady._stacks(points)
+                next(stacks)
+                next(stacks)
+                del stacks
+                assert ended(7)
+        finally:
+            gc.enable()
 
     def test_a_refused_thread_factors_inline(self, monkeypatch):
         # where no thread can be started, every chunk is inverted on the
@@ -605,16 +634,25 @@ def test_solves_while_the_interpreter_shuts_down(when):
     assert proc.stdout.split() == [expected.hexdigest()]
 
 
+def test_private_simple_queue_is_the_public_one():
+    # steady takes SimpleQueue from _queue, the private C module behind
+    # queue.SimpleQueue: a Python release that moves it fails here, by name
+    import _queue
+    import queue
+    assert _queue.SimpleQueue is queue.SimpleQueue
+
+
 def test_import_leaves_concurrent_futures_out():
-    # the worker is a plain thread: neither the import nor a call of more
-    # than one chunk brings in concurrent.futures (about 6.5 ms to import)
+    # the worker is a plain thread on two SimpleQueues: neither the import
+    # nor a call of more than one chunk brings in concurrent.futures (about
+    # 6.5 ms to import) or queue (about 1 ms)
     proc = _run_python("import sys, sgcvapor.cli\n"
-                       "print('concurrent.futures' in sys.modules)\n"
+                       "print('concurrent.futures' in sys.modules, 'queue' in sys.modules)\n"
                        "n = sgcvapor.steady.CHUNK_POINTS + 1\n"
                        "sgcvapor.steady_state([sgcvapor.SystemParams()] * n)\n"
-                       "print('concurrent.futures' in sys.modules)\n")
+                       "print('concurrent.futures' in sys.modules, 'queue' in sys.modules)\n")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"]
+    assert proc.stdout.split() == ["False"] * 4
 
 
 class TestEvolve:
