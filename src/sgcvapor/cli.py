@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -282,7 +283,10 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, and each call of ``main`` reads the streams it writes to."""
     parser = argparse.ArgumentParser(
         prog="sgcvapor",
         description="Steady-state electromagnetic response of a dense "
@@ -310,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text = args.config.read_text(encoding="utf-8") if args.config else None
         flags = {key: getattr(args, key) for key in _KEY_TYPES if hasattr(args, key)}

@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import PointsAlong, SystemParams, EquationVariant, ValidationError
+from .params import (PointsAlong, SystemParams, EquationVariant, ValidationError,
+                     _effective_rabis)
 
 # Vectorization layout: 4 populations then Re/Im of the 6 upper coherences.
 IDX_N1, IDX_N2, IDX_N3, IDX_N4 = 0, 1, 2, 3
@@ -296,7 +297,9 @@ _TERMS = (
     (IDX_IM34, IDX_IM34, "g3+g4", -1.0),
     (IDX_IM34, IDX_RE23, "wp", -1.0),
 )
-_TERM_FLAT = np.array([16 * row + col for row, col, _, _ in _TERMS])
+# where each term goes in L, and which rate it multiplies by which coefficient
+_TERM_ROWS = np.array([row for row, _, _, _ in _TERMS])
+_TERM_COLS = np.array([col for _, col, _, _ in _TERMS])
 _TERM_RATES = np.array([_RATE_NAMES.index(name) for _, _, name, _ in _TERMS])
 _TERM_COEFS = np.array([coef for _, _, _, coef in _TERMS])
 
@@ -322,12 +325,13 @@ def _rate_table(points) -> np.ndarray:
         for col, attr in _POINT_RATES:
             rates[:, col] = points.column(attr)
         return rates
-    rates = np.array([_decay_rates(p) + (p.omega1, p.omegap, p.sgc_rate, p.delta_p)
+    # both Rabi frequencies of a point from one square root
+    rates = np.array([_decay_rates(p) + _effective_rabis(p) + (p.sgc_rate, p.delta_p)
                       for p in points], dtype=float)
     return rates.reshape(len(points), len(_RATE_NAMES))   # also for no points
 
 
-def build_generator(params) -> GeneratorMatrix:
+def build_generator(params, out=None) -> GeneratorMatrix:
     """Real 16x16 generator L with dx/dt = L x.
 
     ``params`` is one SystemParams, or a sequence of N of them for the
@@ -335,17 +339,22 @@ def build_generator(params) -> GeneratorMatrix:
     bitwise the one its point gives alone. The entries are scattered from
     the term table above, the real/imaginary expansion of the equations of
     motion (not a probe of :func:`eom_rhs`), so the two implementations
-    stay independent cross-checks of each other.
+    stay independent cross-checks of each other. For a sequence, ``out``
+    may be an (N, 16, 16) float array to build the stack in, every entry
+    overwritten, and return.
     """
     single = isinstance(params, SystemParams)
     rates = _rate_table((params,) if single else params)
-    L = np.zeros((len(rates), 16 * 16))
+    if out is None:
+        L = np.zeros((len(rates), 16, 16))
+    else:
+        L = out
+        L.fill(0.0)
     # scaled in place: a sequence may build its next stack while the one
     # before is still held, so the build keeps one temporary, not two
     terms = rates.take(_TERM_RATES, axis=1)
     terms *= _TERM_COEFS
-    L[:, _TERM_FLAT] = terms
-    L = L.reshape(len(rates), 16, 16)
+    L[:, _TERM_ROWS, _TERM_COLS] = terms
     # trace-conserving completion of the rho22 row
     L[:, IDX_N2, :] = -(L[:, IDX_N1, :] + L[:, IDX_N3, :] + L[:, IDX_N4, :])
     return L[0] if single else L

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from math import isfinite
 from dataclasses import dataclass, replace
 
 
@@ -54,6 +55,10 @@ def effective_rabi(omega_bare: float, p_align: float) -> float:
     return omega_bare * math.sqrt(1.0 - p_align * p_align)
 
 
+# the fields that must be positive and finite, in the order they are checked
+_POSITIVE = ("gamma_unit", "gamma2", "gamma3", "gamma4", "density_n", "d42", "mu23")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """All physical and numerical inputs for one operating point.
@@ -79,15 +84,16 @@ class SystemParams:
     equation_variant: EquationVariant = EquationVariant.CORRECTED
 
     def __post_init__(self) -> None:
-        for name in ("gamma_unit", "gamma2", "gamma3", "gamma4",
-                     "density_n", "d42", "mu23"):
+        for name in _POSITIVE:
             value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
+            if not (value > 0.0 and isfinite(value)):
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
-        for name in ("omega1_bare", "omegap_bare", "delta_p"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        if self.omega1_bare < 0.0 or self.omegap_bare < 0.0:
+        omega1_bare, omegap_bare = self.omega1_bare, self.omegap_bare
+        if not (isfinite(omega1_bare) and isfinite(omegap_bare) and isfinite(self.delta_p)):
+            for name in ("omega1_bare", "omegap_bare", "delta_p"):
+                if not isfinite(getattr(self, name)):
+                    raise ValidationError(f"{name} must be finite")
+        if omega1_bare < 0.0 or omegap_bare < 0.0:
             raise ValidationError("bare Rabi frequencies must be non-negative")
         if not abs(self.p_align) <= 1.0:
             raise ValidationError(f"|p_align| must be <= 1, got {self.p_align}")
@@ -116,6 +122,17 @@ class SystemParams:
         """Cross-damping rate p*sqrt(gamma3*gamma4) of the interfering decay
         channels (gamma units, carries the sign of p)."""
         return _sgc_rate(self, self.p_align)
+
+
+def _effective_rabis(point: SystemParams) -> tuple:
+    """``(omega1, omegap)`` of a point, bitwise its properties' values, from
+    one square root: ``effective_rabi`` of each bare frequency, whose
+    check ``SystemParams`` has made."""
+    p_align = point.p_align
+    if abs(p_align) == 1.0:
+        return 0.0, 0.0
+    root = math.sqrt(1.0 - p_align * p_align)
+    return point.omega1_bare * root, point.omegap_bare * root
 
 
 # The derived values that depend on p_align, as functions of a point and of
@@ -201,6 +218,14 @@ class PointsAlong:
             if self._keeps and source == self.field:
                 self._derived[name] = column
         return column
+
+
+def column(points, name: str) -> list:
+    """The attribute ``name`` of each of ``points`` (a sequence of
+    SystemParams), as a sequence."""
+    if isinstance(points, PointsAlong):
+        return points.column(name)
+    return [getattr(point, name) for point in points]
 
 
 def columns(points, names) -> list:

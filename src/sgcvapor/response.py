@@ -46,7 +46,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .model import DensityMatrix, _rho24_rho32, unvectorize
-from .params import SystemParams, columns, take
+from .params import SystemParams, column, columns, take
 from .steady import RESIDUAL_TOL, NonPhysicalState, _only, steady_state
 
 # CODATA 2018 / SI 2019 exact-based values.
@@ -208,8 +208,9 @@ def refractive_index(eps_r: complex, mu_r: complex) -> complex:
     flipped if needed so the wave decays. When both real parts are negative
     and losses are small this gives Re(n) < 0, and n^2 = eps_r*mu_r always.
     """
-    roots = [complex(np.sqrt(complex(z.real, z.imag + 0.0))) for z in (eps_r, mu_r)]
-    n, flip = _index(*roots, eps_r.real < 0.0, mu_r.real < 0.0)
+    n, flip = _index(complex(np.sqrt(complex(eps_r.real, eps_r.imag + 0.0))),
+                     complex(np.sqrt(complex(mu_r.real, mu_r.imag + 0.0))),
+                     eps_r.real < 0.0, mu_r.real < 0.0)
     return complex(-n[0], -n[1]) if flip else complex(*n)
 
 
@@ -248,13 +249,14 @@ def response_at(params):
     underflow, fail before the solve.
     """
     single = isinstance(params, SystemParams)
-    points = [params] if single else params
-    p_align, omegap_bare, omegap_si = columns(points, ("p_align", "omegap_bare", "omegap_si"))
-    early = {i: _degenerate_probe(p_align[i], omegap_bare[i], w)   # fail before the solve
-             for i, w in enumerate(omegap_si) if _probe_vanishes(w)}
-    del p_align, omegap_bare, omegap_si   # not held through a sweep
-    live = points
-    if early:
+    points = live = [params] if single else params
+    # failed before the solve, and only a failing point's message reads more
+    # of it than its omegap_si
+    vanishing = [i for i, w in enumerate(column(points, "omegap_si")) if _probe_vanishes(w)]
+    early = {}
+    if vanishing:
+        failing = columns(take(points, vanishing), ("p_align", "omegap_bare", "omegap_si"))
+        early = dict(zip(vanishing, map(_degenerate_probe, *failing)))
         live = take(points, [i for i in range(len(points)) if i not in early])
 
     # mapped on this thread while steady_state inverts the next stack

@@ -41,6 +41,16 @@ ill-conditioning RuntimeWarning names the first caller outside this
 package: the line that called ``steady_state``, ``response_at`` or a
 sweep.
 
+Only the first stack, a one-point call's only one, is built in place:
+``build_generator`` scatters its generators straight into the first half
+of its (2, N, 16, 16) pair, and only that half is zeroed, since the
+inverses overwrite the second. Each later stack is built in a generator
+stack of its own while the worker inverts the stack before, and copied
+into its pair once that stack's pair is freed: built in a pair of its own
+then, two pairs would be alive at once, not a pair and a generator stack
+of half its size, and built after the worker is done, the build would no
+longer overlap the inverse.
+
 ``evolve`` integrates the same equations of motion with classical
 fixed-step fourth-order Runge-Kutta and serves as an independent check: for
 a linear system the RK4 iteration has the continuous fixed point as its
@@ -62,6 +72,12 @@ from _queue import SimpleQueue   # queue.SimpleQueue, without importing queue (1
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+
+try:
+    # what np.einsum calls for these operands; numpy.core warns on numpy 2
+    from numpy._core.multiarray import c_einsum
+except ImportError:   # numpy 1.x
+    from numpy.core.multiarray import c_einsum
 
 from .model import (DensityMatrix, IDX_N1, IDX_N2, IDX_N3, IDX_N4, build_generator,
                     unvectorize, vectorize)
@@ -126,11 +142,11 @@ class StepUnstable(RuntimeError):
     was not finite)."""
 
 
-# the rho11 row of the trace-constrained system, and its right-hand side
-# as a one-matrix stack that the solve broadcasts over any stack
+# the rho11 row of the trace-constrained system, and its right-hand side,
+# which the solve broadcasts over any stack
 _TRACE_ROW = np.array([1.0] * 4 + [0.0] * 12)
-_UNIT_TRACE = np.zeros((1, 16, 1))
-_UNIT_TRACE[0, IDX_N1, 0] = 1.0
+_UNIT_TRACE = np.zeros(16)
+_UNIT_TRACE[IDX_N1] = 1.0
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
@@ -148,12 +164,21 @@ def _outside_stacklevel() -> int:
 def _trace_constrained(L: np.ndarray):
     """``(pair, bound)``: ``L`` with each rho11 row replaced by the trace
     row, as the first half of a (2, N, 16, 16) array whose second half
-    takes the inverses, and each row's residual bound RESIDUAL_TOL ||L||_F."""
+    takes the inverses, and each row's residual bound (``_constrain``)."""
     pair = np.empty((2,) + L.shape)
     pair[0] = L
-    pair[0, :, IDX_N1] = _TRACE_ROW
-    flat = L.reshape(len(L), 16 * 16)
-    return pair, RESIDUAL_TOL * np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    return pair, _constrain(pair)
+
+
+def _constrain(pair: np.ndarray) -> np.ndarray:
+    """Each row's residual bound RESIDUAL_TOL ||L||_F, of the generators L
+    that the first half of ``pair`` holds, whose rho11 rows it then replaces
+    by the trace row."""
+    A = pair[0]
+    flat = A.reshape(len(A), 16 * 16)
+    bound = RESIDUAL_TOL * np.sqrt(c_einsum("ij,ij->i", flat, flat))
+    A[:, IDX_N1] = _TRACE_ROW
+    return bound
 
 
 def _invert(pair: np.ndarray) -> None:
@@ -189,11 +214,11 @@ def _solve(A: np.ndarray):
     solutions x, and the 2-norm of each row's residual A x on the 15 rows
     that A shares with L. A row with a zero pivot comes out as NaN, the
     other rows untouched. The caller ignores floating-point errors."""
-    X = _umath_linalg.solve(A, _UNIT_TRACE, signature="dd->d")[:, :, 0]
+    X = _umath_linalg.solve1(A, _UNIT_TRACE, signature="dd->d")
     # A x is L x but in the trace row, zeroed; a huge x may overflow here
     R = np.matmul(A, X[:, :, None])[:, :, 0]
     R[:, IDX_N1] = 0.0
-    return X, np.sqrt(np.einsum("ij,ij->i", R, R))
+    return X, np.sqrt(c_einsum("ij,ij->i", R, R))
 
 
 def _factor(pair: np.ndarray):
@@ -238,7 +263,8 @@ def _gate(cond: list, X: np.ndarray, residual: np.ndarray, bound: np.ndarray):
     # is below 0 (17-20) or above 1 (21-24), so one reduction finds the
     # failing rows
     gates = np.empty((len(X), 25), dtype=bool)
-    np.logical_not(np.isfinite(X, out=gates[:, :16]), out=gates[:, :16])
+    not_finite = gates[:, :16]
+    np.logical_not(np.isfinite(X, out=not_finite), out=not_finite)
     np.greater(residual, bound, out=gates[:, 16])
     # renormalize the trace (the solve already puts the sum at 1 to
     # roundoff; dividing pins it there)
@@ -248,6 +274,9 @@ def _gate(cond: list, X: np.ndarray, residual: np.ndarray, bound: np.ndarray):
     np.greater(pops, 1.0 + POPULATION_BOUND_TOL, out=gates[:, 21:])
 
     unphysical = []
+    # a count, cheaper than the reduction, passes a stack whose rows all pass
+    if not np.count_nonzero(gates):
+        return failures, unphysical
     for k in np.logical_or.reduce(gates, axis=1).nonzero()[0].tolist():
         if k in failures:
             continue
@@ -295,13 +324,13 @@ def _stacks(points):
     ``(stack, X, failures, unphysical)`` per stack: the slice of ``points``
     solved, and the rest as ``_gate`` gives them.
 
-    The first stack is solved inline (``_factor``). Each later one is
-    handed to one worker thread (``_Inverter``), which inverts it and takes
-    its inverses' 1-norms, while this thread takes its 1-norms from its own
-    generator stack, solves it, builds the next stack's generators, and
-    gates and maps the stack before; from taking the worker's norms to
-    handing it the next stack, it only multiplies them and constrains the
-    next generators. The thread starts with the second stack and is stopped
+    The first stack is built in its pair and solved inline (``_factor``).
+    Each later one is handed to one worker thread (``_Inverter``), which
+    inverts it and takes its inverses' 1-norms, while this thread takes its
+    1-norms from its own generator stack, solves it, builds the next stack's
+    generators, and gates and maps the stack before; from taking the
+    worker's norms to handing it the next stack, it only multiplies them
+    and constrains the next generators. The thread starts with the second stack and is stopped
     and joined however the loop ends. Floating-point errors are ignored in
     one np.errstate per stack, from its solve or take to its gates, never
     while the consumer has the stack.
@@ -309,7 +338,12 @@ def _stacks(points):
     stack = points[:CHUNK_POINTS]
     if not stack:
         return
-    pair, bound = _trace_constrained(build_generator(stack))
+    # the first stack's generators are built in its pair; each later one is
+    # built before the worker hands back the norms of the stack before, so
+    # it waits in a stack of its own until that stack's pair is freed
+    pair = np.empty((2, len(stack), 16, 16))
+    build_generator(stack, out=pair[0])
+    bound = _constrain(pair)
     # norms: the 1-norms of the stack whose inverse the worker holds
     norms = worker = None
     try:

@@ -338,6 +338,38 @@ class TestMain:
         assert main(["--config", str(cfg), "--steps", "3", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 4
 
+    def test_calls_in_one_process_write_what_each_writes_alone(self, tmp_path):
+        # the parser is built once per process; a flag of one call leaves
+        # nothing behind for the next
+        calls = [["--mode", "point", "--oracle", "--out", "a.csv"],
+                 ["--mode", "point", "--out", "b.csv"],
+                 ["--mode", "sweep-detuning", "--steps", "5", "--format", "json",
+                  "--out", "c.csv"],
+                 ["--mode", "point", "--p", "0.3", "--out", "d.csv"]]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        together, alone = tmp_path / "together", tmp_path / "alone"
+        together.mkdir()
+        alone.mkdir()
+        code = ("import sys\nfrom sgcvapor import cli\n"
+                f"codes = [cli.main(argv) for argv in {calls!r}]\n"
+                "assert cli._parser() is cli._parser()\n"
+                "sys.exit(max(codes))\n")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=together, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        for argv in calls:
+            proc = subprocess.run([sys.executable, "-m", "sgcvapor.cli", *argv], cwd=alone,
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        names = sorted(path.name for path in alone.iterdir())
+        assert len(names) == 2 * len(calls)
+        assert sorted(path.name for path in together.iterdir()) == names
+        for name in names:
+            assert (together / name).read_bytes() == (alone / name).read_bytes(), name
+        assert "oracle_checks" in (together / "a.csv.meta.json").read_text()
+        assert "oracle_checks" not in (together / "b.csv.meta.json").read_text()
+
     def test_console_script_runs(self, tmp_path):
         out = tmp_path / "pt.csv"
         proc = subprocess.run(

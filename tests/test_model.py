@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from sgcvapor import (DensityMatrix, EquationVariant, SystemParams,
                       ValidationError, build_generator, eom_rhs, unvectorize,
                       vectorize)
 from sgcvapor.model import LEVEL3_COHERENCE_INDICES
+from sgcvapor.params import PointsAlong
 
 from conftest import random_hermitian
 
@@ -207,7 +209,72 @@ _Q_ENTRIES = (
 )
 
 
+def _generator_reference(point):
+    """build_generator's L at ``point`` entry by entry, in Python floats:
+    each term of model._TERMS, then the rho22 row as -(L[0] + L[2] + L[3])."""
+    g2, g3, g4 = point.gamma2, point.gamma3, point.gamma4
+    literal = point.equation_variant is EquationVariant.PAPER_LITERAL
+    rates = {"g2": g2, "g3": g3, "g4": g4, "g2+g3": g2 + g3, "g2+g4": g2 + g4,
+             "g3+g4": g3 + g4, "s3": g3 if literal else -g3, "w1": point.omega1,
+             "wp": point.omegap, "q": point.sgc_rate, "d": point.delta_p}
+    L = [[0.0] * 16 for _ in range(16)]
+    for row, col, name, coef in model._TERMS:
+        L[row][col] = coef * rates[name]
+    L[model.IDX_N2] = [-(a + b + c) for a, b, c in
+                       zip(L[model.IDX_N1], L[model.IDX_N3], L[model.IDX_N4])]
+    return np.array(L)
+
+
+def _generator_points(rng, n):
+    """``n`` operating points: every edge of the alignment, the probe and the
+    detuning in both equation variants, then random points."""
+    edges = [SystemParams(p_align=p, omegap_bare=wp, delta_p=d, equation_variant=v)
+             for p in (0.0, -0.0, 0.5, 1.0, -1.0) for wp in (0.0, 0.2)
+             for d in (0.0, -0.0, 3.0) for v in EquationVariant]
+    edges += [SystemParams(omega1_bare=bare, omegap_bare=bare, p_align=p)
+              for bare in (0.0, -0.0) for p in (-0.0, 0.5, -1.0)]
+    rest = [SystemParams(gamma2=rng.uniform(0.01, 5.0), gamma3=rng.uniform(0.01, 5.0),
+                         gamma4=rng.uniform(0.01, 5.0), omega1_bare=rng.uniform(0.0, 20.0),
+                         omegap_bare=rng.uniform(0.0, 2.0), p_align=rng.uniform(-1.0, 1.0),
+                         delta_p=rng.uniform(-50.0, 50.0),
+                         equation_variant=list(EquationVariant)[rng.integers(2)])
+            for _ in range(n - len(edges))]
+    return edges + rest
+
+
 class TestGenerator:
+    def test_matches_an_entrywise_reference_bitwise(self):
+        # signed zeros included: an empty rho22 column, and one whose rate
+        # is zero (wp = 0 or q = 0), holds -0.0, which a completion folded
+        # into the term table would give as +0.0
+        points = _generator_points(np.random.default_rng(19), 256)
+        expected = np.stack([_generator_reference(point) for point in points])
+        assert (np.signbit(expected[:, model.IDX_N2]) & (expected[:, model.IDX_N2] == 0.0)).any()
+        assert build_generator(points).tobytes() == expected.tobytes()
+        for point, L in zip(points, expected):
+            assert build_generator(point).tobytes() == L.tobytes()
+            assert build_generator([point]).tobytes() == L.tobytes()
+        # and a sweep's points, whose rates come a column at a time
+        for point in points[::37]:
+            for field, values in (("delta_p", [0.0, -0.0, -7.5, 2.0]),
+                                  ("p_align", [0.0, -0.0, 1.0, -1.0, -0.3, 0.999])):
+                swept = [replace(point, **{field: v}) for v in values]
+                along = build_generator(PointsAlong(point, field, values))
+                assert along.tobytes() == np.stack(
+                    [_generator_reference(p) for p in swept]).tobytes()
+
+    def test_builds_in_place_with_the_same_bits(self):
+        # into an array of any prior contents, as the steady solve builds
+        # its first stack into the first half of its trace-constrained pair
+        points = _generator_points(np.random.default_rng(20), 256)
+        for chosen in (points, points[:1], points[100:101]):
+            expected = build_generator(chosen)
+            pair = np.full((2,) + expected.shape, np.nan)
+            out = pair[0]
+            assert build_generator(chosen, out=out) is out
+            assert out.tobytes() == expected.tobytes()
+            assert np.isnan(pair[1]).all()
+
     def test_interference_entries_vanish_at_p_zero(self):
         L = build_generator(SystemParams(p_align=0.0))
         for row, col in _Q_ENTRIES:

@@ -286,8 +286,8 @@ class TestSteadyState:
 
         def singular():
             with monkeypatch.context() as patch:
-                patch.setattr(steady, "build_generator",
-                              lambda points: np.zeros((len(points), 16, 16)))
+                patch.setattr(steady, "build_generator", lambda points, out=None:
+                              _into(out, np.zeros((len(points), 16, 16))))
                 steady_state(SystemParams())
 
         calls = ((lambda: steady_state(literal), NonPhysicalState),
@@ -324,8 +324,8 @@ class TestDoubleBufferedSolve:
         singular = SystemParams(delta_p=-7.25)   # its generator gets a zero column
         build = steady.build_generator
 
-        def with_singular(points):
-            L = build(points)
+        def with_singular(points, out=None):
+            L = build(points, out=out)
             for k, point in enumerate(points):
                 if point is singular:
                     L[k, :, 5] = 0.0
@@ -422,10 +422,9 @@ class TestDoubleBufferedSolve:
             stop(worker)
             gone.append(not worker.is_alive())
 
-        def spy_constrained(L, constrained=steady._trace_constrained):
-            pair, bound = constrained(L)
+        def spy_constrain(pair, constrain=steady._constrain):
             pairs.append(weakref.ref(pair))
-            return pair, bound
+            return constrain(pair)
 
         def ended(stops):
             # no worker alive, the last one stopped, and no stack made since
@@ -436,7 +435,7 @@ class TestDoubleBufferedSolve:
             return workers() == [] and gone == [True] * stops and made > 1 and alive == []
 
         monkeypatch.setattr(steady._Inverter, "stop", spy_stop)
-        monkeypatch.setattr(steady, "_trace_constrained", spy_constrained)
+        monkeypatch.setattr(steady, "_constrain", spy_constrain)
         assert workers() == []
         gc.collect()
         gc.disable()
@@ -567,15 +566,15 @@ def test_one_point_calls_each_lapack_gufunc_once_and_no_linalg_wrapper(monkeypat
             return getattr(gufuncs, name)(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(steady, "_umath_linalg",
-                        types.SimpleNamespace(inv=spy("inv"), solve=spy("solve")))
+    monkeypatch.setattr(steady, "_umath_linalg", types.SimpleNamespace(
+        inv=spy("inv"), solve=spy("solve"), solve1=spy("solve1")))
     for name in ("cond", "inv", "solve"):
         monkeypatch.setattr(np.linalg, name, spy(f"np.linalg.{name}"))
     steady_state(SystemParams())
-    assert calls == ["solve", "inv"]
+    assert calls == ["solve1", "inv"]
     calls.clear()
     response_at(SystemParams())
-    assert calls == ["solve", "inv"]
+    assert calls == ["solve1", "inv"]
 
 
 def test_private_lapack_gufuncs_are_the_public_functions_bitwise():
@@ -583,7 +582,7 @@ def test_private_lapack_gufuncs_are_the_public_functions_bitwise():
     # release that drops or changes it fails or skips here, by name
     gufuncs = pytest.importorskip("numpy.linalg._umath_linalg",
                                   reason="numpy.linalg._umath_linalg is gone")
-    for name in ("inv", "solve"):
+    for name in ("inv", "solve", "solve1"):
         if not hasattr(gufuncs, name):
             pytest.skip(f"numpy.linalg._umath_linalg has no {name} gufunc")
     rng = np.random.default_rng(11)
@@ -594,17 +593,37 @@ def test_private_lapack_gufuncs_are_the_public_functions_bitwise():
     inverse = gufuncs.inv(A, signature="d->d")
     assert x.tobytes() == np.linalg.solve(A, np.broadcast_to(b, (7, 16, 1))).tobytes()
     assert inverse.tobytes() == np.linalg.inv(A).tobytes()
-    # a singular row comes out as NaN, neither call raises, and the other
-    # rows keep their bits
+    # the one-column solve the steady solve calls, with a 1-D right-hand
+    # side broadcast over the stack
+    assert gufuncs.solve1(A, b[0, :, 0], signature="dd->d").tobytes() == x[:, :, 0].tobytes()
+    # a singular row comes out as NaN, no call raises, and the other rows
+    # keep their bits
     A[3] = 0.0
     A[5, :, 2] = 0.0
     with np.errstate(all="ignore"):
         singular_x = gufuncs.solve(A, b, signature="dd->d")
+        singular_x1 = gufuncs.solve1(A, b[0, :, 0], signature="dd->d")
         singular_inverse = gufuncs.inv(A, signature="d->d")
     rest = [0, 1, 2, 4, 6]
-    for got, regular in ((singular_x, x), (singular_inverse, inverse)):
+    for got, regular in ((singular_x, x), (singular_x1, x[:, :, 0]),
+                         (singular_inverse, inverse)):
         assert np.isnan(got[[3, 5]]).all()
         assert got[rest].tobytes() == regular[rest].tobytes()
+
+
+def test_private_einsum_is_the_public_one_bitwise():
+    # the row norms call c_einsum, the function np.einsum calls for these
+    # operands without an optimize path: a numpy release that moves or
+    # changes it fails here, by name
+    rng = np.random.default_rng(13)
+    for n, special in ((1, np.nan), (2, np.inf), (7, -0.0), (256, np.nan)):
+        M = rng.normal(size=(n, 256)) * 10.0 ** rng.uniform(-150, 150, size=(n, 1))
+        M[::5, ::3] = special
+        for rows in (M, M[:, :16]):
+            with np.errstate(all="ignore"):
+                got = steady.c_einsum("ij,ij->i", rows, rows)
+                expected = np.einsum("ij,ij->i", rows, rows)
+            assert got.tobytes() == expected.tobytes()
 
 
 # Solves CHUNK_POINTS + 1 points, the second stack inverted on a worker, and
@@ -796,7 +815,8 @@ def _worker_factor(L, monkeypatch):
         invert(pair)
 
     with monkeypatch.context() as patch:
-        patch.setattr(steady, "build_generator", lambda points: stacks.pop(0).copy())
+        patch.setattr(steady, "build_generator",
+                      lambda points, out=None: _into(out, stacks.pop(0).copy()))
         patch.setattr(steady, "_gate", gate)
         patch.setattr(steady, "_invert", invert)
         with warnings.catch_warnings():
@@ -805,6 +825,15 @@ def _worker_factor(L, monkeypatch):
                 pass
     assert inverts[0] is threading.main_thread() is not inverts[1]
     return handed[1]
+
+
+def _into(out, L):
+    """What a build_generator hook returns: the generators ``L``, or
+    ``out`` (where the first stack is built) once it holds them."""
+    if out is None:
+        return L
+    out[...] = L
+    return out
 
 
 def _outcome(rho, failures, i):

@@ -403,9 +403,9 @@ class TestStackedSweepMatchesPointwise:
         points = [replace(base, delta_p=g) for g in table.grid]
         stacks = []
 
-        def spy(points, build=steady.build_generator):
+        def spy(points, build=steady.build_generator, **out):
             stacks.append(len(points))
-            return build(points)
+            return build(points, **out)
 
         monkeypatch.setattr(steady, "build_generator", spy)
         records = response_at(points)
