@@ -228,9 +228,10 @@ def classify_handedness(eps_r: complex, mu_r: complex) -> Handedness:
 
 _DEGENERATE = "response is undefined at |p_align| = 1"
 
-# What the response of a point needs besides its steady state, in the order
-# of ``_record``'s arguments, read a column at a time (``params.columns``).
-_MAPPING_FIELDS = ("omegap_si", "d42", "mu23", "density_n", "delta_p", "p_align")
+# What the response of a point needs besides its steady state and its
+# omegap_si, in the order of ``_record``'s arguments, read a column at a time
+# (``params.columns``).
+_MAPPING_FIELDS = ("d42", "mu23", "density_n", "delta_p", "p_align")
 
 
 def response_at(params):
@@ -252,16 +253,23 @@ def response_at(params):
     points = live = [params] if single else params
     # failed before the solve, and only a failing point's message reads more
     # of it than its omegap_si
-    vanishing = [i for i, w in enumerate(column(points, "omegap_si")) if _probe_vanishes(w)]
+    omegap_si = column(points, "omegap_si")
+    vanishing = [i for i, w in enumerate(omegap_si) if _probe_vanishes(w)]
     early = {}
     if vanishing:
         failing = columns(take(points, vanishing), ("p_align", "omegap_bare", "omegap_si"))
         early = dict(zip(vanishing, map(_degenerate_probe, *failing)))
         live = take(points, [i for i in range(len(points)) if i not in early])
+    # a one-point call hands its mapping the omegap_si the probe test read; a
+    # longer call's stacks read their own, so that no column of a whole sweep
+    # stays alive through the solve
+    probe = omegap_si if single else None
+    del omegap_si
 
     # mapped on this thread while steady_state inverts the next stack
     out = steady_state(live, _map=lambda stack, X, failures, unphysical: _map_stack(
-        X, failures, unphysical, *columns(stack, _MAPPING_FIELDS)))
+        X, failures, unphysical, probe or column(stack, "omegap_si"),
+        *columns(stack, _MAPPING_FIELDS)))
     if early:
         # popped, so that no local refers to the exception _only may raise
         solved = out[::-1]

@@ -24,18 +24,21 @@ gates, and each state it hands out, good or carried by a
 NonPhysicalState, is a DensityMatrix on its row of that stack.
 
 A sequence of more than one chunk is double-buffered in one loop, the
-generator ``_stacks``: one worker thread per call (``_Inverter``) inverts
-each stack after the first, the longest LAPACK call of a stack, while the
-caller solves it, gates and maps the stack before (``steady_state``, or
-``response_at`` through the private ``_map``, which is handed the stack's
-own points) and builds the next. Each row meets the same gufuncs and
-reductions on the same data, so the bits do not depend on the split or
-the thread. numpy releases the GIL in a gufunc call only over more than
-500 matrices, so the inverse of a full stack holds it: what overlaps is
-the work that runs without the GIL, such as the norms and the generator
-assembly. A call of at most CHUNK_POINTS points starts no thread, nor
-does an interpreter that no longer starts threads: there every inverse is
-computed on the caller's thread. A process pinned to one CPU starts the
+generator ``_stacks``: one worker thread per call (``_Inverter``) is
+handed every stack, the first included, and inverts it, the longest
+LAPACK call of a stack, while the caller solves it, gates and maps the
+stack before (``steady_state``, or ``response_at`` through the private
+``_map``, which is handed the stack's own points) and builds the next.
+When the caller needs a stack's inverse and the worker has not picked the
+stack up yet, the caller takes the stack back and inverts it itself, so
+it never waits for a thread that has not got to run; an interpreter that
+no longer starts threads takes back every stack. Each row meets the same
+gufuncs and reductions on the same data, so the bits do not depend on the
+split or the thread. numpy releases the GIL in a gufunc call only over
+more than 500 matrices, so the inverse of a full stack holds it: what
+overlaps is the work that runs without the GIL, such as the norms and the
+generator assembly. A call of at most CHUNK_POINTS points starts no thread
+and inverts its one stack inline. A process pinned to one CPU starts the
 worker too, which then shares that CPU with the caller. The
 ill-conditioning RuntimeWarning names the first caller outside this
 package: the line that called ``steady_state``, ``response_at`` or a
@@ -49,7 +52,10 @@ stack of its own while the worker inverts the stack before, and copied
 into its pair once that stack's pair is freed: built in a pair of its own
 then, two pairs would be alive at once, not a pair and a generator stack
 of half its size, and built after the worker is done, the build would no
-longer overlap the inverse.
+longer overlap the inverse. While the worker inverts a stack, the caller
+only reads it: it takes the stack's 1-norms a row at a time
+(``_kept_one_norms``), not in place as ``_factor`` does, so it keeps no
+copy of the stack.
 
 ``evolve`` integrates the same equations of motion with classical
 fixed-step fourth-order Runge-Kutta and serves as an independent check: for
@@ -68,7 +74,8 @@ import os
 import sys
 import threading
 import warnings
-from _queue import SimpleQueue   # queue.SimpleQueue, without importing queue (1 ms)
+# queue.SimpleQueue and queue.Empty, without importing queue (1 ms)
+from _queue import Empty, SimpleQueue
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -106,6 +113,9 @@ DIVERGENCE_BOUND = 10.0   # any |component| beyond this is divergence
 # evolve takes fewer steps than this: floats stop representing every
 # integer at 2**53, so t_final / dt could not be split into whole steps
 MAX_STEPS = 2 ** 53
+# evolve checks the states after this many blocks of steps at once, kept in
+# one array of at most this many rows (32 kB), whatever the horizon
+CHECK_BATCH = 256
 
 
 class SingularSystem(RuntimeError):
@@ -184,8 +194,8 @@ def _constrain(pair: np.ndarray) -> np.ndarray:
 def _invert(pair: np.ndarray) -> None:
     """Put the inverse of each matrix of the first half of ``pair`` into
     its second half; a singular one comes out as NaN. The longest LAPACK
-    call of a stack, which the worker of ``_stacks`` runs. The caller
-    ignores floating-point errors."""
+    call of a stack, which the worker of ``_stacks`` runs unless the caller
+    takes the stack back. The caller ignores floating-point errors."""
     _umath_linalg.inv(pair[0], signature="d->d", out=pair[1])
 
 
@@ -194,6 +204,20 @@ def _one_norms(M: np.ndarray) -> np.ndarray:
     takes it; ``M`` holds ``|M|`` after. The caller ignores floating-point
     errors."""
     return np.maximum.reduce(np.add.reduce(np.abs(M, out=M), axis=-2), axis=-1)
+
+
+def _kept_one_norms(A: np.ndarray) -> np.ndarray:
+    """``_one_norms`` of the 16x16 matrices of ``A``, which it leaves as
+    it is, to the same bits: it adds |A| a row at a time, in the order in
+    which np.add.reduce adds the rows of a stack. On a full stack it is
+    faster than ``_one_norms`` of a copy; on one point, sixteen numpy calls
+    cost more than ``_one_norms``'s three. The caller ignores floating-point
+    errors."""
+    sums = np.abs(A[:, 0])
+    row = np.empty_like(sums)
+    for i in range(1, 16):
+        sums += np.abs(A[:, i], out=row)
+    return np.maximum.reduce(sums, axis=-1)
 
 
 def _cond(norms: np.ndarray, inverse_norms: np.ndarray) -> list:
@@ -324,16 +348,21 @@ def _stacks(points):
     ``(stack, X, failures, unphysical)`` per stack: the slice of ``points``
     solved, and the rest as ``_gate`` gives them.
 
-    The first stack is built in its pair and solved inline (``_factor``).
-    Each later one is handed to one worker thread (``_Inverter``), which
-    inverts it and takes its inverses' 1-norms, while this thread takes its
-    1-norms from its own generator stack, solves it, builds the next stack's
-    generators, and gates and maps the stack before; from taking the
-    worker's norms to handing it the next stack, it only multiplies them
-    and constrains the next generators. The thread starts with the second stack and is stopped
-    and joined however the loop ends. Floating-point errors are ignored in
-    one np.errstate per stack, from its solve or take to its gates, never
-    while the consumer has the stack.
+    The first stack is built in place, in the first half of its pair, and
+    each later one in a generator stack of its own, copied into its pair.
+    A call of one stack, every one-point call among them, solves it inline
+    (``_factor``) and starts no thread. A longer call starts one worker
+    thread (``_Inverter``) and hands it every stack, the first included:
+    the worker inverts it and takes its inverses' 1-norms, while this
+    thread takes the stack's own 1-norms (``_kept_one_norms``, which reads
+    the pair and writes nothing the worker reads), solves it, gates and
+    maps the stack before, and builds the next stack's generators. Then it
+    takes the worker's norms or, if the worker has not picked the stack up
+    yet, takes the stack back and inverts it itself; from there to handing
+    over the next stack it only multiplies the norms and constrains the
+    next generators. The thread is stopped and joined however the loop
+    ends. Floating-point errors are ignored in one np.errstate per stack,
+    from its take to its gates, never while the consumer has the stack.
     """
     stack = points[:CHUNK_POINTS]
     if not stack:
@@ -344,48 +373,54 @@ def _stacks(points):
     pair = np.empty((2, len(stack), 16, 16))
     build_generator(stack, out=pair[0])
     bound = _constrain(pair)
-    # norms: the 1-norms of the stack whose inverse the worker holds
-    norms = worker = None
+    if len(stack) == len(points):
+        with np.errstate(all="ignore"):
+            cond, X, residual = _factor(pair)
+            pair = None   # freed before the consumer has the stack
+            failures, unphysical = _gate(cond, X, residual, bound)
+        yield stack, X, failures, unphysical
+        return
+    worker = _Inverter()
     try:
+        with np.errstate(all="ignore"):
+            worker.hand(pair)
+            # while the worker inverts A, this thread only reads it
+            norms, (X, residual) = _kept_one_norms(pair[0]), _solve(pair[0])
         for end in range(CHUNK_POINTS, len(points) + CHUNK_POINTS, CHUNK_POINTS):
             following = points[end:end + CHUNK_POINTS]
             if following:
                 # built while the worker inverts this stack
                 L = build_generator(following)
             with np.errstate(all="ignore"):
-                if norms is None:
-                    cond, X, residual = _factor(pair)
-                else:
-                    cond = _cond(norms, worker.take())
+                cond = _cond(norms, worker.take())
                 pair = None   # freed before the next stack's pair is allocated
                 if following:
                     pair, following_bound = _trace_constrained(L)
-                    if worker is None:
-                        worker = _Inverter()
-                    worker.hand(pair)
-                    # L with its trace row is A, and a copy of it the
-                    # worker does not read; freed before the solve
-                    L[:, IDX_N1] = _TRACE_ROW
-                    norms = _one_norms(L)
                     L = None
+                    worker.hand(pair)
+                    norms = _kept_one_norms(pair[0])
                     following_solution = _solve(pair[0])
                 failures, unphysical = _gate(cond, X, residual, bound)
             yield stack, X, failures, unphysical
             if following:
                 stack, bound, (X, residual) = following, following_bound, following_solution
     finally:
-        if worker is not None:
-            worker.stop()
+        worker.stop()
 
 
 class _Inverter(threading.Thread):
-    """The worker thread of one ``_stacks`` call: it inverts each stack
-    handed to it (``_invert``) and takes the 1-norms of the inverses.
+    """The worker thread of one ``_stacks`` call of more than one stack: it
+    inverts each stack handed to it (``_invert``) and takes the 1-norms of
+    the inverses.
 
-    ``hand`` queues a pair and returns at once; ``take`` waits for the next
-    outcome, the norms, or raises what the worker raised. Where no thread
-    can start (an interpreter shutting down), ``hand`` does the work itself,
-    under the caller's np.errstate.
+    ``hand`` queues a pair and returns at once. ``take`` returns the norms
+    of that pair, or raises what its inverse raised: if the worker has not
+    picked the pair up yet, ``take`` takes it back off the queue and does
+    the work itself, under the caller's np.errstate; otherwise it waits for
+    the worker's outcome. The caller hands the next pair only after taking
+    the last, so at most one pair is in flight, and exactly one thread
+    inverts it. Where no thread can start (an interpreter shutting down),
+    every pair is taken back.
     """
 
     def __init__(self):
@@ -404,22 +439,24 @@ class _Inverter(threading.Thread):
                 pair = None   # the caller frees it once it has the norms
 
     def hand(self, pair: np.ndarray) -> None:
-        if self.ident is None:
-            self._outcomes.put(_inverse_norms(pair))
-        else:
-            self._pairs.put(pair)
+        self._pairs.put(pair)
 
     def take(self) -> np.ndarray:
+        try:
+            outcomes = [_inverse_norms(self._pairs.get_nowait())]
+        except Empty:
+            outcomes = [self._outcomes.get()]
         # in a list that _only empties, so no frame refers to an exception
-        return _only([self._outcomes.get()])
+        return _only(outcomes)
 
     def stop(self) -> None:
-        """Stop the thread once it is done with any pair in hand, join it, and
-        drop an outcome left queued: an error's frames refer back to this."""
+        """Stop the thread once it is done with any pair in hand, join it,
+        and drop a pair or outcome left queued: an error's frames refer back
+        to this."""
         if self.ident is not None:
             self._pairs.put(None)
             self.join()
-        self._outcomes = None
+        self._pairs = self._outcomes = None
 
 
 def _inverse_norms(pair: np.ndarray):
@@ -461,10 +498,11 @@ def _rk4_propagator(L: np.ndarray, h: float) -> np.ndarray:
     return eye + hL @ (eye + (hL / 2.0) @ (eye + (hL / 3.0) @ (eye + hL / 4.0)))
 
 
-def _diverged(x: np.ndarray) -> bool:
-    """True if a component of x exceeds DIVERGENCE_BOUND in magnitude or is
-    not finite (NaN compares false, so the bound is tested the other way)."""
-    return not (np.abs(x) <= DIVERGENCE_BOUND).all()
+def _diverged(x: np.ndarray):
+    """For each state of x (its last axis), True if a component exceeds
+    DIVERGENCE_BOUND in magnitude or is not finite (NaN compares false, so
+    the bound is tested the other way)."""
+    return ~(np.abs(x) <= DIVERGENCE_BOUND).all(axis=-1)
 
 
 def evolve(params: SystemParams, rho0: DensityMatrix, t_final: float,
@@ -476,7 +514,9 @@ def evolve(params: SystemParams, rho0: DensityMatrix, t_final: float,
     finite (the PAPER_LITERAL variant diverges from almost any state with
     rho33 > 0); the check runs once per 1/gamma of full steps and at the
     final time. The steps are the RK4 propagator of build_generator's L,
-    applied a block of steps at a time as one matrix power. Hermiticity is
+    applied a block of steps at a time as one matrix power; the states after
+    up to CHECK_BATCH blocks are kept in one array and checked at once, and
+    the first one that diverged gives the time reported. Hermiticity is
     exact in the real-component representation; the trace is preserved to
     about 1e-12. Raises ValidationError unless dt is positive and finite,
     t_final non-negative and finite, and t_final / dt below MAX_STEPS.
@@ -499,13 +539,19 @@ def evolve(params: SystemParams, rho0: DensityMatrix, t_final: float,
 
     L = build_generator(params)
     x = vectorize(rho0.m)
+    blocks = n_full // check_every
     # overflow to inf or NaN is reported as StepUnstable, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         step = _rk4_propagator(L, dt)
         block = np.linalg.matrix_power(step, check_every)
-        for n in range(1, n_full // check_every + 1):
-            x = block @ x
-            if _diverged(x):
+        states = np.empty((min(blocks, CHECK_BATCH), len(x)))
+        for done in range(0, blocks, CHECK_BATCH):
+            batch = states[:blocks - done]
+            for state in batch:
+                x = np.matmul(block, x, out=state)
+            diverged = _diverged(batch)
+            if diverged.any():
+                n = done + int(diverged.argmax()) + 1
                 raise StepUnstable(
                     f"integration diverged at t = {n * check_every * dt:.3f}/gamma "
                     f"(max |component| > {DIVERGENCE_BOUND})")

@@ -16,7 +16,7 @@ from sgcvapor import (DegenerateProbe, DensityMatrix, EquationVariant,
                       electric_polarizability, evolve, magnetic_polarizability,
                       permeability, permittivity, refractive_index,
                       response_at, steady_state, sweep_detuning)
-from sgcvapor import SingularSystem, response, steady
+from sgcvapor import SingularSystem, params, response, steady
 from sgcvapor.model import IDX_IM23, IDX_IM24, IDX_RE23, IDX_RE24, unvectorize
 from sgcvapor.params import PointsAlong, columns
 
@@ -332,6 +332,22 @@ class TestResponseAt:
             response_at(literal)
         assert calls == [1]
         assert info.value.state.m.tobytes() == expected
+
+    def test_one_point_derives_its_probe_rabi_frequency_once(self, monkeypatch):
+        # the probe test's omegap_si is the one the mapping divides by, and
+        # the generator takes both Rabi frequencies from one square root
+        # (model._rate_table), so effective_rabi runs once, for the probe
+        point = SystemParams(p_align=0.5, delta_p=3.0)
+        expected = response_at(point)
+        calls = []
+        rabi = params.effective_rabi
+        monkeypatch.setattr(params, "effective_rabi",
+                            lambda omega_bare, p: calls.append((omega_bare, p)) or rabi(omega_bare, p))
+        got = response_at(point)
+        assert calls == [(point.omegap_bare, point.p_align)]
+        assert [str(getattr(got, f.name)) for f in fields(got)] == [
+            str(getattr(expected, f.name)) for f in fields(expected)]
+        assert got.gamma_e == electric_polarizability(got.rho24, point)
 
     def test_errors_propagate_from_solver(self):
         from sgcvapor import EquationVariant, NonPhysicalState

@@ -10,11 +10,13 @@ import tracemalloc
 import types
 import warnings
 import weakref
+from _queue import Empty, SimpleQueue
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from sgcvapor import (DensityMatrix, EquationVariant, NonPhysicalState,
+from sgcvapor import (DensityMatrix, EquationVariant, NonPhysicalState, ResponseRecord,
                       SingularSystem, StepUnstable, SystemParams,
                       ValidationError, build_generator, eom_rhs, evolve,
                       response_at, steady_state, sweep_detuning)
@@ -150,15 +152,17 @@ class TestSteadyState:
                           regular])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            inline = _solve_stack(stack)
-        # and as a stack after the first, inverted on the worker
-        cond, *rest = _worker_factor(stack, monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            on_the_worker = _states(rest[0], *steady._gate(cond, *rest))
+            solved = [_solve_stack(stack)]
             expected = np.linalg.cond(np.stack([_trace_constrained(L) for L in stack]), 1)
-        assert np.array(cond).tobytes() == expected.tobytes()
-        for rho, failures in (inline, on_the_worker):
+        # and as a stack of a longer call, inverted on the worker and taken
+        # back by the caller
+        for force in (_on_the_worker, _taken_back):
+            cond, *rest = _handed_factor(stack, monkeypatch, force)
+            assert np.array(cond).tobytes() == expected.tobytes()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                solved.append(_states(rest[0], *steady._gate(cond, *rest)))
+        for rho, failures in solved:
             assert sorted(failures) == [0, 1, 2, 3, 4, 5]
             got = [_outcome(rho, failures, i) for i in range(6)]
             assert got == [_reference_outcome(L) for L in stack[:6]]
@@ -212,11 +216,12 @@ class TestSteadyState:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 expected = np.linalg.cond(A, 1)
-            # inline, and as a stack after the first: its 1-norms taken on
-            # this thread, its inverse's on the worker
+            # inline, and as a stack of a longer call: its 1-norms taken on
+            # this thread, its inverse's on the worker or, taken back, here
             with np.errstate(all="ignore"):
                 inline = steady._factor(steady._trace_constrained(L)[0])
-            for cond, X, *_ in (inline, _worker_factor(L, monkeypatch)):
+            for cond, X, *_ in (inline, _handed_factor(L, monkeypatch, _on_the_worker),
+                                _handed_factor(L, monkeypatch, _taken_back)):
                 assert np.array(cond).tobytes() == expected.tobytes()
                 for k in np.flatnonzero(expected <= steady.CONDITION_FAIL):
                     x = np.linalg.solve(A[k:k + 1], np.eye(16)[:, :1])[0, :, 0]
@@ -322,15 +327,7 @@ class TestDoubleBufferedSolve:
         # singular one fails and the other warns, on this thread, with the
         # texts they give alone
         singular = SystemParams(delta_p=-7.25)   # its generator gets a zero column
-        build = steady.build_generator
-
-        def with_singular(points, out=None):
-            L = build(points, out=out)
-            for k, point in enumerate(points):
-                if point is singular:
-                    L[k, :, 5] = 0.0
-            return L
-
+        with_singular = _with_singular(singular)
         inverts, solves = [], []
 
         def spy_invert(pair, invert=steady._invert):
@@ -344,17 +341,17 @@ class TestDoubleBufferedSolve:
         monkeypatch.setattr(steady, "build_generator", with_singular)
         monkeypatch.setattr(steady, "_invert", spy_invert)
         monkeypatch.setattr(steady, "_solve", spy_solve)
+        _on_the_worker(monkeypatch)
         points = self.REGULAR + [singular, self.ILL] + self.REGULAR[2:] + [SystemParams()]
         assert len(points) == 2 * CHUNK_POINTS + 1
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             line = sys._getframe().f_lineno + 1
             states = steady_state(points)
-        # the first stack is inverted inline and the next two on one
-        # worker; every stack's solve runs on this thread
-        assert inverts[0] is threading.main_thread()
+        # all three stacks are inverted on one worker; every stack's solve
+        # runs on this thread
         assert len(inverts) == 3
-        assert inverts[1] is inverts[2] is not threading.main_thread()
+        assert inverts[0] is inverts[1] is inverts[2] is not threading.main_thread()
         assert solves == [threading.main_thread()] * 3
         error = states[CHUNK_POINTS]
         assert (type(error).__name__, str(error)) == _reference_outcome(with_singular([singular])[0])
@@ -364,6 +361,65 @@ class TestDoubleBufferedSolve:
         cond = np.linalg.cond(_trace_constrained(build_generator(self.ILL)), 1)
         assert [(str(w.message), w.filename, w.lineno) for w in caught] == [
             (f"steady-state solve is ill-conditioned (cond ~ {cond:.2e})", __file__, line)]
+
+    def test_three_stacks_give_the_same_bits_and_warnings_on_each_path(self, monkeypatch):
+        # whichever thread inverts a stack, every outcome, error text and
+        # warning (with its file and line) is the same: the worker inverting
+        # all three stacks, the caller taking all three back, the race
+        # between them, and the stacks solved inline as calls of their own
+        singular = SystemParams(delta_p=-7.25)
+        literal = SystemParams(p_align=0.5, equation_variant=EquationVariant.PAPER_LITERAL)
+        points = (self.REGULAR[:100] + [self.ILL, singular] + self.REGULAR[102:]
+                  + [literal] + self.REGULAR[1:200] + [self.ILL] + self.REGULAR[201:]
+                  + [SystemParams(p_align=1.0), literal])
+        assert len(points) == 2 * CHUNK_POINTS + 2
+        monkeypatch.setattr(steady, "build_generator", _with_singular(singular))
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        inverts = []
+
+        def spy_invert(pair, invert=steady._invert):
+            inverts.append(threading.current_thread())
+            invert(pair)
+
+        monkeypatch.setattr(steady, "_invert", spy_invert)
+
+        def solved(calls):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                line = sys._getframe().f_lineno + 1
+                states = [s for part in calls for s in steady_state(part)]
+                records = [r for part in calls for r in response_at(part)]
+            assert sorted({w.lineno - line for w in caught}) == [0, 1]
+            return ([_bits(s) for s in states], [_bits(r) for r in records],
+                    [(str(w.message), w.filename, w.lineno) for w in caught])
+
+        raced = solved([points])
+        assert len(started) == 2 and len(inverts) == 6
+        stacks = [points[i:i + CHUNK_POINTS] for i in range(0, len(points), CHUNK_POINTS)]
+        inverts.clear()
+        inline = solved(stacks)
+        assert inverts == [threading.main_thread()] * 6 and len(started) == 2
+        for force in (_on_the_worker, _taken_back):
+            with monkeypatch.context() as patch:
+                force(patch)
+                inverts.clear()
+                started.clear()
+                assert solved([points]) == raced == inline
+            # one worker per call inverts its three stacks, or this thread
+            threads = started if force is _on_the_worker else [threading.main_thread()] * 2
+            assert inverts == [threads[0]] * 3 + [threads[1]] * 3
+        # a SingularSystem from the zero column and one from p = 1, which
+        # response_at fails before the solve
+        kinds = [kind for kind, *_ in raced[0]]
+        assert kinds.count("SingularSystem") == 2 and kinds.count("NonPhysicalState") == 2
+        assert sum(kind == "DegenerateProbe" for kind, *_ in raced[1]) == 1
+        assert len(raced[2]) == 4
+        assert {(w[0], w[1]) for w in raced[2]} == {
+            (f"steady-state solve is ill-conditioned (cond ~ "
+             f"{np.linalg.cond(_trace_constrained(build_generator(self.ILL)), 1):.2e})", __file__)}
 
     def test_calls_of_one_chunk_start_no_thread(self, monkeypatch):
         started = []
@@ -379,7 +435,7 @@ class TestDoubleBufferedSolve:
         assert started == []
         assert threading.active_count() == threads
         steady_state(self.REGULAR * 2 + [SystemParams()])
-        # one worker inverts both stacks after the first, and is joined
+        # one worker is started for the call's three stacks, and is joined
         # before the call returns
         assert len(started) == 1
         assert not started[0].is_alive()
@@ -411,7 +467,10 @@ class TestDoubleBufferedSolve:
         # stops iterating _stacks after its first or second stack. No stack
         # outlives the call either, not even through an outcome the worker
         # queued after the caller stopped taking them: with gc off, each
-        # pair is freed by its last reference
+        # pair is freed by its last reference. The caller takes no pair
+        # back, so the worker inverts every stack
+        _on_the_worker(monkeypatch)
+
         def workers():
             return [t for t in threading.enumerate() if t.name == "sgcvapor-factor"]
 
@@ -453,8 +512,12 @@ class TestDoubleBufferedSolve:
 
                 with monkeypatch.context() as patch:
                     def fails_on_the_worker(pair, invert=steady._invert):
-                        if threading.current_thread() is not threading.main_thread():
+                        # each worker inverts its call's first stack, and
+                        # fails on the next
+                        worker = threading.current_thread()
+                        if getattr(worker, "inverted", False):
                             raise MemoryError("no memory on the worker")
+                        worker.inverted = True
                         invert(pair)
 
                     patch.setattr(steady, "_invert", fails_on_the_worker)
@@ -498,13 +561,47 @@ class TestDoubleBufferedSolve:
                 threads.append(threading.current_thread())
                 invert(pair)
 
-            def refused(thread):
-                raise RuntimeError("can't create new thread at interpreter shutdown")
-
             monkeypatch.setattr(steady, "_invert", spy)
-            monkeypatch.setattr(threading.Thread, "start", refused)
+            _taken_back(monkeypatch)
             assert [s.m.tobytes() for s in steady_state(points)] == expected
         assert threads == [threading.main_thread()] * 3
+
+    def test_the_caller_takes_back_a_pair_the_worker_has_not_picked_up(self, monkeypatch):
+        # the worker picks up nothing until the caller has looked for its
+        # first pair: the caller takes that pair back and inverts it while
+        # the worker lives, and every bit is what the call gives otherwise
+        looked = threading.Event()
+
+        class Late(SimpleQueue):
+            def get(self, *args, **kwargs):
+                if threading.current_thread().name == "sgcvapor-factor":
+                    looked.wait(10)   # a bound, should the caller never look
+                return super().get(*args, **kwargs)
+
+            def get_nowait(self):
+                try:
+                    return super().get_nowait()
+                finally:
+                    looked.set()
+
+        points = self.REGULAR * 2 + [self.ILL, SystemParams()]
+        inverts = []
+
+        def spy(pair, invert=steady._invert):
+            workers = [t for t in threading.enumerate() if t.name == "sgcvapor-factor"]
+            inverts.append((threading.current_thread(), workers))
+            invert(pair)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = [s.m.tobytes() for s in steady_state(points)]
+            monkeypatch.setattr(steady, "SimpleQueue", Late)
+            monkeypatch.setattr(steady, "_invert", spy)
+            assert [s.m.tobytes() for s in steady_state(points)] == expected
+        (thread, workers), *_ = inverts
+        assert len(inverts) == 3
+        assert thread is threading.main_thread() and len(workers) == 1
+        assert workers[0].is_alive() is False
 
     def test_holds_at_most_two_stacks(self):
         # the stack being mapped and the one being inverted: what the call
@@ -534,6 +631,7 @@ class TestDoubleBufferedSolve:
         gc.disable()
         try:
             with monkeypatch.context() as patch:
+                _on_the_worker(patch)
                 patch.setattr(steady, "_invert", fails_on_the_worker)
                 for call in (steady_state, response_at):
                     with pytest.raises(MemoryError, match="on the worker"):
@@ -545,6 +643,41 @@ class TestDoubleBufferedSolve:
             gc.enable()
         # and the next call works
         assert [s.m.tobytes() for s in steady_state(points)] == expected
+
+    def test_no_pair_outlives_a_call_whose_taken_back_inverse_raised(self, monkeypatch):
+        # the caller takes back every pair, the last one's inverse raises:
+        # with gc off, every pair is freed with the error, and no cycle holds
+        # the error or the stack its frames refer to
+        pairs = []
+
+        def spy_constrain(pair, constrain=steady._constrain):
+            pairs.append(weakref.ref(pair))
+            return constrain(pair)
+
+        def fails_on_the_last(pair, invert=steady._invert):
+            if len(pair[0]) == 1:
+                raise MemoryError("no memory for the last stack")
+            invert(pair)
+
+        points = self.REGULAR * 2 + [SystemParams()]
+        monkeypatch.setattr(steady, "_constrain", spy_constrain)
+        monkeypatch.setattr(steady, "_invert", fails_on_the_last)
+        _taken_back(monkeypatch)
+        gc.collect()
+        gc.disable()
+        try:
+            for call in (steady_state, response_at):
+                with pytest.raises(MemoryError, match="last stack") as info:
+                    call(points)
+                assert info.traceback[-1].name == "fails_on_the_last"
+                assert any(entry.name == "take" for entry in info.traceback)
+                del info
+                assert len(pairs) == 3
+                assert [ref() for ref in pairs] == [None] * 3
+                pairs.clear()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:
@@ -626,8 +759,26 @@ def test_private_einsum_is_the_public_one_bitwise():
             assert got.tobytes() == expected.tobytes()
 
 
-# Solves CHUNK_POINTS + 1 points, the second stack inverted on a worker, and
-# prints the sha256 of their states: what `when` runs it from.
+def test_kept_one_norms_are_numpy_norms_bitwise():
+    # the caller's 1-norms of a stack the worker inverts add |A| a row at a
+    # time, in numpy's order: entries whose magnitudes spread over 16
+    # decades round differently in any other order
+    rng = np.random.default_rng(14)
+    for n in (1, 3, 256):
+        M = rng.normal(size=(n, 16, 16)) * 10.0 ** rng.uniform(-8, 8, size=(n, 16, 16))
+        M[::2, 3, 5] = (np.nan, -np.inf, -0.0)[n % 3]
+        before = M.tobytes()
+        with np.errstate(all="ignore"):
+            got = steady._kept_one_norms(M)
+            expected = np.linalg.norm(M, 1, axis=(-2, -1))
+        assert got.tobytes() == expected.tobytes()
+        assert M.tobytes() == before
+        assert steady._one_norms(M).tobytes() == expected.tobytes()
+
+
+# Solves CHUNK_POINTS + 1 points, two stacks handed to a worker (taken back
+# where no thread starts), and prints the sha256 of their states: what `when`
+# runs it from.
 _SOLVE = """
 import hashlib, sys, threading, atexit
 from sgcvapor import SystemParams, steady, steady_state
@@ -762,6 +913,46 @@ class TestEvolve:
         got = evolve(params, DensityMatrix.ground(), 1.2345).vector()
         assert np.max(np.abs(got - x)) < 1e-13
 
+    @pytest.mark.parametrize("batch", [1, 2, 5, steady.CHECK_BATCH])
+    def test_batched_checks_match_a_block_by_block_reference(self, monkeypatch, batch):
+        # the states of a batch of blocks are checked at once: a diverging
+        # point reports the block a check after each block finds, and a
+        # horizon of several batches ends on the same bits
+        monkeypatch.setattr(steady, "CHECK_BATCH", batch)
+        literal = SystemParams(p_align=0.5, equation_variant=EquationVariant.PAPER_LITERAL)
+        rho0 = from_populations(0.99, 0.0, 0.01, 0.0)
+        diverged, _ = _blockwise_evolve(literal, rho0, 200.0)
+        assert diverged == "integration diverged at t = 5.000/gamma (max |component| > 10.0)"
+        with pytest.raises(StepUnstable) as info:
+            evolve(literal, rho0, 200.0)
+        assert str(info.value) == diverged
+        params = SystemParams(p_align=0.7, delta_p=2.0)
+        rho0 = from_populations(0.4, 0.3, 0.2, 0.1)
+        t_final = 2.5 * steady.CHECK_BATCH + 0.0123   # leftover steps and a partial step
+        _, expected = _blockwise_evolve(params, rho0, t_final)
+        assert evolve(params, rho0, t_final).m.tobytes() == expected.m.tobytes()
+
+
+def _blockwise_evolve(params, rho0, t_final, dt=steady.DEFAULT_DT):
+    """``evolve`` with a divergence check after each block of steps, as it
+    once ran: ``(message, None)`` at the first block that diverged, else
+    ``(None, state)``."""
+    n_full, remainder = divmod(t_final, dt)
+    n_full, check_every = int(n_full), round(1.0 / dt)
+    L = build_generator(params)
+    x = vectorize(rho0.m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = steady._rk4_propagator(L, dt)
+        block = np.linalg.matrix_power(step, check_every)
+        for n in range(1, n_full // check_every + 1):
+            x = block @ x
+            if not (np.abs(x) <= steady.DIVERGENCE_BOUND).all():
+                return (f"integration diverged at t = {n * check_every * dt:.3f}/gamma "
+                        f"(max |component| > {steady.DIVERGENCE_BOUND})"), None
+        x = np.linalg.matrix_power(step, n_full % check_every) @ x
+        x = steady._rk4_propagator(L, remainder) @ x
+    return None, DensityMatrix.from_vector(x, check=False)
+
 
 def _textbook_rk4_step(rhs, x, h):
     k1 = rhs(x)
@@ -798,11 +989,34 @@ def _states(X, failures, unphysical):
     return rho, failures
 
 
-def _worker_factor(L, monkeypatch):
-    """The generator stack ``L`` solved as ``steady._stacks`` solves a
-    stack after the first, its inverse and the inverse's norms taken on the
-    worker thread: ``(cond, X, residual, bound)`` as ``_gate`` is handed
-    them."""
+class _NoTakeBack(SimpleQueue):
+    """A queue whose ``get_nowait`` finds nothing: a caller never takes a
+    pair back, and the worker inverts every stack."""
+
+    def get_nowait(self):
+        raise Empty
+
+
+def _on_the_worker(patch):
+    """Force the worker path: the worker inverts every stack handed to it."""
+    patch.setattr(steady, "SimpleQueue", _NoTakeBack)
+
+
+def _taken_back(patch):
+    """Force the take-back path: no worker thread starts, so the caller
+    takes back every pair it hands over and inverts it."""
+    def refused(thread):
+        raise RuntimeError("can't create new thread at interpreter shutdown")
+
+    patch.setattr(threading.Thread, "start", refused)
+
+
+def _handed_factor(L, monkeypatch, force):
+    """The generator stack ``L`` solved as ``steady._stacks`` solves the
+    second stack of a longer call, on the path ``force`` forces: its inverse
+    and the inverse's norms taken on the worker thread (``_on_the_worker``)
+    or on this one (``_taken_back``). ``(cond, X, residual, bound)`` as
+    ``_gate`` is handed them."""
     stacks = [np.zeros((CHUNK_POINTS, 16, 16)), L]
     handed, inverts = [], []
 
@@ -815,6 +1029,7 @@ def _worker_factor(L, monkeypatch):
         invert(pair)
 
     with monkeypatch.context() as patch:
+        force(patch)
         patch.setattr(steady, "build_generator",
                       lambda points, out=None: _into(out, stacks.pop(0).copy()))
         patch.setattr(steady, "_gate", gate)
@@ -823,8 +1038,39 @@ def _worker_factor(L, monkeypatch):
             warnings.simplefilter("ignore", RuntimeWarning)
             for _ in steady._stacks([SystemParams()] * (CHUNK_POINTS + len(L))):
                 pass
-    assert inverts[0] is threading.main_thread() is not inverts[1]
+    on_the_worker = force is _on_the_worker
+    assert len(inverts) == 2
+    assert (inverts[0] is inverts[1] is not threading.main_thread()) is on_the_worker
+    assert (inverts == [threading.main_thread()] * 2) is not on_the_worker
     return handed[1]
+
+
+def _with_singular(singular):
+    """A build_generator hook that zeroes column 5 of the generator of the
+    point ``singular`` (by identity), which makes it singular."""
+    build = steady.build_generator
+
+    def with_singular(points, out=None):
+        L = build(points, out=out)
+        for k, point in enumerate(points):
+            if point is singular:
+                L[k, :, 5] = 0.0
+        return L
+
+    return with_singular
+
+
+def _bits(outcome):
+    """An outcome of steady_state or response_at, as comparable bits: the
+    state's bytes, the record's fields as bytes, or an error's type, text
+    and the bytes of the state it carries."""
+    if isinstance(outcome, DensityMatrix):
+        return ("ok", outcome.m.tobytes())
+    if isinstance(outcome, ResponseRecord):
+        return ("ok", np.array([complex(v) for v in astuple(outcome)[:-1]]).tobytes(),
+                outcome.handedness)
+    state = getattr(outcome, "state", None)
+    return (type(outcome).__name__, str(outcome), state and state.m.tobytes())
 
 
 def _into(out, L):
