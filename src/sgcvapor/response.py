@@ -21,21 +21,24 @@ n = -sqrt(eps_r mu_r).
 
 ``response_at`` on a sequence of points is also what a sweep runs, on a
 ``params.PointsAlong`` of its grid. It fails points whose probe coupling
-vanishes (|p_align| = 1 among them) before the solve, solves the rest with
-``steady_state`` in stacks of CHUNK_POINTS and maps each stack, with its
-own points, through ``steady_state``'s private ``_map``, on the caller's
-thread while the worker thread inverts the next stack. The mapping reads
-rho24 and rho32 from a stack's unit-trace solutions X, and builds a state
-only for a NonPhysicalState, from its row alone. Its arithmetic is written
-once, on pairs of floats or of float arrays, by helpers that take no
-complex operator (``_scale`` to ``_index``), so no bit of it rests on the
-interpreter's complex arithmetic: the scalar functions below and the
-array pass over a longer stack give each record the same bits. A single
-point, and a row whose check may fail or whose values are not all finite,
-goes to the scalar functions, which raise its error. No SystemParams is
-built per point of a sweep. A point whose polarizability numerator
-underflows (a probe too weak for double precision) fails with
-DegenerateProbe rather than reading as vacuum.
+vanishes (|p_align| = 1 among them) before the solve, solves the rest
+with ``steady_state`` in stacks of CHUNK_POINTS and maps each stack, with
+its own points, through ``steady_state``'s private ``_map``, on the
+caller's thread while the worker thread inverts the next stack. A single
+SystemParams takes a branch of its own to the same solve and mapping: it
+reads its values straight from the point and hands them on as one-item
+columns, with no column, take or index list of the sequence path. The
+mapping reads rho24 and rho32 from a stack's unit-trace solutions X, and
+builds a state only for a NonPhysicalState, from its row alone. Its
+arithmetic is written once, on pairs of floats or of float arrays, by
+helpers that take no complex operator (``_scale`` to ``_index``), so no
+bit of it rests on the interpreter's complex arithmetic: the scalar
+functions below and the array pass over a longer stack give each record
+the same bits. A single point, and a row whose check may fail or whose
+values are not all finite, goes to the scalar functions, which raise its
+error. No SystemParams is built per point of a sweep. A point whose
+polarizability numerator underflows (a probe too weak for double
+precision) fails with DegenerateProbe rather than reading as vacuum.
 """
 
 from __future__ import annotations
@@ -98,9 +101,10 @@ class ResponseRecord:
     handedness: Handedness
 
 
-def _probe_vanishes(omegap_si: float) -> bool:
+def _probe_vanishes(omegap_si):
     """True if eps0 * hbar * Omega_p, the smaller divisor of the two
-    polarizabilities, is zero: at Omega_p = 0 or when it underflows."""
+    polarizabilities, is zero: at Omega_p = 0 or when it underflows. On a
+    float array, a bool array, element by element, to the same bits."""
     return EPSILON_0 * HBAR * omegap_si == 0.0
 
 
@@ -229,8 +233,8 @@ def classify_handedness(eps_r: complex, mu_r: complex) -> Handedness:
 _DEGENERATE = "response is undefined at |p_align| = 1"
 
 # What the response of a point needs besides its steady state and its
-# omegap_si, in the order of ``_record``'s arguments, read a column at a time
-# (``params.columns``).
+# omegap_si, in the order of ``_record``'s arguments, which a sequence reads
+# a column at a time (``params.columns``).
 _MAPPING_FIELDS = ("d42", "mu23", "density_n", "delta_p", "p_align")
 
 
@@ -242,39 +246,48 @@ def response_at(params):
     when a polarizability numerator underflows, and LocalFieldPole at a
     Clausius-Mossotti divergence.
 
+    A single SystemParams reads its omegap_si once, raises its
+    DegenerateProbe before the solve, and hands its mapping values to
+    ``_map_stack`` as one-item columns; it solves through ``steady_state``
+    as a stack of one, to the bits of the same point in a sequence. Such a
+    call costs about 99 µs with its SystemParams built, the median of
+    ``bench/run.py --workload point-stream`` on 2 vCPUs.
+
     ``params`` may also be a sequence of SystemParams that supports
     slicing, whose steady states are solved as stacks of at most
     CHUNK_POINTS points: the result is then a list whose item i is the
     record of point i, or the exception it would raise alone, returned
     instead of raised. Points whose probe coupling vanishes, at zero or by
-    underflow, fail before the solve.
+    underflow, fail before the solve, found by one test of the whole
+    omegap_si column.
     """
-    single = isinstance(params, SystemParams)
-    points = live = [params] if single else params
+    if isinstance(params, SystemParams):
+        omegap_si = params.omegap_si
+        if _probe_vanishes(omegap_si):
+            raise _degenerate_probe(params.p_align, params.omegap_bare, omegap_si)
+        mapping = ([omegap_si], [params.d42], [params.mu23], [params.density_n],
+                   [params.delta_p], [params.p_align])
+        return _only(steady_state([params], _map=lambda stack, X, failures, unphysical:
+                                  _map_stack(X, failures, unphysical, *mapping)))
+
+    live = params
     # failed before the solve, and only a failing point's message reads more
     # of it than its omegap_si
-    omegap_si = column(points, "omegap_si")
-    vanishing = [i for i, w in enumerate(omegap_si) if _probe_vanishes(w)]
+    vanishing = np.flatnonzero(_probe_vanishes(np.array(column(params, "omegap_si")))).tolist()
     early = {}
     if vanishing:
-        failing = columns(take(points, vanishing), ("p_align", "omegap_bare", "omegap_si"))
+        failing = columns(take(params, vanishing), ("p_align", "omegap_bare", "omegap_si"))
         early = dict(zip(vanishing, map(_degenerate_probe, *failing)))
-        live = take(points, [i for i in range(len(points)) if i not in early])
-    # a one-point call hands its mapping the omegap_si the probe test read; a
-    # longer call's stacks read their own, so that no column of a whole sweep
-    # stays alive through the solve
-    probe = omegap_si if single else None
-    del omegap_si
-
-    # mapped on this thread while steady_state inverts the next stack
+        live = take(params, [i for i in range(len(params)) if i not in early])
+    # each stack reads its own columns, so that no column of a whole sweep
+    # stays alive through the solve; mapped on this thread while
+    # steady_state inverts the next stack
     out = steady_state(live, _map=lambda stack, X, failures, unphysical: _map_stack(
-        X, failures, unphysical, probe or column(stack, "omegap_si"),
-        *columns(stack, _MAPPING_FIELDS)))
+        X, failures, unphysical, column(stack, "omegap_si"), *columns(stack, _MAPPING_FIELDS)))
     if early:
-        # popped, so that no local refers to the exception _only may raise
-        solved = out[::-1]
-        out = [early.pop(i, None) or solved.pop() for i in range(len(points))]
-    return _only(out) if single else out
+        solved = iter(out)
+        out = [early.get(i) or next(solved) for i in range(len(params))]
+    return out
 
 
 def _record(rho24, rho32, omegap_si: float, d42: float, mu23: float, density_n: float,
@@ -306,24 +319,28 @@ def _map_stack(X, failures: dict, unphysical: list, *mapping) -> list:
     a check may fail or a value is not finite, goes to ``_record`` too, so
     the errors, their texts and the order of the checks have one source.
     """
-    if len(X) == 1:
-        outcomes, flagged = [None], [0]
-    else:
-        outcomes, flagged = _stack_records(X, *mapping)
     if unphysical:
         for k, m in zip(unphysical, unvectorize(X[unphysical])):
             failures[k] = NonPhysicalState(None, DensityMatrix._view(m))
+    if len(X) == 1:
+        return [failures.get(0) or _mapped_alone(X[0], [column[0] for column in mapping])]
+    outcomes, flagged = _stack_records(X, *mapping)
     for k, error in failures.items():
         outcomes[k] = error
     for k in flagged:
         if k not in failures:
-            try:
-                outcomes[k] = _record(*_rho24_rho32(X[k].tolist()),
-                                      *[column[k] for column in mapping])
-            except (DegenerateProbe, LocalFieldPole) as exc:
-                # its traceback would hold this frame, and so the stack
-                outcomes[k] = exc.with_traceback(None)
+            outcomes[k] = _mapped_alone(X[k], [column[k] for column in mapping])
     return outcomes
+
+
+def _mapped_alone(x, values: list):
+    """The record of the unit-trace solution ``x`` (16,) with its mapping
+    ``values``, or the DegenerateProbe or LocalFieldPole ``_record`` raises."""
+    try:
+        return _record(*_rho24_rho32(x.tolist()), *values)
+    except (DegenerateProbe, LocalFieldPole) as exc:
+        # its traceback would hold this frame, and so the stack
+        return exc.with_traceback(None)
 
 
 # Each field's slot setter, in order: records are set as the dataclass __init__

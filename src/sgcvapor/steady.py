@@ -24,21 +24,22 @@ gates, and each state it hands out, good or carried by a
 NonPhysicalState, is a DensityMatrix on its row of that stack.
 
 A sequence of more than one chunk is double-buffered in one loop, the
-generator ``_stacks``: one worker thread per call (``_Inverter``) is
-handed every stack, the first included, and inverts it, the longest
-LAPACK call of a stack, while the caller solves it, gates and maps the
-stack before (``steady_state``, or ``response_at`` through the private
-``_map``, which is handed the stack's own points) and builds the next.
-When the caller needs a stack's inverse and the worker has not picked the
-stack up yet, the caller takes the stack back and inverts it itself, so
-it never waits for a thread that has not got to run; an interpreter that
-no longer starts threads takes back every stack. Each row meets the same
-gufuncs and reductions on the same data, so the bits do not depend on the
-split or the thread. numpy releases the GIL in a gufunc call only over
-more than 500 matrices, so the inverse of a full stack holds it: what
-overlaps is the work that runs without the GIL, such as the norms and the
-generator assembly. A call of at most CHUNK_POINTS points starts no thread
-and inverts its one stack inline. A process pinned to one CPU starts the
+generator ``_double_buffered``: one worker thread per call
+(``_Inverter``) is handed every stack, the first included, and inverts
+it, the longest LAPACK call of a stack, while the caller solves it, gates
+and maps the stack before (``steady_state``, or ``response_at`` through
+the private ``_map``, which is handed the stack's own points) and builds
+the next. When the caller needs a stack's inverse and the worker has not
+picked the stack up yet, the caller takes the stack back and inverts it
+itself, so it never waits for a thread that has not got to run; an
+interpreter that no longer starts threads takes back every stack. Each
+row meets the same gufuncs and reductions on the same data, so the bits
+do not depend on the split or the thread. numpy releases the GIL in a
+gufunc call only over more than 500 matrices, so the inverse of a full
+stack holds it: what overlaps is the work that runs without the GIL, such
+as the norms and the generator assembly. A call of at most CHUNK_POINTS
+points starts no thread and no generator: ``_stacks`` solves its one
+stack inline and returns it. A process pinned to one CPU starts the
 worker too, which then shares that CPU with the caller. The
 ill-conditioning RuntimeWarning names the first caller outside this
 package: the line that called ``steady_state``, ``response_at`` or a
@@ -194,8 +195,9 @@ def _constrain(pair: np.ndarray) -> np.ndarray:
 def _invert(pair: np.ndarray) -> None:
     """Put the inverse of each matrix of the first half of ``pair`` into
     its second half; a singular one comes out as NaN. The longest LAPACK
-    call of a stack, which the worker of ``_stacks`` runs unless the caller
-    takes the stack back. The caller ignores floating-point errors."""
+    call of a stack, which the worker of ``_double_buffered`` runs unless
+    the caller takes the stack back. The caller ignores floating-point
+    errors."""
     _umath_linalg.inv(pair[0], signature="d->d", out=pair[1])
 
 
@@ -327,7 +329,7 @@ def steady_state(params, _map=None):
     or the exception it would raise alone, returned instead of raised.
     With the private ``_map``, a stack's outcomes are the list
     ``_map(stack, X, failures, unphysical)`` returns instead, given what
-    ``_stacks`` yields: no state is built.
+    ``_stacks`` gives: no state is built.
     """
     single = isinstance(params, SystemParams)
     states = []
@@ -344,42 +346,59 @@ def steady_state(params, _map=None):
 
 
 def _stacks(points):
-    """Solve ``points`` a stack of at most CHUNK_POINTS at a time, yielding
-    ``(stack, X, failures, unphysical)`` per stack: the slice of ``points``
-    solved, and the rest as ``_gate`` gives them.
+    """Solve ``points`` a stack of at most CHUNK_POINTS at a time: an
+    iterable of ``(stack, X, failures, unphysical)``, one per stack, with
+    the slice of ``points`` solved and the rest as ``_gate`` gives them.
 
-    The first stack is built in place, in the first half of its pair, and
-    each later one in a generator stack of its own, copied into its pair.
-    A call of one stack, every one-point call among them, solves it inline
-    (``_factor``) and starts no thread. A longer call starts one worker
-    thread (``_Inverter``) and hands it every stack, the first included:
-    the worker inverts it and takes its inverses' 1-norms, while this
-    thread takes the stack's own 1-norms (``_kept_one_norms``, which reads
-    the pair and writes nothing the worker reads), solves it, gates and
-    maps the stack before, and builds the next stack's generators. Then it
-    takes the worker's norms or, if the worker has not picked the stack up
-    yet, takes the stack back and inverts it itself; from there to handing
-    over the next stack it only multiplies the norms and constrains the
-    next generators. The thread is stopped and joined however the loop
+    A call of one stack, every one-point call among them, is solved here,
+    inline (``_factor``), with no thread and no generator: its one outcome
+    comes back in a tuple. A longer call gets the generator
+    ``_double_buffered``, which solves a stack each time it is advanced.
+    """
+    stack = points[:CHUNK_POINTS]
+    if len(stack) < len(points):
+        return _double_buffered(points)
+    if not stack:
+        return ()
+    pair, bound = _built_in_place(stack)
+    with np.errstate(all="ignore"):
+        cond, X, residual = _factor(pair)
+        failures, unphysical = _gate(cond, X, residual, bound)
+    return ((stack, X, failures, unphysical),)
+
+
+def _built_in_place(stack):
+    """``(pair, bound)`` of the first stack of a call: its generators built
+    straight into the first half of a (2, N, 16, 16) pair, whose second half
+    takes the inverses, and constrained (``_constrain``)."""
+    pair = np.empty((2, len(stack), 16, 16))
+    build_generator(stack, out=pair[0])
+    return pair, _constrain(pair)
+
+
+def _double_buffered(points):
+    """``_stacks`` of more than one stack, a generator that yields each
+    stack's outcome in turn.
+
+    The first stack is built in place (``_built_in_place``), and each later
+    one in a generator stack of its own, copied into its pair. It starts
+    one worker thread (``_Inverter``) and hands it every stack, the first
+    included: the worker inverts it and takes its inverses' 1-norms, while
+    this thread takes the stack's own 1-norms (``_kept_one_norms``, which
+    reads the pair and writes nothing the worker reads), solves it, gates
+    and maps the stack before, and builds the next stack's generators. Then
+    it takes the worker's norms or, if the worker has not picked the stack
+    up yet, takes the stack back and inverts it itself; from there to
+    handing over the next stack it only multiplies the norms and constrains
+    the next generators. The thread is stopped and joined however the loop
     ends. Floating-point errors are ignored in one np.errstate per stack,
     from its take to its gates, never while the consumer has the stack.
     """
     stack = points[:CHUNK_POINTS]
-    if not stack:
-        return
-    # the first stack's generators are built in its pair; each later one is
-    # built before the worker hands back the norms of the stack before, so
-    # it waits in a stack of its own until that stack's pair is freed
-    pair = np.empty((2, len(stack), 16, 16))
-    build_generator(stack, out=pair[0])
-    bound = _constrain(pair)
-    if len(stack) == len(points):
-        with np.errstate(all="ignore"):
-            cond, X, residual = _factor(pair)
-            pair = None   # freed before the consumer has the stack
-            failures, unphysical = _gate(cond, X, residual, bound)
-        yield stack, X, failures, unphysical
-        return
+    # each later stack is built before the worker hands back the norms of
+    # the stack before, so it waits in a stack of its own until that
+    # stack's pair is freed
+    pair, bound = _built_in_place(stack)
     worker = _Inverter()
     try:
         with np.errstate(all="ignore"):
@@ -409,7 +428,7 @@ def _stacks(points):
 
 
 class _Inverter(threading.Thread):
-    """The worker thread of one ``_stacks`` call of more than one stack: it
+    """The worker thread of one ``_double_buffered`` call: it
     inverts each stack handed to it (``_invert``) and takes the 1-norms of
     the inverses.
 

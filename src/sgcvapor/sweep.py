@@ -191,15 +191,3 @@ def find_extrema(table: SweepTable) -> SweepExtrema:
         raise EmptyTable("sweep produced no successful records")
     return SweepExtrema(mn, mn_at, mi, mi_at, me, me_at, mm, mm_at)
 
-
-def _re_mu_sign_changes(table: SweepTable):
-    """Axis-value pairs bracketing each positive -> non-positive transition
-    of Re(mu_r) between consecutive successful grid points."""
-    changes = []
-    prev = None
-    for g, r in table.ok_records():
-        cur = r.mu_r.real
-        if prev is not None and prev[1] > 0.0 >= cur:
-            changes.append((prev[0], g))
-        prev = (g, cur)
-    return changes

@@ -27,7 +27,6 @@ from sgcvapor import (EquationVariant, Handedness,
                       permeability, steady_state, sweep_alignment,
                       sweep_detuning, unvectorize, vectorize)
 from sgcvapor.model import LEVEL3_COHERENCE_INDICES
-from sgcvapor.sweep import _re_mu_sign_changes
 
 from conftest import (from_populations, magnetic_polarizability_from_permeability,
                       random_hermitian)
@@ -38,6 +37,19 @@ N_DEFAULT = 5.0e24
 
 def report(line: str) -> None:
     print(f"[acceptance] {line}")
+
+
+def _re_mu_sign_changes(table):
+    """Axis-value pairs bracketing each positive -> non-positive transition
+    of Re(mu_r) between consecutive successful grid points."""
+    changes = []
+    prev = None
+    for g, r in table.ok_records():
+        cur = r.mu_r.real
+        if prev is not None and prev[1] > 0.0 >= cur:
+            changes.append((prev[0], g))
+        prev = (g, cur)
+    return changes
 
 
 @pytest.fixture(scope="module")

@@ -349,6 +349,29 @@ class TestResponseAt:
             str(getattr(expected, f.name)) for f in fields(expected)]
         assert got.gamma_e == electric_polarizability(got.rho24, point)
 
+    def test_one_point_reads_its_probe_once_and_no_column(self, monkeypatch):
+        # a record, a NonPhysicalState from the solve and a DegenerateProbe
+        # before it: each reads the point's omegap_si once, and none takes
+        # the sequence path's columns
+        points = [SystemParams(p_align=0.5, delta_p=3.0),
+                  SystemParams(p_align=0.5, equation_variant=EquationVariant.PAPER_LITERAL),
+                  SystemParams(omegap_bare=0.0)]
+        expected = [_bits(_one(point)) for point in points]
+        reads, calls = [], []
+        omegap_si = SystemParams.omegap_si
+        monkeypatch.setattr(SystemParams, "omegap_si",
+                            property(lambda point: reads.append(point) or omegap_si.fget(point)))
+        for module in (response, params):
+            for name in ("column", "columns", "take"):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *args, name=name, real=real:
+                                    calls.append(name) or real(*args))
+        for point, bits in zip(points, expected):
+            reads.clear()
+            assert _bits(_one(point)) == bits
+            assert reads == [point]
+        assert calls == []
+
     def test_errors_propagate_from_solver(self):
         from sgcvapor import EquationVariant, NonPhysicalState
         with pytest.raises(NonPhysicalState):
@@ -374,6 +397,15 @@ def _alone(rho, k, failures, mapping):
         return response._record(_pair(rho.item(k, 1, 3)), _pair(rho.item(k, 2, 1)),
                                 *[column[k] for column in mapping])
     except (DegenerateProbe, LocalFieldPole) as exc:
+        return exc
+
+
+def _one(point):
+    """The outcome of a one-point response_at call: its record, or the
+    exception it raises."""
+    try:
+        return response_at(point)
+    except (DegenerateProbe, SingularSystem, NonPhysicalState) as exc:
         return exc
 
 
@@ -518,16 +550,18 @@ class TestStackMapping:
                  dict(equation_variant=EquationVariant.PAPER_LITERAL), dict(p_align=-0.3)]
         points = [SystemParams(delta_p=d, **kinds[k % len(kinds)])
                   for k, d in enumerate(np.linspace(-10.0, 10.0, 40).tolist())]
-        alone = []
-        for point in points:
-            try:
-                alone.append(response_at(point))
-            except (DegenerateProbe, SingularSystem, NonPhysicalState) as exc:
-                alone.append(exc)
+        alone = [_one(point) for point in points]
         together = response_at(points)
         assert [_bits(o) for o in together] == [_bits(o) for o in alone]
         assert {type(o) for o in together} == {
             response.ResponseRecord, DegenerateProbe, SingularSystem, NonPhysicalState}
+        # each kind along delta_p, the sequence a sweep hands over
+        detunings = [-2.0, 0.0, 3.0]
+        for kind in kinds:
+            base = SystemParams(**kind)
+            along = response_at(PointsAlong(base, "delta_p", detunings))
+            assert [_bits(o) for o in along] == [
+                _bits(_one(replace(base, delta_p=d))) for d in detunings], kind
 
 
 class TestPairArithmetic:
