@@ -45,18 +45,11 @@ ill-conditioning RuntimeWarning names the first caller outside this
 package: the line that called ``steady_state``, ``response_at`` or a
 sweep.
 
-Only the first stack, a one-point call's only one, is built in place:
-``build_generator`` scatters its generators straight into the first half
-of its (2, N, 16, 16) pair, and only that half is zeroed, since the
-inverses overwrite the second. Each later stack is built in a generator
-stack of its own while the worker inverts the stack before, and copied
-into its pair once that stack's pair is freed: built in a pair of its own
-then, two pairs would be alive at once, not a pair and a generator stack
-of half its size, and built after the worker is done, the build would no
-longer overlap the inverse. While the worker inverts a stack, the caller
-only reads it: it takes the stack's 1-norms a row at a time
-(``_kept_one_norms``), not in place as ``_factor`` does, so it keeps no
-copy of the stack.
+Every stack is built in place (``_built``), and a call of more than one
+holds all its stacks in one (3, CHUNK_POINTS, 16, 16) slot array: they
+alternate between two generator slots, each inverse goes to the third,
+and the caller takes a stack's 1-norms into the generator slot no stack
+holds, so it writes no memory the worker reads or writes.
 
 ``evolve`` integrates the same equations of motion with classical
 fixed-step fourth-order Runge-Kutta and serves as an independent check: for
@@ -147,6 +140,11 @@ class NonPhysicalState(RuntimeError):
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
 
+    def __reduce__(self):
+        # for pickle and copy: __init__'s two arguments, where the default
+        # would pass the message alone
+        return type(self), (self.args[0], self.state), self.__dict__
+
 
 class StepUnstable(RuntimeError):
     """Time integration diverged (a component magnitude exceeded 10 or
@@ -172,54 +170,36 @@ def _outside_stacklevel() -> int:
     return level
 
 
-def _trace_constrained(L: np.ndarray):
-    """``(pair, bound)``: ``L`` with each rho11 row replaced by the trace
-    row, as the first half of a (2, N, 16, 16) array whose second half
-    takes the inverses, and each row's residual bound (``_constrain``)."""
-    pair = np.empty((2,) + L.shape)
-    pair[0] = L
-    return pair, _constrain(pair)
+def _built(stack, A: np.ndarray) -> np.ndarray:
+    """The residual bounds of the points of ``stack``, whose generators it
+    builds straight into ``A`` and then constrains (``_constrain``)."""
+    build_generator(stack, out=A)
+    return _constrain(A)
 
 
-def _constrain(pair: np.ndarray) -> np.ndarray:
+def _constrain(A: np.ndarray) -> np.ndarray:
     """Each row's residual bound RESIDUAL_TOL ||L||_F, of the generators L
-    that the first half of ``pair`` holds, whose rho11 rows it then replaces
-    by the trace row."""
-    A = pair[0]
+    that ``A`` holds, whose rho11 rows it then replaces by the trace row."""
     flat = A.reshape(len(A), 16 * 16)
     bound = RESIDUAL_TOL * np.sqrt(c_einsum("ij,ij->i", flat, flat))
     A[:, IDX_N1] = _TRACE_ROW
     return bound
 
 
-def _invert(pair: np.ndarray) -> None:
-    """Put the inverse of each matrix of the first half of ``pair`` into
-    its second half; a singular one comes out as NaN. The longest LAPACK
-    call of a stack, which the worker of ``_double_buffered`` runs unless
-    the caller takes the stack back. The caller ignores floating-point
-    errors."""
+def _invert(pair) -> None:
+    """Put the inverse of each matrix of A into ``inverse``, of the
+    ``(A, inverse)`` pair; a singular one comes out as NaN. The longest
+    LAPACK call of a stack, which the worker of ``_double_buffered`` runs
+    unless the caller takes the stack back. The caller ignores
+    floating-point errors."""
     _umath_linalg.inv(pair[0], signature="d->d", out=pair[1])
 
 
-def _one_norms(M: np.ndarray) -> np.ndarray:
+def _one_norms(M: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The 1-norm of each 16x16 matrix of ``M``, as np.linalg.norm(M, 1)
-    takes it; ``M`` holds ``|M|`` after. The caller ignores floating-point
-    errors."""
-    return np.maximum.reduce(np.add.reduce(np.abs(M, out=M), axis=-2), axis=-1)
-
-
-def _kept_one_norms(A: np.ndarray) -> np.ndarray:
-    """``_one_norms`` of the 16x16 matrices of ``A``, which it leaves as
-    it is, to the same bits: it adds |A| a row at a time, in the order in
-    which np.add.reduce adds the rows of a stack. On a full stack it is
-    faster than ``_one_norms`` of a copy; on one point, sixteen numpy calls
-    cost more than ``_one_norms``'s three. The caller ignores floating-point
-    errors."""
-    sums = np.abs(A[:, 0])
-    row = np.empty_like(sums)
-    for i in range(1, 16):
-        sums += np.abs(A[:, i], out=row)
-    return np.maximum.reduce(sums, axis=-1)
+    takes it; ``out``, an array of M's shape that may be ``M`` itself,
+    holds ``|M|`` after. The caller ignores floating-point errors."""
+    return np.maximum.reduce(np.add.reduce(np.abs(M, out=out), axis=-2), axis=-1)
 
 
 def _cond(norms: np.ndarray, inverse_norms: np.ndarray) -> list:
@@ -249,9 +229,9 @@ def _solve(A: np.ndarray):
 
 def _factor(pair: np.ndarray):
     """The LAPACK half of the solve of a trace-constrained stack A, the
-    first half of ``pair`` (``_trace_constrained``), which it overwrites,
-    all on this thread: ``(cond, X, residual)``, a list of each row's exact
-    1-norm condition number and ``_solve``'s X and residual.
+    first half of the (2, N, 16, 16) ``pair`` (``_built``), which it
+    overwrites, all on this thread: ``(cond, X, residual)``, a list of each
+    row's exact 1-norm condition number and ``_solve``'s X and residual.
 
     It calls numpy's own gufuncs behind np.linalg.solve and
     np.linalg.cond(A, 1) once each: the public wrappers cost more than the
@@ -262,7 +242,7 @@ def _factor(pair: np.ndarray):
     """
     X, residual = _solve(pair[0])
     _invert(pair)
-    norms = _one_norms(pair)
+    norms = _one_norms(pair, out=pair)
     return _cond(norms[0], norms[1]), X, residual
 
 
@@ -360,65 +340,51 @@ def _stacks(points):
         return _double_buffered(points)
     if not stack:
         return ()
-    pair, bound = _built_in_place(stack)
+    pair = np.empty((2, len(stack), 16, 16))
+    bound = _built(stack, pair[0])
     with np.errstate(all="ignore"):
         cond, X, residual = _factor(pair)
         failures, unphysical = _gate(cond, X, residual, bound)
     return ((stack, X, failures, unphysical),)
 
 
-def _built_in_place(stack):
-    """``(pair, bound)`` of the first stack of a call: its generators built
-    straight into the first half of a (2, N, 16, 16) pair, whose second half
-    takes the inverses, and constrained (``_constrain``)."""
-    pair = np.empty((2, len(stack), 16, 16))
-    build_generator(stack, out=pair[0])
-    return pair, _constrain(pair)
-
-
 def _double_buffered(points):
     """``_stacks`` of more than one stack, a generator that yields each
     stack's outcome in turn.
 
-    The first stack is built in place (``_built_in_place``), and each later
-    one in a generator stack of its own, copied into its pair. It starts
-    one worker thread (``_Inverter``) and hands it every stack, the first
-    included: the worker inverts it and takes its inverses' 1-norms, while
-    this thread takes the stack's own 1-norms (``_kept_one_norms``, which
-    reads the pair and writes nothing the worker reads), solves it, gates
-    and maps the stack before, and builds the next stack's generators. Then
-    it takes the worker's norms or, if the worker has not picked the stack
-    up yet, takes the stack back and inverts it itself; from there to
-    handing over the next stack it only multiplies the norms and constrains
-    the next generators. The thread is stopped and joined however the loop
-    ends. Floating-point errors are ignored in one np.errstate per stack,
-    from its take to its gates, never while the consumer has the stack.
+    It allocates one (3, CHUNK_POINTS, 16, 16) slot array for the call:
+    successive stacks alternate between its first two slots, each built and
+    constrained there (``_built``), and the third takes each inverse. It
+    starts one worker thread (``_Inverter``) and hands it every stack, the
+    first included (``_hand_over``): the worker inverts it and takes its
+    inverses' 1-norms, while this thread takes the stack's own 1-norms into
+    the generator slot no stack holds, solves it, gates and maps the stack
+    before, and builds and constrains the next stack in that slot. Then it
+    takes the worker's norms or, if the worker has not picked the stack up
+    yet, takes the stack back and inverts it itself; from there to handing
+    over the next stack it only multiplies the norms. The thread is stopped
+    and joined however the loop ends. Floating-point errors are ignored in
+    one np.errstate per stack, from its take to its gates, never while the
+    consumer has the stack.
     """
+    slots = np.empty((3, CHUNK_POINTS, 16, 16))
     stack = points[:CHUNK_POINTS]
-    # each later stack is built before the worker hands back the norms of
-    # the stack before, so it waits in a stack of its own until that
-    # stack's pair is freed
-    pair, bound = _built_in_place(stack)
+    bound = _built(stack, slots[0])
     worker = _Inverter()
     try:
         with np.errstate(all="ignore"):
-            worker.hand(pair)
-            # while the worker inverts A, this thread only reads it
-            norms, (X, residual) = _kept_one_norms(pair[0]), _solve(pair[0])
+            norms, (X, residual) = _hand_over(worker, slots, 0, CHUNK_POINTS)
         for end in range(CHUNK_POINTS, len(points) + CHUNK_POINTS, CHUNK_POINTS):
             following = points[end:end + CHUNK_POINTS]
+            # the slot of the stack before this one, which no stack holds now
+            slot, n = end // CHUNK_POINTS % 2, len(following)
             if following:
                 # built while the worker inverts this stack
-                L = build_generator(following)
+                following_bound = _built(following, slots[slot, :n])
             with np.errstate(all="ignore"):
                 cond = _cond(norms, worker.take())
-                pair = None   # freed before the next stack's pair is allocated
                 if following:
-                    pair, following_bound = _trace_constrained(L)
-                    L = None
-                    worker.hand(pair)
-                    norms = _kept_one_norms(pair[0])
-                    following_solution = _solve(pair[0])
+                    norms, following_solution = _hand_over(worker, slots, slot, n)
                 failures, unphysical = _gate(cond, X, residual, bound)
             yield stack, X, failures, unphysical
             if following:
@@ -427,16 +393,28 @@ def _double_buffered(points):
         worker.stop()
 
 
+def _hand_over(worker, slots: np.ndarray, slot: int, n: int):
+    """Hand ``worker`` the stack built in the first ``n`` rows of generator
+    slot ``slot`` of ``slots``, paired with the inverse slot, and return
+    what this thread does with the stack while the worker inverts it:
+    ``(norms, (X, residual))``, its 1-norms, taken into the other generator
+    slot, and ``_solve``'s X and residual. The caller ignores floating-point
+    errors."""
+    A = slots[slot, :n]
+    worker.hand((A, slots[2, :n]))
+    return _one_norms(A, out=slots[1 - slot, :n]), _solve(A)
+
+
 class _Inverter(threading.Thread):
     """The worker thread of one ``_double_buffered`` call: it
     inverts each stack handed to it (``_invert``) and takes the 1-norms of
     the inverses.
 
-    ``hand`` queues a pair and returns at once. ``take`` returns the norms
-    of that pair, or raises what its inverse raised: if the worker has not
-    picked the pair up yet, ``take`` takes it back off the queue and does
-    the work itself, under the caller's np.errstate; otherwise it waits for
-    the worker's outcome. The caller hands the next pair only after taking
+    ``hand`` queues an ``(A, inverse)`` pair and returns at once. ``take``
+    returns the norms of that pair, or raises what its inverse raised: if
+    the worker has not picked the pair up yet, ``take`` takes it back off
+    the queue and does the work itself, under the caller's np.errstate;
+    otherwise it waits for the worker's outcome. The caller hands the next pair only after taking
     the last, so at most one pair is in flight, and exactly one thread
     inverts it. Where no thread can start (an interpreter shutting down),
     every pair is taken back.
@@ -452,12 +430,10 @@ class _Inverter(threading.Thread):
 
     def run(self) -> None:
         with np.errstate(all="ignore"):
-            # `is`, not iter(get, None), which would compare an array with None
-            while (pair := self._pairs.get()) is not None:
+            for pair in iter(self._pairs.get, None):
                 self._outcomes.put(_inverse_norms(pair))
-                pair = None   # the caller frees it once it has the norms
 
-    def hand(self, pair: np.ndarray) -> None:
+    def hand(self, pair) -> None:
         self._pairs.put(pair)
 
     def take(self) -> np.ndarray:
@@ -478,12 +454,13 @@ class _Inverter(threading.Thread):
         self._pairs = self._outcomes = None
 
 
-def _inverse_norms(pair: np.ndarray):
-    """The 1-norms of the inverses ``_invert`` puts in ``pair``, or the
-    exception it raises. The caller ignores floating-point errors."""
+def _inverse_norms(pair):
+    """The 1-norms of the inverses ``_invert`` puts in the ``(A, inverse)``
+    pair, or the exception it raises. The caller ignores floating-point
+    errors."""
     try:
         _invert(pair)
-        return _one_norms(pair[1])
+        return _one_norms(pair[1], out=pair[1])
     except Exception as exc:
         return exc
 

@@ -1,7 +1,9 @@
+import copy
 import gc
 import hashlib
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -102,12 +104,20 @@ class TestSteadyState:
         params = SystemParams(p_align=0.5,
                               equation_variant=EquationVariant.PAPER_LITERAL)
         error = steady_state([params])[0]
+        # a sequence's errors are items of its result, which a process pool
+        # pickles: copies made before and after the text is formatted keep
+        # the text and the state's bytes
+        copies = [pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)]
         assert error.args == (None,)
         expected = ("fixed-point populations outside [0, 1]: "
                     f"{error.state.m.diagonal().real}")
         assert repr(error) == f"NonPhysicalState({expected!r})"
         assert str(error) == expected
         assert error.args == (expected,)
+        copies += [pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)]
+        for copied in copies:
+            assert type(copied) is NonPhysicalState
+            assert _bits(copied) == _bits(error)
         # an explicit message is kept as given
         assert str(NonPhysicalState("in range", error.state)) == "in range"
 
@@ -175,7 +185,7 @@ class TestSteadyState:
         # non-finite gate; the other rows are solved as if it were absent
         L = build_generator([SystemParams(p_align=p, delta_p=d)
                              for p, d in ((0.0, 0.0), (0.5, 3.0), (0.99, -2.0), (0.7, 1.0))])
-        pair, bound = steady._trace_constrained(L)
+        pair, bound = _constrained_pair(L)
         cond, X, residual = steady._factor(pair)
         assert all(c <= steady.CONDITION_WARN for c in cond)
         bad = X.copy()
@@ -219,7 +229,7 @@ class TestSteadyState:
             # inline, and as a stack of a longer call: its 1-norms taken on
             # this thread, its inverse's on the worker or, taken back, here
             with np.errstate(all="ignore"):
-                inline = steady._factor(steady._trace_constrained(L)[0])
+                inline = steady._factor(_constrained_pair(L)[0])
             for cond, X, *_ in (inline, _handed_factor(L, monkeypatch, _on_the_worker),
                                 _handed_factor(L, monkeypatch, _taken_back)):
                 assert np.array(cond).tobytes() == expected.tobytes()
@@ -291,7 +301,7 @@ class TestSteadyState:
 
         def singular():
             with monkeypatch.context() as patch:
-                patch.setattr(steady, "build_generator", lambda points, out=None:
+                patch.setattr(steady, "build_generator", lambda points, out:
                               _into(out, np.zeros((len(points), 16, 16))))
                 steady_state(SystemParams())
 
@@ -466,31 +476,32 @@ class TestDoubleBufferedSolve:
         # that completes, a worker error, a gate error, and a consumer that
         # stops iterating _stacks after its first or second stack. No stack
         # outlives the call either, not even through an outcome the worker
-        # queued after the caller stopped taking them: with gc off, each
-        # pair is freed by its last reference. The caller takes no pair
-        # back, so the worker inverts every stack
+        # queued after the caller stopped taking them: with gc off, the
+        # call's slot array, where every stack is built and inverted, is
+        # freed by its last reference. The caller takes no pair back, so the
+        # worker inverts every stack
         _on_the_worker(monkeypatch)
 
         def workers():
             return [t for t in threading.enumerate() if t.name == "sgcvapor-factor"]
 
         points = self.REGULAR * 3 + [self.ILL] + self.REGULAR
-        gone, pairs = [], []
+        gone, slots = [], []
 
         def spy_stop(worker, stop=steady._Inverter.stop):
             stop(worker)
             gone.append(not worker.is_alive())
 
-        def spy_constrain(pair, constrain=steady._constrain):
-            pairs.append(weakref.ref(pair))
-            return constrain(pair)
+        def spy_constrain(A, constrain=steady._constrain):
+            slots.append(weakref.ref(A.base))
+            return constrain(A)
 
         def ended(stops):
-            # no worker alive, the last one stopped, and no stack made since
-            # the last look alive
-            alive = [ref for ref in pairs if ref() is not None]
-            made = len(pairs)
-            pairs.clear()
+            # no worker alive, the last one stopped, and the slot array of
+            # no stack made since the last look alive
+            alive = [ref for ref in slots if ref() is not None]
+            made = len(slots)
+            slots.clear()
             return workers() == [] and gone == [True] * stops and made > 1 and alive == []
 
         monkeypatch.setattr(steady._Inverter, "stop", spy_stop)
@@ -603,6 +614,65 @@ class TestDoubleBufferedSolve:
         assert thread is threading.main_thread() and len(workers) == 1
         assert workers[0].is_alive() is False
 
+    def test_the_caller_writes_no_memory_of_the_pair_in_flight(self, monkeypatch):
+        # while a stack's (A, inverse) pair is handed over, the worker reads
+        # A and writes its inverse: the scratch this thread takes A's
+        # 1-norms into, and the slot it builds the next stack in, share no
+        # memory with that pair, on the worker path and the take-back path,
+        # the last, shorter stack included
+        points = self.REGULAR * 3 + [SystemParams()]
+        in_flight, inverted, norms_into, built_into = [], [], [], []
+
+        def hand(worker, pair, hand=steady._Inverter.hand):
+            assert not in_flight   # one pair at a time
+            assert not np.shares_memory(*pair)
+            in_flight.append(pair)
+            hand(worker, pair)
+
+        def take(worker, take=steady._Inverter.take):
+            try:
+                return take(worker)
+            finally:
+                in_flight.clear()
+
+        def apart(out):
+            return not any(np.shares_memory(out, half) for half in in_flight[0])
+
+        def invert(pair, invert=steady._invert):
+            inverted.append((pair is in_flight[0],
+                             threading.current_thread() is threading.main_thread()))
+            invert(pair)
+
+        def one_norms(M, out, one_norms=steady._one_norms):
+            A, inverse = in_flight[0]
+            if M is A:   # the caller's norms of the stack in flight
+                norms_into.append(apart(out))
+            else:        # the inverse's, in place, on whichever thread inverts
+                assert M is inverse and out is inverse
+            return one_norms(M, out)
+
+        def build(points, out, build=steady.build_generator):
+            if in_flight:
+                built_into.append(apart(out))
+            return build(points, out=out)
+
+        for force in (_on_the_worker, _taken_back):
+            with monkeypatch.context() as patch:
+                force(patch)
+                patch.setattr(steady._Inverter, "hand", hand)
+                patch.setattr(steady._Inverter, "take", take)
+                patch.setattr(steady, "_invert", invert)
+                patch.setattr(steady, "_one_norms", one_norms)
+                patch.setattr(steady, "build_generator", build)
+                steady_state(points)
+            # four stacks, each inverted as it was handed over, on the path
+            # forced; the last three built while the stack before was in flight
+            assert inverted == [(True, force is _taken_back)] * 4
+            assert norms_into == [True] * 4
+            assert built_into == [True] * 3
+            for spied in (inverted, norms_into, built_into):
+                spied.clear()
+
     def test_holds_at_most_two_stacks(self):
         # the stack being mapped and the one being inverted: what the call
         # allocates beyond what it returns stays below two trace-constrained
@@ -646,13 +716,14 @@ class TestDoubleBufferedSolve:
 
     def test_no_pair_outlives_a_call_whose_taken_back_inverse_raised(self, monkeypatch):
         # the caller takes back every pair, the last one's inverse raises:
-        # with gc off, every pair is freed with the error, and no cycle holds
-        # the error or the stack its frames refer to
-        pairs = []
+        # with gc off, the call's slot array, which every stack's pair is a
+        # view on, is freed with the error, and no cycle holds the error or
+        # the stack its frames refer to
+        slots = []
 
-        def spy_constrain(pair, constrain=steady._constrain):
-            pairs.append(weakref.ref(pair))
-            return constrain(pair)
+        def spy_constrain(A, constrain=steady._constrain):
+            slots.append(weakref.ref(A.base))
+            return constrain(A)
 
         def fails_on_the_last(pair, invert=steady._invert):
             if len(pair[0]) == 1:
@@ -672,9 +743,9 @@ class TestDoubleBufferedSolve:
                 assert info.traceback[-1].name == "fails_on_the_last"
                 assert any(entry.name == "take" for entry in info.traceback)
                 del info
-                assert len(pairs) == 3
-                assert [ref() for ref in pairs] == [None] * 3
-                pairs.clear()
+                assert len(slots) == 3
+                assert [ref() for ref in slots] == [None] * 3
+                slots.clear()
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -759,21 +830,22 @@ def test_private_einsum_is_the_public_one_bitwise():
             assert got.tobytes() == expected.tobytes()
 
 
-def test_kept_one_norms_are_numpy_norms_bitwise():
-    # the caller's 1-norms of a stack the worker inverts add |A| a row at a
-    # time, in numpy's order: entries whose magnitudes spread over 16
-    # decades round differently in any other order
+def test_one_norms_are_numpy_norms_bitwise():
+    # the caller's 1-norms of a stack the worker inverts go into a scratch
+    # slot and leave the stack as it is; into the scratch or in place, they
+    # are numpy's to the bit, with entries whose magnitudes spread over 16
+    # decades, which round differently in any other order of addition
     rng = np.random.default_rng(14)
     for n in (1, 3, 256):
         M = rng.normal(size=(n, 16, 16)) * 10.0 ** rng.uniform(-8, 8, size=(n, 16, 16))
         M[::2, 3, 5] = (np.nan, -np.inf, -0.0)[n % 3]
         before = M.tobytes()
         with np.errstate(all="ignore"):
-            got = steady._kept_one_norms(M)
+            got = steady._one_norms(M, out=np.empty_like(M))
             expected = np.linalg.norm(M, 1, axis=(-2, -1))
         assert got.tobytes() == expected.tobytes()
         assert M.tobytes() == before
-        assert steady._one_norms(M).tobytes() == expected.tobytes()
+        assert steady._one_norms(M, out=M).tobytes() == expected.tobytes()
 
 
 # Solves CHUNK_POINTS + 1 points, two stacks handed to a worker (taken back
@@ -973,10 +1045,20 @@ def _solve_stack(L):
     """The generator stack ``L`` solved and gated as ``steady._stacks``
     solves and gates a stack inverted inline: ``(rho, failures)`` as
     ``_states`` gives them."""
-    pair, bound = steady._trace_constrained(L)
+    pair, bound = _constrained_pair(L)
     with np.errstate(all="ignore"):
         cond, X, residual = steady._factor(pair)
         return _states(X, *steady._gate(cond, X, residual, bound))
+
+
+def _constrained_pair(L):
+    """``(pair, bound)`` of the generator stack ``L``, as ``steady._stacks``
+    builds its one stack: L trace-constrained in the first half of a
+    (2, N, 16, 16) pair, whose second half takes the inverses, and each
+    row's residual bound."""
+    pair = np.empty((2,) + L.shape)
+    pair[0] = L
+    return pair, steady._constrain(pair[0])
 
 
 def _states(X, failures, unphysical):
@@ -1031,7 +1113,7 @@ def _handed_factor(L, monkeypatch, force):
     with monkeypatch.context() as patch:
         force(patch)
         patch.setattr(steady, "build_generator",
-                      lambda points, out=None: _into(out, stacks.pop(0).copy()))
+                      lambda points, out: _into(out, stacks.pop(0)))
         patch.setattr(steady, "_gate", gate)
         patch.setattr(steady, "_invert", invert)
         with warnings.catch_warnings():
@@ -1074,10 +1156,8 @@ def _bits(outcome):
 
 
 def _into(out, L):
-    """What a build_generator hook returns: the generators ``L``, or
-    ``out`` (where the first stack is built) once it holds them."""
-    if out is None:
-        return L
+    """What a build_generator hook returns: ``out``, where every stack is
+    built, once it holds the generators ``L``."""
     out[...] = L
     return out
 
