@@ -54,6 +54,10 @@ def calibrate_dipoles(base: SystemParams | None = None) -> CalibratedDipoles:
     ``base`` supplies the remaining parameters (defaults if omitted); its
     own d42/mu23 values are irrelevant because the conditions are solved
     in closed form from the dipole-independent steady state.
+
+    Raises CalibrationError where a condition has no solution. The steady
+    solve's errors propagate: a PAPER_LITERAL base raises its
+    NonPhysicalState.
     """
     if base is None:
         base = SystemParams()

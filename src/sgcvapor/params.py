@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from math import isfinite
 from dataclasses import dataclass, replace
 
@@ -169,7 +168,7 @@ class PointsAlong:
     A sequence of SystemParams that builds an item only when it is
     indexed or iterated, and a PointsAlong when sliced: the layers that
     take a sequence of points read it a whole column at a time through
-    :func:`columns`, so a sweep makes no SystemParams per point. The
+    :func:`column`, so a sweep makes no SystemParams per point. The
     column of ``field`` is ``values`` itself, so what is built from it
     holds the same float objects. A column derived from ``p_align`` is
     derived once: it is kept, and a slice or ``take`` carries its part of
@@ -226,14 +225,6 @@ def column(points, name: str) -> list:
     if isinstance(points, PointsAlong):
         return points.column(name)
     return [getattr(point, name) for point in points]
-
-
-def columns(points, names) -> list:
-    """For each of ``names`` (two or more), that attribute of each of
-    ``points`` (a sequence of SystemParams), as a sequence."""
-    if isinstance(points, PointsAlong):
-        return [points.column(name) for name in names]
-    return list(zip(*map(operator.attrgetter(*names), points))) or [()] * len(names)
 
 
 def take(points, rows):

@@ -25,9 +25,10 @@ vanishes (|p_align| = 1 among them) before the solve, solves the rest
 with ``steady_state`` in stacks of CHUNK_POINTS and maps each stack, with
 its own points, through ``steady_state``'s private ``_map``, on the
 caller's thread while the worker thread inverts the next stack. A single
-SystemParams takes a branch of its own to the same solve and mapping: it
-reads its values straight from the point and hands them on as one-item
-columns, with no column, take or index list of the sequence path. The
+SystemParams takes a branch of its own to the same solve and mapping:
+it tests its probe as the polarizability functions do, reads its mapping
+values by the one field list ``_MAPPING_FIELDS`` and returns its record,
+or raises its error, through ``steady_state``'s own one-point call. The
 mapping reads rho24 and rho32 from a stack's unit-trace solutions X, and
 builds a state only for a NonPhysicalState, from its row alone. Its
 arithmetic is written once, on pairs of floats or of float arrays, by
@@ -44,13 +45,14 @@ precision) fails with DegenerateProbe rather than reading as vacuum.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .model import DensityMatrix, _rho24_rho32, unvectorize
-from .params import SystemParams, column, columns, take
-from .steady import RESIDUAL_TOL, NonPhysicalState, _only, steady_state
+from .params import SystemParams, column, take
+from .steady import RESIDUAL_TOL, NonPhysicalState, steady_state
 
 # CODATA 2018 / SI 2019 exact-based values.
 HBAR = 1.054571817e-34       # J s
@@ -233,9 +235,10 @@ def classify_handedness(eps_r: complex, mu_r: complex) -> Handedness:
 _DEGENERATE = "response is undefined at |p_align| = 1"
 
 # What the response of a point needs besides its steady state and its
-# omegap_si, in the order of ``_record``'s arguments, which a sequence reads
-# a column at a time (``params.columns``).
+# omegap_si, in the order of ``_record``'s arguments: a single point reads
+# them with one attrgetter, a sequence a column at a time (``params.column``).
 _MAPPING_FIELDS = ("d42", "mu23", "density_n", "delta_p", "p_align")
+_mapping_values = operator.attrgetter(*_MAPPING_FIELDS)
 
 
 def response_at(params):
@@ -246,12 +249,12 @@ def response_at(params):
     when a polarizability numerator underflows, and LocalFieldPole at a
     Clausius-Mossotti divergence.
 
-    A single SystemParams reads its omegap_si once, raises its
-    DegenerateProbe before the solve, and hands its mapping values to
-    ``_map_stack`` as one-item columns; it solves through ``steady_state``
-    as a stack of one, to the bits of the same point in a sequence. Such a
-    call costs about 99 µs with its SystemParams built, the median of
-    ``bench/run.py --workload point-stream`` on 2 vCPUs.
+    A single SystemParams reads its omegap_si once, through
+    ``_probe_rabi_si``, which raises its DegenerateProbe before the solve,
+    and its mapping values by ``_MAPPING_FIELDS``. It is solved and mapped
+    by ``steady_state``'s own one-point call, as a stack of one, to the
+    bits of the same point in a sequence, and its record is returned, or
+    its error raised, from there.
 
     ``params`` may also be a sequence of SystemParams that supports
     slicing, whose steady states are solved as stacks of at most
@@ -262,13 +265,9 @@ def response_at(params):
     omegap_si column.
     """
     if isinstance(params, SystemParams):
-        omegap_si = params.omegap_si
-        if _probe_vanishes(omegap_si):
-            raise _degenerate_probe(params.p_align, params.omegap_bare, omegap_si)
-        mapping = ([omegap_si], [params.d42], [params.mu23], [params.density_n],
-                   [params.delta_p], [params.p_align])
-        return _only(steady_state([params], _map=lambda stack, X, failures, unphysical:
-                                  _map_stack(X, failures, unphysical, *mapping)))
+        mapping = [[value] for value in (_probe_rabi_si(params), *_mapping_values(params))]
+        return steady_state(params, _map=lambda stack, X, failures, unphysical:
+                            _map_stack(X, failures, unphysical, *mapping))
 
     live = params
     # failed before the solve, and only a failing point's message reads more
@@ -276,14 +275,15 @@ def response_at(params):
     vanishing = np.flatnonzero(_probe_vanishes(np.array(column(params, "omegap_si")))).tolist()
     early = {}
     if vanishing:
-        failing = columns(take(params, vanishing), ("p_align", "omegap_bare", "omegap_si"))
-        early = dict(zip(vanishing, map(_degenerate_probe, *failing)))
+        failing = take(params, vanishing)
+        early = dict(zip(vanishing, map(_degenerate_probe, *(
+            column(failing, name) for name in ("p_align", "omegap_bare", "omegap_si")))))
         live = take(params, [i for i in range(len(params)) if i not in early])
     # each stack reads its own columns, so that no column of a whole sweep
     # stays alive through the solve; mapped on this thread while
     # steady_state inverts the next stack
     out = steady_state(live, _map=lambda stack, X, failures, unphysical: _map_stack(
-        X, failures, unphysical, column(stack, "omegap_si"), *columns(stack, _MAPPING_FIELDS)))
+        X, failures, unphysical, *(column(stack, name) for name in ("omegap_si", *_MAPPING_FIELDS))))
     if early:
         solved = iter(out)
         out = [early.get(i) or next(solved) for i in range(len(params))]
@@ -323,7 +323,8 @@ def _map_stack(X, failures: dict, unphysical: list, *mapping) -> list:
         for k, m in zip(unphysical, unvectorize(X[unphysical])):
             failures[k] = NonPhysicalState(None, DensityMatrix._view(m))
     if len(X) == 1:
-        return [failures.get(0) or _mapped_alone(X[0], [column[0] for column in mapping])]
+        # popped, so that no local refers to the exception _only may raise
+        return [failures.pop(0, None) or _mapped_alone(X[0], [column[0] for column in mapping])]
     outcomes, flagged = _stack_records(X, *mapping)
     for k, error in failures.items():
         outcomes[k] = error

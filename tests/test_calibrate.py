@@ -2,8 +2,8 @@ from dataclasses import replace
 
 import pytest
 
-from sgcvapor import (SystemParams, ValidationError, calibrate_dipoles, calibrated_params,
-                      response_at)
+from sgcvapor import (CalibrationError, EquationVariant, NonPhysicalState, SystemParams,
+                      ValidationError, calibrate_dipoles, calibrated_params, response_at)
 from sgcvapor.calibrate import (CALIBRATION_DETUNING, CALIBRATION_P_CROSS,
                                 CALIBRATION_P_END)
 
@@ -62,3 +62,16 @@ class TestCalibration:
     def test_dipole_overrides_are_rejected(self, override):
         with pytest.raises(ValidationError, match="^calibrated_params sets d42 and mu23 itself$"):
             calibrated_params(**override)
+
+    @pytest.mark.parametrize("base,error,message", [
+        # no coupling field: the endpoint's Re(N*ge) is not positive
+        (SystemParams(omega1_bare=0.0), CalibrationError,
+         r"^Re\(N\*ge\) is non-positive at the sweep endpoint; Re\(eps_r\) cannot reach -2$"),
+        # the steady solve's errors propagate
+        (SystemParams(equation_variant=EquationVariant.PAPER_LITERAL), NonPhysicalState,
+         r"^fixed-point populations outside \[0, 1\]: "),
+    ])
+    def test_unreachable_calibration_raises(self, base, error, message):
+        with pytest.raises(error, match=message) as info:
+            calibrate_dipoles(base)
+        assert type(info.value) is error

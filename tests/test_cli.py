@@ -77,6 +77,18 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="mode"):
             parse_config("mode = dance")
 
+    @pytest.mark.parametrize("text,flags,error,message", [
+        ("format = xml", None, ValidationError,
+         "format must be one of ('csv', 'json'), got 'xml'"),
+        ("oracle = yes", None, ParseError,
+         "line 1: bad value for 'oracle': 'yes' (expected true or false)"),
+        (None, {"nonsense": "1"}, ParseError, "flag: unknown key 'nonsense'"),
+    ])
+    def test_bad_input_rejected_naming_its_fault(self, text, flags, error, message):
+        with pytest.raises(error) as info:
+            parse_config(text, flags)
+        assert type(info.value) is error and str(info.value) == message
+
     def test_round_trip_is_exact(self):
         cfg = parse_config(
             "p_align = 0.123456789012345\ndelta_p = -3.7e-5\nmode = sweep-detuning\n"

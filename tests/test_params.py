@@ -60,6 +60,12 @@ class TestSystemParams:
         with pytest.raises(ValidationError):
             SystemParams(**bad)
 
+    def test_equation_variant_must_be_an_equation_variant(self):
+        # the CLI turns its string into the enum; a direct caller must too
+        with pytest.raises(ValidationError) as info:
+            SystemParams(equation_variant="paper")
+        assert str(info.value) == "equation_variant must be an EquationVariant, got 'paper'"
+
     def test_full_alignment_is_a_valid_parameter_point(self):
         # |p| = 1 is allowed as a parameter; only the response is undefined there
         p = SystemParams(p_align=1.0)

@@ -18,7 +18,7 @@ from sgcvapor import (DegenerateProbe, DensityMatrix, EquationVariant,
                       response_at, steady_state, sweep_detuning)
 from sgcvapor import SingularSystem, params, response, steady
 from sgcvapor.model import IDX_IM23, IDX_IM24, IDX_RE23, IDX_RE24, unvectorize
-from sgcvapor.params import PointsAlong, columns
+from sgcvapor.params import PointsAlong, column
 
 from conftest import magnetic_polarizability_from_permeability
 
@@ -362,7 +362,7 @@ class TestResponseAt:
         monkeypatch.setattr(SystemParams, "omegap_si",
                             property(lambda point: reads.append(point) or omegap_si.fget(point)))
         for module in (response, params):
-            for name in ("column", "columns", "take"):
+            for name in ("column", "take"):
                 real = getattr(module, name)
                 monkeypatch.setattr(module, name, lambda *args, name=name, real=real:
                                     calls.append(name) or real(*args))
@@ -371,6 +371,30 @@ class TestResponseAt:
             assert _bits(_one(point)) == bits
             assert reads == [point]
         assert calls == []
+
+    def test_one_point_raises_through_steady_state(self, monkeypatch):
+        # a one-point call's outcome leaves through steady_state's own
+        # one-point call, so what wraps steady_state sees its errors; a
+        # vanishing probe raises before the solve
+        calls, raised = [], []
+        solve = response.steady_state
+
+        def spy(points, **kwargs):
+            calls.append(points)
+            try:
+                return solve(points, **kwargs)
+            except Exception as exc:
+                raised.append(type(exc))
+                raise
+
+        monkeypatch.setattr(response, "steady_state", spy)
+        literal = SystemParams(p_align=0.5, equation_variant=EquationVariant.PAPER_LITERAL)
+        with pytest.raises(NonPhysicalState):
+            response_at(literal)
+        assert calls == [literal] and raised == [NonPhysicalState]
+        with pytest.raises(DegenerateProbe):
+            response_at(SystemParams(p_align=1.0))
+        assert calls == [literal]
 
     def test_errors_propagate_from_solver(self):
         from sgcvapor import EquationVariant, NonPhysicalState
@@ -451,7 +475,7 @@ class TestStackMapping:
         stacked, alone = [], []
 
         def each(stack, X, failures, unphysical):
-            mapping = columns(stack, MAPPING)
+            mapping = [column(stack, name) for name in MAPPING]
             records, flagged = response._stack_records(X, *mapping)
             # every row that did not fail the solve is mapped by the arrays
             assert set(flagged) <= set(failures) | set(unphysical)
@@ -596,7 +620,8 @@ class TestSlotBuiltRecords:
         points = PointsAlong(replace(calibrated_base, p_align=0.7), "delta_p",
                              np.linspace(-20.0, 20.0, 64).tolist())
         X = np.stack([state.vector() for state in steady_state(points)])
-        records, flagged = response._stack_records(X, *columns(points, MAPPING))
+        mapping = [column(points, name) for name in MAPPING]
+        records, flagged = response._stack_records(X, *mapping)
         assert flagged == []
         assert {record.handedness for record in records} >= {Handedness.LEFT_HANDED,
                                                              Handedness.NEG_EPS_ONLY}

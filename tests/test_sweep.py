@@ -16,7 +16,7 @@ from sgcvapor import (DegenerateProbe, EmptyTable, EquationVariant, Handedness,
                       detect_bands, find_extrema, response_at, steady_state,
                       sweep_alignment, sweep_detuning)
 from sgcvapor import params, response, steady, sweep
-from sgcvapor.params import PointsAlong, columns
+from sgcvapor.params import PointsAlong, column
 from sgcvapor.steady import CHUNK_POINTS
 from sgcvapor.sweep import ALIGNMENT_GUARD, SweepFailure
 
@@ -440,12 +440,12 @@ def test_points_along_columns_are_the_attributes_of_its_items(field, values, bar
     items = list(points)
     assert [getattr(item, field) for item in items] == values
     names = [f.name for f in fields(SystemParams)] + ["omega1", "omegap", "omegap_si", "sgc_rate"]
-    for name, column in zip(names, columns(points, names)):
-        expected = [getattr(item, name) for item in items]
+    for name in names:
+        got, expected = column(points, name), [getattr(item, name) for item in items]
         if name == "equation_variant":
-            assert column == expected
+            assert got == expected
         else:
-            assert [v.hex() for v in column] == [v.hex() for v in expected], name
+            assert [v.hex() for v in got] == [v.hex() for v in expected], name
 
 
 def test_a_slice_of_points_along_holds_the_same_floats():
