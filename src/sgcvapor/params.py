@@ -20,6 +20,8 @@ import math
 from math import isfinite
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """A physical or numerical invariant was violated."""
@@ -104,23 +106,23 @@ class SystemParams:
     @property
     def omega1(self) -> float:
         """Effective coupling Rabi frequency (gamma units)."""
-        return _omega1(self, self.p_align)
+        return effective_rabi(self.omega1_bare, self.p_align)
 
     @property
     def omegap(self) -> float:
         """Effective probe Rabi frequency (gamma units)."""
-        return _omegap(self, self.p_align)
+        return effective_rabi(self.omegap_bare, self.p_align)
 
     @property
     def omegap_si(self) -> float:
         """Effective probe Rabi frequency in SI rad/s."""
-        return _omegap_si(self, self.omegap)
+        return self.omegap * self.gamma_unit
 
     @property
     def sgc_rate(self) -> float:
         """Cross-damping rate p*sqrt(gamma3*gamma4) of the interfering decay
         channels (gamma units, carries the sign of p)."""
-        return _sgc_rate(self, self.p_align)
+        return self.p_align * math.sqrt(self.gamma3 * self.gamma4)
 
 
 def _effective_rabis(point: SystemParams) -> tuple:
@@ -134,33 +136,6 @@ def _effective_rabis(point: SystemParams) -> tuple:
     return point.omega1_bare * root, point.omegap_bare * root
 
 
-# The derived values that depend on p_align, as functions of a point and of
-# p_align (omegap for omegap_si): the properties above take the point's own
-# value, a PointsAlong each item of that column.
-def _omega1(point: SystemParams, p_align: float) -> float:
-    return effective_rabi(point.omega1_bare, p_align)
-
-
-def _omegap(point: SystemParams, p_align: float) -> float:
-    return effective_rabi(point.omegap_bare, p_align)
-
-
-def _omegap_si(point: SystemParams, omegap: float) -> float:
-    return omegap * point.gamma_unit
-
-
-def _sgc_rate(point: SystemParams, p_align: float) -> float:
-    return p_align * math.sqrt(point.gamma3 * point.gamma4)
-
-
-# per swept field, the derived values that vary with it and their sources
-_DEPENDENT = {
-    "delta_p": {},
-    "p_align": {"omega1": (_omega1, "p_align"), "omegap": (_omegap, "p_align"),
-                "omegap_si": (_omegap_si, "omegap"), "sgc_rate": (_sgc_rate, "p_align")},
-}
-
-
 class PointsAlong:
     """The operating points of ``base`` with ``field`` ("delta_p" or
     "p_align") set to each of ``values`` (a list of floats) in turn.
@@ -171,22 +146,18 @@ class PointsAlong:
     :func:`column`, so a sweep makes no SystemParams per point. The
     column of ``field`` is ``values`` itself, so what is built from it
     holds the same float objects. A column derived from ``p_align`` is
-    derived once: it is kept, and a slice or ``take`` carries its part of
-    it. omegap_si, one product per item of the omegap column, is not kept,
-    nor is a column a part derives itself, since each stack of a sweep
-    reads its columns once. The values are not validated here; the caller
-    must check them as ``SystemParams`` would.
+    one array expression over the values, evaluated on each read, and
+    raises ``effective_rabi``'s ValidationError at the first value with
+    |p_align| > 1 or NaN. The values are not otherwise validated here;
+    the caller must check them as ``SystemParams`` would.
     """
 
     def __init__(self, base: SystemParams, field: str, values: list):
-        if field not in _DEPENDENT:
+        if field not in ("delta_p", "p_align"):
             raise ValidationError(f"PointsAlong sweeps 'delta_p' or 'p_align', not {field!r}")
         self.base = base
         self.field = field
         self.values = values
-        self._dependent = _DEPENDENT[field]
-        # the derived columns so far, by name, and whether to keep more
-        self._derived, self._keeps = {}, True
 
     def __len__(self) -> int:
         return len(self.values)
@@ -194,29 +165,28 @@ class PointsAlong:
     def __getitem__(self, i):
         """The point at ``i``, or the PointsAlong of a slice of the values."""
         if isinstance(i, slice):
-            return self._part(self.values[i], lambda column: column[i])
+            return PointsAlong(self.base, self.field, self.values[i])
         return replace(self.base, **{self.field: self.values[i]})
-
-    def _part(self, values: list, cut) -> PointsAlong:
-        """The PointsAlong of ``values``, with ``cut`` of each derived column."""
-        part = PointsAlong(self.base, self.field, values)
-        part._derived = {name: cut(column) for name, column in self._derived.items()}
-        part._keeps = False
-        return part
 
     def column(self, name: str) -> list:
         """The attribute ``name`` of each point, as a list of floats."""
         if name == self.field:
             return self.values
-        column = self._derived.get(name)
-        if column is None:
-            derive, source = self._dependent.get(name, (None, None))
-            if derive is None:
-                return [getattr(self.base, name)] * len(self.values)
-            column = [derive(self.base, v) for v in self.column(source)]
-            if self._keeps and source == self.field:
-                self._derived[name] = column
-        return column
+        if self.field != "p_align" or name not in ("omega1", "omegap", "omegap_si", "sgc_rate"):
+            return [getattr(self.base, name)] * len(self.values)
+        # the SystemParams property of each point, to its bits
+        p = np.array(self.values, dtype=float)
+        magnitude = np.abs(p)
+        outside = ~(magnitude <= 1.0)
+        if outside.any():
+            raise ValidationError(f"|p_align| must be <= 1, got {self.values[outside.argmax()]}")
+        base = self.base
+        if name == "sgc_rate":
+            return (p * math.sqrt(base.gamma3 * base.gamma4)).tolist()
+        bare = base.omega1_bare if name == "omega1" else base.omegap_bare
+        # effective_rabi's 0.0 at |p| = 1, also where bare is -0.0
+        rabi = np.where(magnitude == 1.0, 0.0, bare * np.sqrt(1.0 - p * p))
+        return (rabi * base.gamma_unit if name == "omegap_si" else rabi).tolist()
 
 
 def column(points, name: str) -> list:
@@ -231,6 +201,5 @@ def take(points, rows):
     """The points of ``points`` at the increasing indices ``rows``, as a
     sequence of the same kind."""
     if isinstance(points, PointsAlong):
-        return points._part([points.values[i] for i in rows],
-                            lambda column: [column[i] for i in rows])
+        return PointsAlong(points.base, points.field, [points.values[i] for i in rows])
     return [points[i] for i in rows]
