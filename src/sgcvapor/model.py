@@ -32,17 +32,22 @@ Re rho34, Im rho34) with pairs ordered (1,2), (1,3), (1,4), (2,3), (2,4),
 expanded real equations, independently of the complex-arithmetic
 ``eom_rhs``, so the two routes cross-check each other; for a sequence of
 operating points it builds the (N, 16, 16) stack in one scatter. The
-scatter works from an (N, 11) table of per-point rates; for a sweep's
-``PointsAlong`` only the columns that vary along the sweep are computed,
-and no SystemParams is built per point.
+scatter works from an (N, 11) table of per-point rates: the decay rates
+of ``_decay_rates`` and the rates that vary with the point, W1, Wp, q and
+D, which ``_POINT_RATES`` alone declares, each as the SystemParams
+property that ``eom_rhs`` reads. A list of points reads them point by
+point through those properties; for a sweep's ``PointsAlong`` only the
+columns that vary along the sweep are computed, and no SystemParams is
+built per point.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .params import (PointsAlong, SystemParams, EquationVariant, ValidationError,
-                     _effective_rabis)
+from .params import PointsAlong, SystemParams, EquationVariant, ValidationError
 
 # Vectorization layout: 4 populations then Re/Im of the 6 upper coherences.
 IDX_N1, IDX_N2, IDX_N3, IDX_N4 = 0, 1, 2, 3
@@ -216,11 +221,16 @@ def eom_rhs(params: SystemParams, rho) -> np.ndarray:
     return out
 
 
-# Per-point values that every entry of L is a fixed multiple of. "s3" is
-# the sign-carrying rate of the rho33 self term: -g3 (corrected) or +g3
-# (PAPER_LITERAL), so the term is 2*s3.
+# The rates that vary from point to point (with p or along a sweep), each
+# with the SystemParams attribute it is, which eom_rhs reads too
+_POINT_RATES = (("w1", "omega1"), ("wp", "omegap"), ("q", "sgc_rate"), ("d", "delta_p"))
+# Per-point values that every entry of L is a fixed multiple of: the decay
+# rates of _decay_rates, then the _POINT_RATES. "s3" is the sign-carrying
+# rate of the rho33 self term: -g3 (corrected) or +g3 (PAPER_LITERAL), so
+# the term is 2*s3.
 _RATE_NAMES = ("g2", "g3", "g4", "g2+g3", "g2+g4", "g3+g4", "s3",
-               "w1", "wp", "q", "d")
+               *(name for name, _ in _POINT_RATES))
+_point_rates = operator.attrgetter(*(attr for _, attr in _POINT_RATES))
 
 # L[row, column] = coefficient * rate, one entry per term of the real and
 # imaginary expansion of the equations of motion (the rho22 row is derived
@@ -311,23 +321,16 @@ def _decay_rates(params: SystemParams) -> tuple:
     return g2, g3, g4, g2 + g3, g2 + g4, g3 + g4, g3 if literal else -g3
 
 
-# the columns of _RATE_NAMES that vary from point to point along a sweep,
-# and the SystemParams attribute each one is
-_POINT_RATES = tuple((_RATE_NAMES.index(name), attr) for name, attr in
-                     (("w1", "omega1"), ("wp", "omegap"), ("q", "sgc_rate"), ("d", "delta_p")))
-
-
 def _rate_table(points) -> np.ndarray:
     """The (N, 11) table of the _RATE_NAMES values of N SystemParams."""
     if isinstance(points, PointsAlong):
         rates = np.empty((len(points), len(_RATE_NAMES)))
-        rates[:, :7] = _decay_rates(points.base)   # the columns before _POINT_RATES
-        for col, attr in _POINT_RATES:
+        rates[:, :-len(_POINT_RATES)] = _decay_rates(points.base)
+        # the last columns, one per _POINT_RATES row
+        for col, (_, attr) in enumerate(_POINT_RATES, -len(_POINT_RATES)):
             rates[:, col] = points.column(attr)
         return rates
-    # both Rabi frequencies of a point from one square root
-    rates = np.array([_decay_rates(p) + _effective_rabis(p) + (p.sgc_rate, p.delta_p)
-                      for p in points], dtype=float)
+    rates = np.array([_decay_rates(p) + _point_rates(p) for p in points], dtype=float)
     return rates.reshape(len(points), len(_RATE_NAMES))   # also for no points
 
 
@@ -341,7 +344,7 @@ def build_generator(params, out=None) -> GeneratorMatrix:
     motion (not a probe of :func:`eom_rhs`), so the two implementations
     stay independent cross-checks of each other. For a sequence, ``out``
     may be an (N, 16, 16) float array to build the stack in, every entry
-    overwritten, and return.
+    overwritten; the stack returned is then ``out`` itself.
     """
     single = isinstance(params, SystemParams)
     rates = _rate_table((params,) if single else params)

@@ -89,6 +89,11 @@ class SystemParams:
             value = getattr(self, name)
             if not (value > 0.0 and isfinite(value)):
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
+        # the response takes d42 ** 2, which raises OverflowError where the
+        # square overflows
+        if not isfinite(self.d42 * self.d42):
+            raise ValidationError(
+                f"d42 must have a finite square, below about 1.34e154, got {self.d42}")
         omega1_bare, omegap_bare = self.omega1_bare, self.omegap_bare
         if not (isfinite(omega1_bare) and isfinite(omegap_bare) and isfinite(self.delta_p)):
             for name in ("omega1_bare", "omegap_bare", "delta_p"):
@@ -123,17 +128,6 @@ class SystemParams:
         """Cross-damping rate p*sqrt(gamma3*gamma4) of the interfering decay
         channels (gamma units, carries the sign of p)."""
         return self.p_align * math.sqrt(self.gamma3 * self.gamma4)
-
-
-def _effective_rabis(point: SystemParams) -> tuple:
-    """``(omega1, omegap)`` of a point, bitwise its properties' values, from
-    one square root: ``effective_rabi`` of each bare frequency, whose
-    check ``SystemParams`` has made."""
-    p_align = point.p_align
-    if abs(p_align) == 1.0:
-        return 0.0, 0.0
-    root = math.sqrt(1.0 - p_align * p_align)
-    return point.omega1_bare * root, point.omegap_bare * root
 
 
 class PointsAlong:

@@ -24,14 +24,16 @@ gates, and each state it hands out, good or carried by a
 NonPhysicalState, is a DensityMatrix on its row of that stack.
 
 A sequence of more than one chunk is double-buffered in one loop, the
-generator ``_double_buffered``: one worker thread per call
-(``_Inverter``) is handed every stack, the first included, and inverts
-it, the longest LAPACK call of a stack, while the caller solves it, gates
-and maps the stack before (``steady_state``, or ``response_at`` through
-the private ``_map``, which is handed the stack's own points) and builds
-the next. When the caller needs a stack's inverse and the worker has not
-picked the stack up yet, the caller takes the stack back and inverts it
-itself, so it never waits for a thread that has not got to run; an
+generator ``_double_buffered``, one pass per stack: one worker thread per
+call (``_Inverter``) is handed every stack, the first included, in the
+pass that builds it, and inverts it, the longest LAPACK call of a stack,
+while the caller solves it, gates and maps the stack before
+(``steady_state``, or ``response_at`` through the private ``_map``, which
+is handed the stack's own points) and, in the next pass, builds the next.
+The hand-over is written once, in the loop, and no pass looks ahead of
+its own stack. When the caller needs a stack's inverse and the worker has
+not picked the stack up yet, the caller takes the stack back and inverts
+it itself, so it never waits for a thread that has not got to run; an
 interpreter that no longer starts threads takes back every stack. Each
 row meets the same gufuncs and reductions on the same data, so the bits
 do not depend on the split or the thread. numpy releases the GIL in a
@@ -45,11 +47,12 @@ ill-conditioning RuntimeWarning names the first caller outside this
 package: the line that called ``steady_state``, ``response_at`` or a
 sweep.
 
-Every stack is built in place (``_built``), and a call of more than one
-holds all its stacks in one (3, CHUNK_POINTS, 16, 16) slot array: they
-alternate between two generator slots, each inverse goes to the third,
-and the caller takes a stack's 1-norms into the generator slot no stack
-holds, so it writes no memory the worker reads or writes.
+Every stack is built in place, by ``build_generator`` into the array it
+is solved in, and constrained there (``_constrain``). A call of more than
+one stack holds all its stacks in one (3, CHUNK_POINTS, 16, 16) slot
+array: they alternate between two generator slots, each inverse goes to
+the third, and the caller takes a stack's 1-norms into the generator slot
+no stack holds, so it writes no memory the worker reads or writes.
 
 ``evolve`` integrates the same equations of motion with classical
 fixed-step fourth-order Runge-Kutta and serves as an independent check: for
@@ -117,6 +120,13 @@ class SingularSystem(RuntimeError):
     tolerance: the steady state is degenerate or non-unique."""
 
 
+# numpy's default print options, which a NonPhysicalState formats its
+# populations under, whatever options the process has set
+_PRINT_DEFAULTS = dict(precision=8, threshold=1000, edgeitems=3, linewidth=75,
+                       suppress=False, nanstr="nan", infstr="inf", formatter=None,
+                       sign="-", floatmode="maxprec", legacy=False)
+
+
 class NonPhysicalState(RuntimeError):
     """The algebraic fixed point has a population outside [0, 1] beyond
     tolerance (expected possible under the PAPER_LITERAL variant).
@@ -124,7 +134,9 @@ class NonPhysicalState(RuntimeError):
     Carries the offending state in the ``state`` attribute. A message of
     None is formatted from the populations of ``state`` when ``str()``
     first reads it, so a caller that only catches the error does not pay
-    for the formatting.
+    for the formatting. The populations are formatted under numpy's
+    default print options, so the message, which a sweep's sidecar
+    records, does not depend on options the caller has set.
     """
 
     def __init__(self, message: str | None, state: DensityMatrix):
@@ -133,8 +145,9 @@ class NonPhysicalState(RuntimeError):
 
     def __str__(self) -> str:
         if self.args == (None,):
-            self.args = (f"fixed-point populations outside [0, 1]: "
-                         f"{self.state.m.diagonal().real}",)
+            with np.printoptions(**_PRINT_DEFAULTS):
+                populations = str(self.state.m.diagonal().real)
+            self.args = (f"fixed-point populations outside [0, 1]: {populations}",)
         return super().__str__()
 
     def __repr__(self) -> str:
@@ -168,13 +181,6 @@ def _outside_stacklevel() -> int:
     while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
         frame, level = frame.f_back, level + 1
     return level
-
-
-def _built(stack, A: np.ndarray) -> np.ndarray:
-    """The residual bounds of the points of ``stack``, whose generators it
-    builds straight into ``A`` and then constrains (``_constrain``)."""
-    build_generator(stack, out=A)
-    return _constrain(A)
 
 
 def _constrain(A: np.ndarray) -> np.ndarray:
@@ -229,9 +235,9 @@ def _solve(A: np.ndarray):
 
 def _factor(pair: np.ndarray):
     """The LAPACK half of the solve of a trace-constrained stack A, the
-    first half of the (2, N, 16, 16) ``pair`` (``_built``), which it
-    overwrites, all on this thread: ``(cond, X, residual)``, a list of each
-    row's exact 1-norm condition number and ``_solve``'s X and residual.
+    first half of the (2, N, 16, 16) ``pair``, which it overwrites, all on
+    this thread: ``(cond, X, residual)``, a list of each row's exact 1-norm
+    condition number and ``_solve``'s X and residual.
 
     It calls numpy's own gufuncs behind np.linalg.solve and
     np.linalg.cond(A, 1) once each: the public wrappers cost more than the
@@ -341,7 +347,7 @@ def _stacks(points):
     if not stack:
         return ()
     pair = np.empty((2, len(stack), 16, 16))
-    bound = _built(stack, pair[0])
+    bound = _constrain(build_generator(stack, out=pair[0]))
     with np.errstate(all="ignore"):
         cond, X, residual = _factor(pair)
         failures, unphysical = _gate(cond, X, residual, bound)
@@ -353,56 +359,49 @@ def _double_buffered(points):
     stack's outcome in turn.
 
     It allocates one (3, CHUNK_POINTS, 16, 16) slot array for the call:
-    successive stacks alternate between its first two slots, each built and
-    constrained there (``_built``), and the third takes each inverse. It
-    starts one worker thread (``_Inverter``) and hands it every stack, the
-    first included (``_hand_over``): the worker inverts it and takes its
-    inverses' 1-norms, while this thread takes the stack's own 1-norms into
-    the generator slot no stack holds, solves it, gates and maps the stack
-    before, and builds and constrains the next stack in that slot. Then it
-    takes the worker's norms or, if the worker has not picked the stack up
-    yet, takes the stack back and inverts it itself; from there to handing
-    over the next stack it only multiplies the norms. The thread is stopped
-    and joined however the loop ends. Floating-point errors are ignored in
-    one np.errstate per stack, from its take to its gates, never while the
-    consumer has the stack.
+    successive stacks alternate between its first two slots, and the third
+    takes each inverse. It starts one worker thread (``_Inverter``) and
+    runs one pass per stack, then one more with no stack. A pass builds
+    and constrains its stack in its generator slot while the worker
+    inverts the stack before, the held one; takes the held stack's inverse
+    norms from the worker or, if the worker has not picked it up yet, takes
+    it back and inverts it itself; hands its own stack to the worker, takes
+    that stack's 1-norms into the other generator slot, which no stack
+    holds now, and solves it; then gates the held stack and yields it, and
+    its own stack becomes the held one. From the take to the hand-over it
+    only multiplies the norms. The thread is stopped and joined however
+    the loop ends. Floating-point errors are ignored in one np.errstate per
+    pass, from its take to its gates, never while the consumer has the
+    stack.
     """
     slots = np.empty((3, CHUNK_POINTS, 16, 16))
-    stack = points[:CHUNK_POINTS]
-    bound = _built(stack, slots[0])
     worker = _Inverter()
+    # (stack, X, residual, bound) of the stack the worker inverts, and of
+    # the stack this pass solves
+    held = solved = None
     try:
-        with np.errstate(all="ignore"):
-            norms, (X, residual) = _hand_over(worker, slots, 0, CHUNK_POINTS)
-        for end in range(CHUNK_POINTS, len(points) + CHUNK_POINTS, CHUNK_POINTS):
-            following = points[end:end + CHUNK_POINTS]
-            # the slot of the stack before this one, which no stack holds now
-            slot, n = end // CHUNK_POINTS % 2, len(following)
-            if following:
-                # built while the worker inverts this stack
-                following_bound = _built(following, slots[slot, :n])
+        # a pass per stack, then one with no stack that gates the last
+        for start in range(0, len(points) + CHUNK_POINTS, CHUNK_POINTS):
+            stack = points[start:start + CHUNK_POINTS]
+            slot, n = start // CHUNK_POINTS % 2, len(stack)
+            A = slots[slot, :n]
+            if stack:
+                # built while the worker inverts the held stack
+                bound = _constrain(build_generator(stack, out=A))
             with np.errstate(all="ignore"):
-                cond = _cond(norms, worker.take())
-                if following:
-                    norms, following_solution = _hand_over(worker, slots, slot, n)
-                failures, unphysical = _gate(cond, X, residual, bound)
-            yield stack, X, failures, unphysical
-            if following:
-                stack, bound, (X, residual) = following, following_bound, following_solution
+                if held:
+                    cond = _cond(norms, worker.take())
+                if stack:
+                    worker.hand((A, slots[2, :n]))
+                    norms = _one_norms(A, out=slots[1 - slot, :n])
+                    solved = (stack, *_solve(A), bound)
+                if held:
+                    failures, unphysical = _gate(cond, *held[1:])
+            if held:
+                yield held[0], held[1], failures, unphysical
+            held, solved = solved, None
     finally:
         worker.stop()
-
-
-def _hand_over(worker, slots: np.ndarray, slot: int, n: int):
-    """Hand ``worker`` the stack built in the first ``n`` rows of generator
-    slot ``slot`` of ``slots``, paired with the inverse slot, and return
-    what this thread does with the stack while the worker inverts it:
-    ``(norms, (X, residual))``, its 1-norms, taken into the other generator
-    slot, and ``_solve``'s X and residual. The caller ignores floating-point
-    errors."""
-    A = slots[slot, :n]
-    worker.hand((A, slots[2, :n]))
-    return _one_norms(A, out=slots[1 - slot, :n]), _solve(A)
 
 
 class _Inverter(threading.Thread):

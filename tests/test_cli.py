@@ -9,9 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sgcvapor import EquationVariant, Handedness, ResponseRecord, SystemParams, ValidationError
+from sgcvapor import (EquationVariant, Handedness, NonPhysicalState, ResponseRecord,
+                     SystemParams, ValidationError, steady_state)
 from sgcvapor import cli
 from sgcvapor.cli import (CSV_COLUMNS, ParseError, RunConfig, config_mapping,
                           main, parse_config, run)
@@ -314,8 +316,39 @@ class TestMain:
         assert "|p_align| must be <= 1, got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_d42_whose_square_overflows_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        config = tmp_path / "big.cfg"
+        config.write_text("d42 = 1e160\nmode = sweep-detuning\n")
+        assert main(["--config", str(config), "--out", str(out)]) == 2
+        assert "d42 must have a finite square" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_out_exit_two(self, capsys):
         assert main(["--mode", "point"]) == 2
+
+    def test_sidecar_bytes_do_not_depend_on_numpy_print_options(self, tmp_path):
+        # a NonPhysicalState's message, which the sidecar records for each
+        # failed point, formats its populations under numpy's defaults
+        out = tmp_path / "lit.csv"
+        sidecar = tmp_path / "lit.csv.meta.json"
+        literal = SystemParams(equation_variant=EquationVariant.PAPER_LITERAL)
+
+        def outputs():
+            assert main(["--equations", "paper", "--mode", "sweep-detuning",
+                         "--steps", "41", "--out", str(out)]) == 0
+            with pytest.raises(NonPhysicalState) as info:
+                steady_state(literal)
+            return out.read_bytes(), sidecar.read_bytes(), str(info.value)
+
+        expected = outputs()
+        assert json.loads(expected[1])["points_failed"] > 0
+        options = np.get_printoptions()
+        with np.printoptions(precision=3, linewidth=20, suppress=True, sign="+",
+                             floatmode="fixed", nanstr="NaN", infstr="Inf",
+                             formatter={"float": "{:.2f}".format}):
+            assert outputs() == expected
+        assert np.get_printoptions() == options
 
     def test_fatal_point_error_exit_one(self, tmp_path, capsys):
         # PAPER_LITERAL fixed point is unphysical: fatal in point mode

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -59,6 +60,17 @@ class TestSystemParams:
     def test_invariant_violations_rejected(self, bad):
         with pytest.raises(ValidationError):
             SystemParams(**bad)
+
+    def test_d42_whose_square_overflows_is_rejected(self):
+        # the response takes d42 ** 2, which raises OverflowError past the
+        # largest d42 with a finite square
+        largest = math.sqrt(sys.float_info.max)
+        assert SystemParams(d42=largest).d42 == largest
+        for d42 in (math.nextafter(largest, math.inf), 1e160):
+            with pytest.raises(ValidationError) as info:
+                SystemParams(d42=d42)
+            assert str(info.value) == (
+                f"d42 must have a finite square, below about 1.34e154, got {d42}")
 
     def test_equation_variant_must_be_an_equation_variant(self):
         # the CLI turns its string into the enum; a direct caller must too

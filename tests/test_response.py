@@ -4,6 +4,7 @@ import math
 import operator
 import pickle
 import struct
+import sys
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -333,18 +334,21 @@ class TestResponseAt:
         assert calls == [1]
         assert info.value.state.m.tobytes() == expected
 
-    def test_one_point_derives_its_probe_rabi_frequency_once(self, monkeypatch):
-        # the probe test's omegap_si is the one the mapping divides by, and
-        # the generator takes both Rabi frequencies from one square root
-        # (model._rate_table), so effective_rabi runs once, for the probe
+    def test_largest_accepted_d42_raises_no_overflow_error(self):
+        # both mappings take 2.0 * d42 ** 2 by Python's float power, which
+        # raises OverflowError where the square overflows: SystemParams
+        # rejects every such d42
+        point = SystemParams(d42=math.sqrt(sys.float_info.max))
+        outcomes = [_one(point), *response_at([point, replace(point, delta_p=1.0)])]
+        assert not any(isinstance(outcome, OverflowError) for outcome in outcomes)
+
+    def test_one_point_maps_with_its_own_probe_rabi_frequency(self):
+        # the probe test's omegap_si is the one the mapping divides by: the
+        # record is the one the point gets in a list, to its bits, and its
+        # gamma_e is the polarizability of the point itself
         point = SystemParams(p_align=0.5, delta_p=3.0)
-        expected = response_at(point)
-        calls = []
-        rabi = params.effective_rabi
-        monkeypatch.setattr(params, "effective_rabi",
-                            lambda omega_bare, p: calls.append((omega_bare, p)) or rabi(omega_bare, p))
+        expected = response_at([point])[0]
         got = response_at(point)
-        assert calls == [(point.omegap_bare, point.p_align)]
         assert [str(getattr(got, f.name)) for f in fields(got)] == [
             str(getattr(expected, f.name)) for f in fields(expected)]
         assert got.gamma_e == electric_polarizability(got.rho24, point)
