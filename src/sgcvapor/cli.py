@@ -313,10 +313,21 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path: Path | None) -> str | None:
+    """The text of the config file at ``path``, if any; a file that cannot
+    be read or decoded is a ParseError naming it."""
+    if path is None:
+        return None
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read config file {str(path)!r}: {exc}") from exc
+
+
 def main(argv: list | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        text = args.config.read_text(encoding="utf-8") if args.config else None
+        text = _read_config(args.config)
         flags = {key: getattr(args, key) for key in _KEY_TYPES if hasattr(args, key)}
         config = parse_config(text, flags)
         return run(config)

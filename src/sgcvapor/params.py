@@ -137,7 +137,7 @@ class PointsAlong:
     A sequence of SystemParams that builds an item only when it is
     indexed or iterated, and a PointsAlong when sliced: the layers that
     take a sequence of points read it a whole column at a time through
-    :func:`column`, so a sweep makes no SystemParams per point. The
+    :meth:`column`, so a sweep makes no SystemParams per point. The
     column of ``field`` is ``values`` itself, so what is built from it
     holds the same float objects. A column derived from ``p_align`` is
     one array expression over the values, evaluated on each read, and
@@ -182,18 +182,3 @@ class PointsAlong:
         rabi = np.where(magnitude == 1.0, 0.0, bare * np.sqrt(1.0 - p * p))
         return (rabi * base.gamma_unit if name == "omegap_si" else rabi).tolist()
 
-
-def column(points, name: str) -> list:
-    """The attribute ``name`` of each of ``points`` (a sequence of
-    SystemParams), as a sequence."""
-    if isinstance(points, PointsAlong):
-        return points.column(name)
-    return [getattr(point, name) for point in points]
-
-
-def take(points, rows):
-    """The points of ``points`` at the increasing indices ``rows``, as a
-    sequence of the same kind."""
-    if isinstance(points, PointsAlong):
-        return PointsAlong(points.base, points.field, [points.values[i] for i in rows])
-    return [points[i] for i in rows]

@@ -19,27 +19,24 @@ branch and the overall sign fixed by passivity, Im(n) >= 0; for a
 double-negative (left-handed) medium with small losses this reproduces
 n = -sqrt(eps_r mu_r).
 
-``response_at`` on a sequence of points is also what a sweep runs, on a
-``params.PointsAlong`` of its grid. It fails points whose probe coupling
-vanishes (|p_align| = 1 among them) before the solve, solves the rest
-with ``steady_state`` in stacks of CHUNK_POINTS and maps each stack, with
-its own points, through ``steady_state``'s private ``_map``, on the
-caller's thread while the worker thread inverts the next stack. A single
-SystemParams takes a branch of its own to the same solve and mapping:
-it tests its probe as the polarizability functions do, reads its mapping
-values by the one field list ``_MAPPING_FIELDS`` and returns its record,
-or raises its error, through ``steady_state``'s own one-point call. The
-mapping reads rho24 and rho32 from a stack's unit-trace solutions X, and
-builds a state only for a NonPhysicalState, from its row alone. Its
-arithmetic is written once, on pairs of floats or of float arrays, by
-helpers that take no complex operator (``_scale`` to ``_index``), so no
-bit of it rests on the interpreter's complex arithmetic: the scalar
-functions below and the array pass over a longer stack give each record
-the same bits. A single point, and a row whose check may fail or whose
-values are not all finite, goes to the scalar functions, which raise its
-error. No SystemParams is built per point of a sweep. A point whose
-polarizability numerator underflows (a probe too weak for double
-precision) fails with DegenerateProbe rather than reading as vacuum.
+``response_at`` is ``steady_state`` with the mapping as its private
+``_map``, for a single SystemParams and for a sequence alike; on a
+``params.PointsAlong`` of its grid it is also what a sweep runs. Each
+stack is mapped, with its own points, on the caller's thread while the
+worker thread inverts the next stack. The mapping reads rho24 and rho32
+from a stack's unit-trace solutions X, and builds a state only for a
+NonPhysicalState, from its row alone. It decides every DegenerateProbe:
+a point whose probe coupling vanishes (|p_align| = 1 among them), or
+whose polarizability numerator underflows (a probe too weak for double
+precision), fails with DegenerateProbe after the solve, whatever the
+solve gave, rather than reading as vacuum. Its arithmetic is written
+once, on pairs of floats or of float arrays, by helpers that take no
+complex operator (``_scale`` to ``_index``), so no bit of it rests on the
+interpreter's complex arithmetic: the scalar functions below and the
+array pass over a longer stack give each record the same bits. A single
+point, and a row whose check may fail or whose values are not all
+finite, goes to the scalar functions, which raise its error. No
+SystemParams is built per point of a sweep.
 """
 
 from __future__ import annotations
@@ -47,11 +44,12 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass, fields
+from math import inf, isfinite
 
 import numpy as np
 
 from .model import DensityMatrix, _rho24_rho32, unvectorize
-from .params import SystemParams, column, take
+from .params import PointsAlong, SystemParams
 from .steady import RESIDUAL_TOL, NonPhysicalState, steady_state
 
 # CODATA 2018 / SI 2019 exact-based values.
@@ -73,7 +71,9 @@ class DegenerateProbe(ZeroDivisionError):
 
 class LocalFieldPole(ArithmeticError):
     """N*gamma is within tolerance of 3: the Clausius-Mossotti denominator
-    vanishes and the macroscopic response diverges."""
+    vanishes and the macroscopic response diverges. Also raised where
+    N*gamma is not finite (it overflows at a huge d42): the relation has no
+    value to take there."""
 
 
 class Handedness(enum.Enum):
@@ -192,8 +192,8 @@ def permittivity(gamma_e: complex, density_n: float) -> complex:
     """Relative permittivity with the local-field (Clausius-Mossotti)
     correction: eps_r = 1 + N*ge / (1 - N*ge/3)."""
     w, denom = _local_field((gamma_e.real, gamma_e.imag), density_n)
-    if abs(complex(*denom)) <= LOCAL_FIELD_POLE_TOL:
-        raise LocalFieldPole(f"N*gamma_e = {complex(*w)} is at the local-field pole (= 3)")
+    if not LOCAL_FIELD_POLE_TOL < abs(complex(*denom)) < inf:
+        raise _local_field_pole("N*gamma_e", w)
     return complex(*_plus(1.0, _quot(w, denom)))
 
 
@@ -201,9 +201,17 @@ def permeability(gamma_m: complex, density_n: float) -> complex:
     """Relative permeability from the magnetic Clausius-Mossotti relation:
     mu_r = (1 + 2*N*gm/3) / (1 - N*gm/3)."""
     w, denom = _local_field((gamma_m.real, gamma_m.imag), density_n)
-    if abs(complex(*denom)) <= LOCAL_FIELD_POLE_TOL:
-        raise LocalFieldPole(f"N*gamma_m = {complex(*w)} is at the local-field pole (= 3)")
+    if not LOCAL_FIELD_POLE_TOL < abs(complex(*denom)) < inf:
+        raise _local_field_pole("N*gamma_m", w)
     return complex(*_quot(_plus(1.0, _over(_scale(2.0, w), 3.0)), denom))
+
+
+def _local_field_pole(name: str, w) -> LocalFieldPole:
+    """The LocalFieldPole of the pair ``w`` = N*gamma, named ``name``, whose
+    denominator 1 - w/3 is at the pole or, as w is, not finite."""
+    if isfinite(w[0]) and isfinite(w[1]):
+        return LocalFieldPole(f"{name} = {complex(*w)} is at the local-field pole (= 3)")
+    return LocalFieldPole(f"{name} = {complex(*w)} is not finite")
 
 
 def refractive_index(eps_r: complex, mu_r: complex) -> complex:
@@ -234,10 +242,14 @@ def classify_handedness(eps_r: complex, mu_r: complex) -> Handedness:
 
 _DEGENERATE = "response is undefined at |p_align| = 1"
 
-# What the response of a point needs besides its steady state and its
-# omegap_si, in the order of ``_record``'s arguments: a single point reads
-# them with one attrgetter, a sequence a column at a time (``params.column``).
-_MAPPING_FIELDS = ("d42", "mu23", "density_n", "delta_p", "p_align")
+# What ``_record`` reads from a point besides its steady state, in the order
+# of its arguments: a PointsAlong gives them a column at a time, a list of
+# SystemParams with one attrgetter per point. The probe's come first, as
+# ``_record`` tests them first: the mapping decides every DegenerateProbe,
+# and a point whose probe coupling vanishes, or whose polarizability
+# numerator underflows, fails with it after the solve, whatever the solve
+# gave.
+_MAPPING_FIELDS = ("omegap_si", "omegap_bare", "d42", "mu23", "density_n", "delta_p", "p_align")
 _mapping_values = operator.attrgetter(*_MAPPING_FIELDS)
 
 
@@ -247,53 +259,42 @@ def response_at(params):
     Propagates SingularSystem / NonPhysicalState from the solver,
     DegenerateProbe at |p_align| = 1, at a vanishing probe coupling or
     when a polarizability numerator underflows, and LocalFieldPole at a
-    Clausius-Mossotti divergence.
+    Clausius-Mossotti divergence or where N*gamma is not finite.
 
-    A single SystemParams reads its omegap_si once, through
-    ``_probe_rabi_si``, which raises its DegenerateProbe before the solve,
-    and its mapping values by ``_MAPPING_FIELDS``. It is solved and mapped
-    by ``steady_state``'s own one-point call, as a stack of one, to the
-    bits of the same point in a sequence, and its record is returned, or
-    its error raised, from there.
+    The call is ``steady_state``'s, with the mapping as its ``_map``, and
+    the mapping decides every DegenerateProbe: a point whose probe
+    coupling vanishes, or whose polarizability numerator underflows,
+    fails with it after the solve, whatever the solve gave. A single
+    SystemParams is solved and mapped as a stack of one, to the bits of
+    the same point in a sequence; its record is returned, or its error
+    raised, through ``steady_state``'s own one-point call.
 
     ``params`` may also be a sequence of SystemParams that supports
     slicing, whose steady states are solved as stacks of at most
     CHUNK_POINTS points: the result is then a list whose item i is the
     record of point i, or the exception it would raise alone, returned
-    instead of raised. Points whose probe coupling vanishes, at zero or by
-    underflow, fail before the solve, found by one test of the whole
-    omegap_si column.
+    instead of raised.
     """
-    if isinstance(params, SystemParams):
-        mapping = [[value] for value in (_probe_rabi_si(params), *_mapping_values(params))]
-        return steady_state(params, _map=lambda stack, X, failures, unphysical:
-                            _map_stack(X, failures, unphysical, *mapping))
-
-    live = params
-    # failed before the solve, and only a failing point's message reads more
-    # of it than its omegap_si
-    vanishing = np.flatnonzero(_probe_vanishes(np.array(column(params, "omegap_si")))).tolist()
-    early = {}
-    if vanishing:
-        failing = take(params, vanishing)
-        early = dict(zip(vanishing, map(_degenerate_probe, *(
-            column(failing, name) for name in ("p_align", "omegap_bare", "omegap_si")))))
-        live = take(params, [i for i in range(len(params)) if i not in early])
-    # each stack reads its own columns, so that no column of a whole sweep
-    # stays alive through the solve; mapped on this thread while
-    # steady_state inverts the next stack
-    out = steady_state(live, _map=lambda stack, X, failures, unphysical: _map_stack(
-        X, failures, unphysical, *(column(stack, name) for name in ("omegap_si", *_MAPPING_FIELDS))))
-    if early:
-        solved = iter(out)
-        out = [early.get(i) or next(solved) for i in range(len(params))]
-    return out
+    return steady_state(params, _map=_map_points)
 
 
-def _record(rho24, rho32, omegap_si: float, d42: float, mu23: float, density_n: float,
-            delta_p: float, p_align: float) -> ResponseRecord:
+def _map_points(stack, X, failures: dict, unphysical: list) -> list:
+    """``steady_state``'s ``_map`` for ``response_at``: ``_map_stack`` with
+    the mapping values of the ``stack`` of points itself, so that no
+    column of a whole sweep stays alive through the solve."""
+    if isinstance(stack, PointsAlong):
+        mapping = [stack.column(name) for name in _MAPPING_FIELDS]
+    else:
+        mapping = zip(*map(_mapping_values, stack))
+    return _map_stack(X, failures, unphysical, *mapping)
+
+
+def _record(rho24, rho32, omegap_si: float, omegap_bare: float, d42: float, mu23: float,
+            density_n: float, delta_p: float, p_align: float) -> ResponseRecord:
     """The response of one point from its coherences, as pairs, and its
-    mapping values."""
+    mapping values; DegenerateProbe first where its probe vanishes."""
+    if _probe_vanishes(omegap_si):
+        raise _degenerate_probe(p_align, omegap_bare, omegap_si)
     ge = complex(*_electric(rho24, d42, omegap_si))
     gm = complex(*_magnetic(rho32, d42, mu23, omegap_si))
     eps_r = permittivity(ge, density_n)
@@ -312,6 +313,8 @@ def _map_stack(X, failures: dict, unphysical: list, *mapping) -> list:
     exception: its SingularSystem in ``failures``, its NonPhysicalState if
     it is in ``unphysical`` (its state unvectorized here), or the one
     ``_record`` raises; ``mapping`` holds ``_record``'s values, a column each.
+    A row whose probe vanishes drops what its solve gave (the system may be
+    singular at |p_align| = 1), so ``_record`` fails it with DegenerateProbe.
 
     A stack of one goes to ``_record``: on one row the array pass
     (``_stack_records``) costs about ten times as much (150 against 15 µs,
@@ -319,6 +322,14 @@ def _map_stack(X, failures: dict, unphysical: list, *mapping) -> list:
     a check may fail or a value is not finite, goes to ``_record`` too, so
     the errors, their texts and the order of the checks have one source.
     """
+    if failures or unphysical:
+        omegap_si = mapping[0]
+        # deleted from steady_state's own dict, not a copy: the error a
+        # one-point call raises is popped from it below, so that no frame
+        # it passes through still refers to it
+        for k in [k for k in failures if _probe_vanishes(omegap_si[k])]:
+            del failures[k]
+        unphysical = [k for k in unphysical if not _probe_vanishes(omegap_si[k])]
     if unphysical:
         for k, m in zip(unphysical, unvectorize(X[unphysical])):
             failures[k] = NonPhysicalState(None, DensityMatrix._view(m))
@@ -349,16 +360,17 @@ def _mapped_alone(x, values: list):
 _SET_SLOTS = [getattr(ResponseRecord, f.name).__set__ for f in fields(ResponseRecord)]
 
 
-def _stack_records(X, omegap_si, d42, mu23, density_n, delta_p, p_align):
+def _stack_records(X, omegap_si, omegap_bare, d42, mu23, density_n, delta_p, p_align):
     """``_record`` of each row of a stack, as arrays: ``(records, flagged)``,
     with the indices of the rows to map by ``_record`` instead.
 
     Each step is the scalar functions' own, by the same pair helpers on
     float arrays (numpy's complex multiply and divide may round otherwise:
     FMA, other formulas), so each row gets the bits ``_record`` gives it.
-    The checks are flagged, not raised: the underflow checks as ``_record``
-    makes them, the local-field pole with a margin, and any row with a
-    value that is not finite (whose NaN may carry another sign bit here).
+    The checks are flagged, not raised: the vanishing probe and the
+    underflow checks as ``_record`` makes them, the local-field pole with a
+    margin, and any row with a value that is not finite (whose NaN may
+    carry another sign bit here).
     """
     r24, r32 = _rho24_rho32(X.T)
     omegap_si, mu23, density_n = np.array(omegap_si), np.array(mu23), np.array(density_n)
@@ -371,7 +383,7 @@ def _stack_records(X, omegap_si, d42, mu23, density_n, delta_p, p_align):
     with np.errstate(all="ignore"):
         # 2.0 * d42 ** 2 by Python's float power, which numpy's may not match
         numerator = _scale(np.array([2.0 * d ** 2 for d in d42]), r24)
-        flagged = _underflows(numerator, r24)
+        flagged = _probe_vanishes(omegap_si) | _underflows(numerator, r24)
         ge = _over(numerator, EPSILON_0 * HBAR * omegap_si)
         numerator = _scale(2.0 * MU_0 * mu23, r32)
         flagged |= _underflows(numerator, r32)
@@ -425,9 +437,9 @@ def _over(z, x):
 def _quot(a, b):
     """a / b for pairs a = (ar, ai), b = (br, bi) as CPython's ``_Py_c_quot`` divides:
     Smith's method, through whichever part of the divisor is the larger in
-    magnitude, and NaN if neither is, at a NaN divisor. On arrays, row by
-    row; a row with a zero or NaN divisor comes out as whatever, and the
-    caller flags it."""
+    magnitude. The scalar relations raise before a divisor at zero or not
+    finite; on arrays, row by row, such a row comes out as whatever, and
+    the caller flags it."""
     (ar, ai), (br, bi) = a, b
     real_larger = abs(br) >= abs(bi)
     rows = isinstance(real_larger, np.ndarray)
@@ -437,8 +449,6 @@ def _quot(a, b):
         by_real = ((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
         if not rows or real_larger.all():
             return by_real
-    elif not abs(bi) >= abs(br):
-        return np.nan, np.nan
     ratio = br / bi
     denom = br * ratio + bi
     by_imag = ((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)

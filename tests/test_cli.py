@@ -357,6 +357,32 @@ class TestMain:
         assert code == 1
         assert "NonPhysicalState" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d42", ["1.3e124", "1e150"])
+    def test_overflowing_local_field_point_exit_one(self, tmp_path, capsys, d42):
+        out = tmp_path / "x.csv"
+        config = tmp_path / "big.cfg"
+        config.write_text(f"d42 = {d42}\n")
+        assert main(["--config", str(config), "--mode", "point", "--out", str(out)]) == 1
+        assert "LocalFieldPole: N*gamma_e = " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_config_exit_two(self, tmp_path, capsys):
+        config, out = tmp_path / "absent.conf", tmp_path / "x.csv"
+        assert main(["--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"sgcvapor: cannot read config file {str(config)!r}: ")
+        assert "No such file or directory" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_undecodable_config_exit_two(self, tmp_path, capsys):
+        config, out = tmp_path / "bad.conf", tmp_path / "x.csv"
+        config.write_bytes(b"mode = point\n\xff\n")
+        assert main(["--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"sgcvapor: cannot read config file {str(config)!r}: ")
+        assert "can't decode byte 0xff" in err
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_out_naming_a_directory_exit_one_leaves_no_temp_file(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.mkdir()

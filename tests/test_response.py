@@ -19,7 +19,7 @@ from sgcvapor import (DegenerateProbe, DensityMatrix, EquationVariant,
                       response_at, steady_state, sweep_detuning)
 from sgcvapor import SingularSystem, params, response, steady
 from sgcvapor.model import IDX_IM23, IDX_IM24, IDX_RE23, IDX_RE24, unvectorize
-from sgcvapor.params import PointsAlong, column
+from sgcvapor.params import PointsAlong
 
 from conftest import magnetic_polarizability_from_permeability
 
@@ -204,25 +204,13 @@ class TestResponseAt:
             electric_polarizability(0j, SystemParams(p_align=-1.0))
         with pytest.raises(DegenerateProbe, match="underflow"):
             magnetic_polarizability(0j, SystemParams(gamma_unit=5e-324))
-
-    def test_subnormal_probe_fails_before_the_solve(self, monkeypatch):
         # omegap_si is not zero, but eps0 * hbar * omegap_si, which the
         # electric polarizability divides by, underflows to zero
-        params = SystemParams(omegap_bare=5e-324)
-        assert params.omegap_si != 0.0
-
-        def no_solve(points, _map=None):
-            assert not points, "a point with a vanishing probe coupling was solved"
-            return []
-
-        monkeypatch.setattr(response, "steady_state", no_solve)
-        underflow = r"^eps0 \* hbar \* Omega_p underflows to zero at the effective probe "
-        with pytest.raises(DegenerateProbe, match=underflow):
-            response_at(params)
-        assert isinstance(response_at([params])[0], DegenerateProbe)
+        subnormal = SystemParams(omegap_bare=5e-324)
+        assert subnormal.omegap_si != 0.0
         for polarizability in (electric_polarizability, magnetic_polarizability):
-            with pytest.raises(DegenerateProbe, match=underflow):
-                polarizability(1j, params)
+            with pytest.raises(DegenerateProbe, match=r"^eps0 \* hbar \* Omega_p underflows"):
+                polarizability(1j, subnormal)
 
     @pytest.mark.parametrize("omegap_bare", [1e-265, 1e-280])
     def test_underflowing_numerator_fails_the_point(self, omegap_bare):
@@ -261,7 +249,7 @@ class TestResponseAt:
         assert (record.gamma_e, record.gamma_m) == (gamma_e, gamma_m)
 
     def test_sequence_errors_leave_no_reference_cycles(self):
-        # omegap_bare = 0 fails before the solve
+        # omegap_bare = 0 fails in the mapping, after the solve
         points = [SystemParams(omegap_bare=0.0, delta_p=d) for d in (-1.0, 0.0, 1.0)]
         gc.collect()
         gc.disable()
@@ -274,7 +262,8 @@ class TestResponseAt:
             gc.enable()
 
     def test_single_point_errors_leave_no_reference_cycles(self):
-        # raised from the solve, from the check before it, and from the mapping
+        # raised from the solve, and from the mapping, over a SingularSystem
+        # at |p_align| = 1 and over a solve that passed at omegap_bare = 0
         calls = [(SystemParams(p_align=0.5, equation_variant=EquationVariant.PAPER_LITERAL),
                   NonPhysicalState),
                  (SystemParams(p_align=1.0), DegenerateProbe),
@@ -341,6 +330,23 @@ class TestResponseAt:
         point = SystemParams(d42=math.sqrt(sys.float_info.max))
         outcomes = [_one(point), *response_at([point, replace(point, delta_p=1.0)])]
         assert not any(isinstance(outcome, OverflowError) for outcome in outcomes)
+        # N gamma_e is not finite there: each point fails at the local field
+        assert [type(outcome) for outcome in outcomes] == [LocalFieldPole] * 3
+
+    @pytest.mark.parametrize("d42", [1.3e124, 1e150])
+    def test_overflowing_local_field_fails_the_point(self, d42):
+        # N gamma_e overflows, which read as a NaN eps_r and n with a
+        # handedness; the point fails instead, alone, in a list and in a sweep
+        point = SystemParams(d42=d42)
+        with pytest.raises(LocalFieldPole, match=r"^N\*gamma_e = .* is not finite$"):
+            response_at(point)
+        ordinary = SystemParams()
+        outcomes = response_at([ordinary, point, ordinary])
+        assert type(outcomes[1]) is LocalFieldPole and str(outcomes[1]) == str(_one(point))
+        assert outcomes[0] == outcomes[2] == response_at(ordinary)
+        table = sweep_detuning(point, -1.0, 1.0, 3)
+        assert table.records == (None,) * 3
+        assert [f.kind for f in table.failures] == ["LocalFieldPole"] * 3
 
     def test_one_point_maps_with_its_own_probe_rabi_frequency(self):
         # the probe test's omegap_si is the one the mapping divides by: the
@@ -355,8 +361,8 @@ class TestResponseAt:
 
     def test_one_point_reads_its_probe_once_and_no_column(self, monkeypatch):
         # a record, a NonPhysicalState from the solve and a DegenerateProbe
-        # before it: each reads the point's omegap_si once, and none takes
-        # the sequence path's columns
+        # from the mapping: each reads the point's omegap_si once, and none
+        # reads a PointsAlong column
         points = [SystemParams(p_align=0.5, delta_p=3.0),
                   SystemParams(p_align=0.5, equation_variant=EquationVariant.PAPER_LITERAL),
                   SystemParams(omegap_bare=0.0)]
@@ -365,11 +371,9 @@ class TestResponseAt:
         omegap_si = SystemParams.omegap_si
         monkeypatch.setattr(SystemParams, "omegap_si",
                             property(lambda point: reads.append(point) or omegap_si.fget(point)))
-        for module in (response, params):
-            for name in ("column", "take"):
-                real = getattr(module, name)
-                monkeypatch.setattr(module, name, lambda *args, name=name, real=real:
-                                    calls.append(name) or real(*args))
+        column = PointsAlong.column
+        monkeypatch.setattr(PointsAlong, "column",
+                            lambda *args: calls.append(args) or column(*args))
         for point, bits in zip(points, expected):
             reads.clear()
             assert _bits(_one(point)) == bits
@@ -378,8 +382,8 @@ class TestResponseAt:
 
     def test_one_point_raises_through_steady_state(self, monkeypatch):
         # a one-point call's outcome leaves through steady_state's own
-        # one-point call, so what wraps steady_state sees its errors; a
-        # vanishing probe raises before the solve
+        # one-point call, so what wraps steady_state sees its errors, a
+        # vanishing probe's among them
         calls, raised = [], []
         solve = response.steady_state
 
@@ -393,12 +397,63 @@ class TestResponseAt:
 
         monkeypatch.setattr(response, "steady_state", spy)
         literal = SystemParams(p_align=0.5, equation_variant=EquationVariant.PAPER_LITERAL)
+        aligned = SystemParams(p_align=1.0)
         with pytest.raises(NonPhysicalState):
             response_at(literal)
-        assert calls == [literal] and raised == [NonPhysicalState]
         with pytest.raises(DegenerateProbe):
-            response_at(SystemParams(p_align=1.0))
-        assert calls == [literal]
+            response_at(aligned)
+        assert calls == [literal, aligned]
+        assert raised == [NonPhysicalState, DegenerateProbe]
+
+    @pytest.mark.parametrize("form", ["point", "list", "points-along"])
+    @pytest.mark.parametrize("variant", list(EquationVariant))
+    @pytest.mark.parametrize("vanishing,message", [
+        (dict(p_align=1.0), "response is undefined at |p_align| = 1"),
+        (dict(p_align=-1.0), "response is undefined at |p_align| = 1"),
+        (dict(omegap_bare=0.0), "effective probe Rabi frequency is zero at omegap_bare = 0"),
+        (dict(omegap_bare=5e-324), "eps0 * hbar * Omega_p underflows to zero at the effective "
+                                   "probe Rabi frequency 4.94e-316 rad/s"),
+    ], ids=["p=1", "p=-1", "no-probe", "subnormal-probe"])
+    def test_a_vanishing_probe_fails_in_the_mapping(self, monkeypatch, vanishing, message,
+                                                    variant, form):
+        # one rule for one point and many: the mapping fails the point with
+        # DegenerateProbe after the solve, whatever the solve gave (the
+        # system is singular at |p_align| = 1, and the paper's fixed point
+        # may be unphysical), and its outcome leaves through steady_state
+        point = SystemParams(delta_p=0.0, equation_variant=variant, **vanishing)
+        if "p_align" in vanishing:
+            assert isinstance(steady_state([point])[0], SingularSystem)
+        if form == "point":
+            points, k = point, None
+        elif form == "list":
+            points, k = [replace(point, p_align=0.5), point, replace(point, p_align=-0.3)], 1
+        elif "p_align" in vanishing:
+            points, k = PointsAlong(point, "p_align", [0.5, point.p_align, -0.3]), 1
+        else:
+            points, k = PointsAlong(point, "delta_p", [-2.0, 0.0, 3.0]), 1
+        others = [] if k is None else [_bits(_one(p)) for i, p in enumerate(points) if i != k]
+        left = []
+        solve = response.steady_state
+
+        def spy(params, **kwargs):
+            try:
+                outcomes = solve(params, **kwargs)
+            except Exception as exc:
+                left.append(exc)
+                raise
+            left.extend(outcomes)
+            return outcomes
+
+        monkeypatch.setattr(response, "steady_state", spy)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = _one(points)
+        assert caught == []
+        if k is not None:
+            assert [_bits(o) for i, o in enumerate(outcome) if i != k] == others
+            outcome = outcome[k]
+        assert type(outcome) is DegenerateProbe and str(outcome) == message
+        assert any(o is outcome for o in left)
 
     def test_errors_propagate_from_solver(self):
         from sgcvapor import EquationVariant, NonPhysicalState
@@ -408,7 +463,7 @@ class TestResponseAt:
 
 
 # the mapping values of response._record, in the order _map_stack takes them
-MAPPING = ("omegap_si", "d42", "mu23", "density_n", "delta_p", "p_align")
+MAPPING = ("omegap_si", "omegap_bare", "d42", "mu23", "density_n", "delta_p", "p_align")
 
 
 # the float and complex fields of a record
@@ -433,7 +488,7 @@ def _one(point):
     exception it raises."""
     try:
         return response_at(point)
-    except (DegenerateProbe, SingularSystem, NonPhysicalState) as exc:
+    except (DegenerateProbe, LocalFieldPole, SingularSystem, NonPhysicalState) as exc:
         return exc
 
 
@@ -479,7 +534,7 @@ class TestStackMapping:
         stacked, alone = [], []
 
         def each(stack, X, failures, unphysical):
-            mapping = [column(stack, name) for name in MAPPING]
+            mapping = [stack.column(name) for name in MAPPING]
             records, flagged = response._stack_records(X, *mapping)
             # every row that did not fail the solve is mapped by the arrays
             assert set(flagged) <= set(failures) | set(unphysical)
@@ -521,9 +576,12 @@ class TestStackMapping:
                 for other in (1e-4j, 0j):
                     rows.append((complex(r, 0.0), other, k / ge))
                     rows.append((other, complex(r, 0.0), k / gm))
+        # N gamma_m = 1.5e308 is finite, but 2 N gamma_m, in mu_r, is not
+        gm = response._magnetic((1e300, 0.0), d42, mu23, omegap_si)[0]
+        rows.append((1e-3, complex(1e300, 0.0), 1.5e308 / gm))
         X = _stack([r[0] for r in rows], [r[1] for r in rows])
         n = len(rows)
-        mapping = ([omegap_si] * n, [d42] * n, [mu23] * n, [r[2] for r in rows],
+        mapping = ([omegap_si] * n, [0.2] * n, [d42] * n, [mu23] * n, [r[2] for r in rows],
                    [0.0] * n, [0.5] * n)
         with warnings.catch_warnings():
             # the scalar sqrt of a NaN or inf may warn
@@ -534,7 +592,9 @@ class TestStackMapping:
         assert list(map(_bits, stacked)) == list(map(_bits, alone))
         assert {type(o) for o in alone} == {response.ResponseRecord, DegenerateProbe,
                                             LocalFieldPole}
-        assert any("nan" in repr(o) for o in alone)
+        # a NaN in a record, and an N gamma that is not finite
+        assert any("nan" in repr(o) for o in alone if isinstance(o, response.ResponseRecord))
+        assert any(str(o).endswith("is not finite") for o in alone)
         # the rows the arrays map, signed zeros among them, and the rows
         # they leave to _record
         _, flagged = response._stack_records(X, *mapping)
@@ -552,7 +612,7 @@ class TestStackMapping:
         X = _stack(rho24, rho32)
         X[14, :4] = (1.5, -0.5, 0.0, 0.0)   # its populations leave [0, 1]
         failures = {2: SingularSystem("solution has non-finite entries")}
-        mapping = ([omegap_si] * 24, [d42] * 24, [mu23] * 24, density,
+        mapping = ([omegap_si] * 24, [0.2] * 24, [d42] * 24, [mu23] * 24, density,
                    np.linspace(-3.0, 3.0, 24).tolist(), [0.5] * 24)
         stacked = response._map_stack(X, dict(failures), [14], *mapping)
         for k, outcome in enumerate(stacked):
@@ -570,9 +630,28 @@ class TestStackMapping:
         assert [_bits(stacked[k]) for k in rest] == [_bits(o) for o in without]
         assert all(isinstance(o, response.ResponseRecord) for o in without)
 
+    def test_a_vanishing_probe_drops_what_the_solve_gave(self):
+        # a row whose probe vanishes fails with DegenerateProbe over the
+        # SingularSystem or NonPhysicalState of its solve, in a stack and
+        # alone; the other rows keep theirs
+        X = _stack([1e-3j] * 4, [1e-4] * 4)
+        X[:, :4] = (1.5, -0.5, 0.0, 0.0)   # populations outside [0, 1]
+        probe = SystemParams().omegap_si
+        mapping = ([0.0, probe, 0.0, probe], [0.0, 0.2, 0.0, 0.2], [1e-29] * 4,
+                   [9.274e-24] * 4, [5e24] * 4, [0.0] * 4, [0.5] * 4)
+        failures = {k: SingularSystem("solution has non-finite entries") for k in (0, 1)}
+        stacked = response._map_stack(X, dict(failures), [2, 3], *mapping)
+        assert [type(o) for o in stacked] == [DegenerateProbe, SingularSystem,
+                                              DegenerateProbe, NonPhysicalState]
+        assert str(stacked[0]) == "effective probe Rabi frequency is zero at omegap_bare = 0"
+        for k, outcome in enumerate(stacked):
+            alone, = response._map_stack(X[k:k + 1], {0: failures[k]} if k in failures else {},
+                                         [0] if k in (2, 3) else [],
+                                         *[column[k:k + 1] for column in mapping])
+            assert _bits(outcome) == _bits(alone)
+
     def test_mixed_points_come_out_as_alone(self):
-        # failures before the solve, in it and in the mapping, between
-        # points that map
+        # failures in the solve and in the mapping, between points that map
         kinds = [dict(), dict(p_align=1.0), dict(omegap_bare=0.0), dict(omegap_bare=1e-265),
                  dict(gamma2=1e-300, gamma3=1e-300, gamma4=1e-300),
                  dict(equation_variant=EquationVariant.PAPER_LITERAL), dict(p_align=-0.3)]
@@ -596,7 +675,8 @@ class TestPairArithmetic:
     """The mapping's arithmetic is written out on float pairs, so its bits
     do not depend on the interpreter's complex operators. Each case is one
     where Python 3.14's mixed real/complex rules (C99 Annex G) would give
-    another result than the CPython 3.10-3.13 operators these bits are."""
+    another result than the CPython 3.10-3.13 operators these bits are: a
+    signed zero, and a NaN divisor, which the relations refuse to divide by."""
 
     def test_signed_zeros(self):
         # (2 d42^2) * (0.37 - 0j): the 0.0 * 0.37 term lifts Im to +0.0
@@ -608,12 +688,12 @@ class TestPairArithmetic:
             "0x1.8000000000000p+0", "0x0.0p+0"]
 
     def test_nan_divisor(self):
-        # N gamma / (1 - N gamma / 3) with a NaN divisor: _Py_c_quot's NaN,
-        # whose sign bit is clear, where Smith's formulas would keep -NaN's
+        # N gamma / (1 - N gamma / 3) with a NaN divisor has no value to
+        # take: the relations raise before they divide
+        not_finite = r"^N\*gamma_[em] = \(nan\+nanj\) is not finite$"
         for relation in (permittivity, permeability):
-            value = relation(complex(-math.nan, 0.0), N_DEFAULT)
-            assert [math.copysign(1.0, x) for x in (value.real, value.imag)] == [1.0, 1.0]
-            assert math.isnan(value.real) and math.isnan(value.imag)
+            with pytest.raises(LocalFieldPole, match=not_finite):
+                relation(complex(-math.nan, 0.0), N_DEFAULT)
 
 
 class TestSlotBuiltRecords:
@@ -624,7 +704,7 @@ class TestSlotBuiltRecords:
         points = PointsAlong(replace(calibrated_base, p_align=0.7), "delta_p",
                              np.linspace(-20.0, 20.0, 64).tolist())
         X = np.stack([state.vector() for state in steady_state(points)])
-        mapping = [column(points, name) for name in MAPPING]
+        mapping = [points.column(name) for name in MAPPING]
         records, flagged = response._stack_records(X, *mapping)
         assert flagged == []
         assert {record.handedness for record in records} >= {Handedness.LEFT_HANDED,
