@@ -65,6 +65,9 @@ class RunConfig:
             raise ValidationError(f"format must be one of {FORMATS}, got {self.format!r}")
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
+        # the sidecar is named after the output file, so it needs a name
+        if self.out is not None and not Path(self.out).name:
+            raise ValidationError(f"out must name a file, got {self.out!r}")
 
 
 # The config keys, in order: the SystemParams fields, with ``equations``

@@ -101,6 +101,11 @@ class SystemParams:
                     raise ValidationError(f"{name} must be finite")
         if omega1_bare < 0.0 or omegap_bare < 0.0:
             raise ValidationError("bare Rabi frequencies must be non-negative")
+        # the polarizabilities divide by the probe Rabi frequency in rad/s,
+        # which this product bounds at every p_align
+        if not isfinite(omegap_bare * self.gamma_unit):
+            raise ValidationError(f"omegap_bare * gamma_unit must be finite, got "
+                                  f"{omegap_bare} * {self.gamma_unit}")
         if not abs(self.p_align) <= 1.0:
             raise ValidationError(f"|p_align| must be <= 1, got {self.p_align}")
         if not isinstance(self.equation_variant, EquationVariant):

@@ -24,8 +24,10 @@ n = -sqrt(eps_r mu_r).
 ``params.PointsAlong`` of its grid it is also what a sweep runs. Each
 stack is mapped, with its own points, on the caller's thread while the
 worker thread inverts the next stack. The mapping reads rho24 and rho32
-from a stack's unit-trace solutions X, and builds a state only for a
-NonPhysicalState, from its row alone. It decides every DegenerateProbe:
+from a stack's unit-trace solutions X and builds no state: the solve
+hands it one dict from row index to each failing row's SingularSystem or
+NonPhysicalState, which it keeps as those rows' outcomes. It decides
+every DegenerateProbe:
 a point whose probe coupling vanishes (|p_align| = 1 among them), or
 whose polarizability numerator underflows (a probe too weak for double
 precision), fails with DegenerateProbe after the solve, whatever the
@@ -41,6 +43,7 @@ SystemParams is built per point of a sweep.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import operator
 from dataclasses import dataclass, fields
@@ -48,9 +51,9 @@ from math import inf, isfinite
 
 import numpy as np
 
-from .model import DensityMatrix, _rho24_rho32, unvectorize
+from .model import _rho24_rho32
 from .params import PointsAlong, SystemParams
-from .steady import RESIDUAL_TOL, NonPhysicalState, steady_state
+from .steady import RESIDUAL_TOL, steady_state
 
 # CODATA 2018 / SI 2019 exact-based values.
 HBAR = 1.054571817e-34       # J s
@@ -72,8 +75,9 @@ class DegenerateProbe(ZeroDivisionError):
 class LocalFieldPole(ArithmeticError):
     """N*gamma is within tolerance of 3: the Clausius-Mossotti denominator
     vanishes and the macroscopic response diverges. Also raised where
-    N*gamma is not finite (it overflows at a huge d42): the relation has no
-    value to take there."""
+    N*gamma is not finite (it overflows at a huge d42 or mu23), or where it
+    is finite but so large that the relation overflows: the relation has
+    no finite value to take there."""
 
 
 class Handedness(enum.Enum):
@@ -192,26 +196,33 @@ def permittivity(gamma_e: complex, density_n: float) -> complex:
     """Relative permittivity with the local-field (Clausius-Mossotti)
     correction: eps_r = 1 + N*ge / (1 - N*ge/3)."""
     w, denom = _local_field((gamma_e.real, gamma_e.imag), density_n)
-    if not LOCAL_FIELD_POLE_TOL < abs(complex(*denom)) < inf:
-        raise _local_field_pole("N*gamma_e", w)
-    return complex(*_plus(1.0, _quot(w, denom)))
+    if LOCAL_FIELD_POLE_TOL < abs(complex(*denom)) < inf:
+        eps_r = complex(*_plus(1.0, _quot(w, denom)))
+        if cmath.isfinite(eps_r):
+            return eps_r
+    raise _local_field_pole("N*gamma_e", w, denom)
 
 
 def permeability(gamma_m: complex, density_n: float) -> complex:
     """Relative permeability from the magnetic Clausius-Mossotti relation:
     mu_r = (1 + 2*N*gm/3) / (1 - N*gm/3)."""
     w, denom = _local_field((gamma_m.real, gamma_m.imag), density_n)
-    if not LOCAL_FIELD_POLE_TOL < abs(complex(*denom)) < inf:
-        raise _local_field_pole("N*gamma_m", w)
-    return complex(*_quot(_plus(1.0, _over(_scale(2.0, w), 3.0)), denom))
+    if LOCAL_FIELD_POLE_TOL < abs(complex(*denom)) < inf:
+        mu_r = complex(*_quot(_plus(1.0, _over(_scale(2.0, w), 3.0)), denom))
+        if cmath.isfinite(mu_r):
+            return mu_r
+    raise _local_field_pole("N*gamma_m", w, denom)
 
 
-def _local_field_pole(name: str, w) -> LocalFieldPole:
-    """The LocalFieldPole of the pair ``w`` = N*gamma, named ``name``, whose
-    denominator 1 - w/3 is at the pole or, as w is, not finite."""
-    if isfinite(w[0]) and isfinite(w[1]):
+def _local_field_pole(name: str, w, denom) -> LocalFieldPole:
+    """The LocalFieldPole of the pair ``w`` = N*gamma, named ``name``, where
+    its relation has no finite value: w is not finite, its denominator
+    ``denom`` = 1 - w/3 is at the pole, or the relation overflows."""
+    if not (isfinite(w[0]) and isfinite(w[1])):
+        return LocalFieldPole(f"{name} = {complex(*w)} is not finite")
+    if abs(complex(*denom)) <= LOCAL_FIELD_POLE_TOL:
         return LocalFieldPole(f"{name} = {complex(*w)} is at the local-field pole (= 3)")
-    return LocalFieldPole(f"{name} = {complex(*w)} is not finite")
+    return LocalFieldPole(f"{name} = {complex(*w)} overflows the local-field relation")
 
 
 def refractive_index(eps_r: complex, mu_r: complex) -> complex:
@@ -259,7 +270,8 @@ def response_at(params):
     Propagates SingularSystem / NonPhysicalState from the solver,
     DegenerateProbe at |p_align| = 1, at a vanishing probe coupling or
     when a polarizability numerator underflows, and LocalFieldPole at a
-    Clausius-Mossotti divergence or where N*gamma is not finite.
+    Clausius-Mossotti divergence, where N*gamma is not finite, or where
+    the relation overflows at a finite N*gamma.
 
     The call is ``steady_state``'s, with the mapping as its ``_map``, and
     the mapping decides every DegenerateProbe: a point whose probe
@@ -278,7 +290,7 @@ def response_at(params):
     return steady_state(params, _map=_map_points)
 
 
-def _map_points(stack, X, failures: dict, unphysical: list) -> list:
+def _map_points(stack, X, failures: dict) -> list:
     """``steady_state``'s ``_map`` for ``response_at``: ``_map_stack`` with
     the mapping values of the ``stack`` of points itself, so that no
     column of a whole sweep stays alive through the solve."""
@@ -286,7 +298,7 @@ def _map_points(stack, X, failures: dict, unphysical: list) -> list:
         mapping = [stack.column(name) for name in _MAPPING_FIELDS]
     else:
         mapping = zip(*map(_mapping_values, stack))
-    return _map_stack(X, failures, unphysical, *mapping)
+    return _map_stack(X, failures, *mapping)
 
 
 def _record(rho24, rho32, omegap_si: float, omegap_bare: float, d42: float, mu23: float,
@@ -308,13 +320,13 @@ def _record(rho24, rho32, omegap_si: float, omegap_bare: float, d42: float, mu23
     return record
 
 
-def _map_stack(X, failures: dict, unphysical: list, *mapping) -> list:
+def _map_stack(X, failures: dict, *mapping) -> list:
     """The record of each row of the unit-trace stack ``X`` (N, 16), or its
-    exception: its SingularSystem in ``failures``, its NonPhysicalState if
-    it is in ``unphysical`` (its state unvectorized here), or the one
-    ``_record`` raises; ``mapping`` holds ``_record``'s values, a column each.
-    A row whose probe vanishes drops what its solve gave (the system may be
-    singular at |p_align| = 1), so ``_record`` fails it with DegenerateProbe.
+    exception: its SingularSystem or NonPhysicalState in ``failures``, the
+    solve's dict by row index, or the one ``_record`` raises; ``mapping``
+    holds ``_record``'s values, a column each. A row whose probe vanishes
+    drops its entry (the system may be singular at |p_align| = 1), so
+    ``_record`` fails it with DegenerateProbe.
 
     A stack of one goes to ``_record``: on one row the array pass
     (``_stack_records``) costs about ten times as much (150 against 15 µs,
@@ -322,20 +334,9 @@ def _map_stack(X, failures: dict, unphysical: list, *mapping) -> list:
     a check may fail or a value is not finite, goes to ``_record`` too, so
     the errors, their texts and the order of the checks have one source.
     """
-    if failures or unphysical:
-        omegap_si = mapping[0]
-        # deleted from steady_state's own dict, not a copy: the error a
-        # one-point call raises is popped from it below, so that no frame
-        # it passes through still refers to it
-        for k in [k for k in failures if _probe_vanishes(omegap_si[k])]:
-            del failures[k]
-        unphysical = [k for k in unphysical if not _probe_vanishes(omegap_si[k])]
-    if unphysical:
-        for k, m in zip(unphysical, unvectorize(X[unphysical])):
-            failures[k] = NonPhysicalState(None, DensityMatrix._view(m))
+    failures = {k: error for k, error in failures.items() if not _probe_vanishes(mapping[0][k])}
     if len(X) == 1:
-        # popped, so that no local refers to the exception _only may raise
-        return [failures.pop(0, None) or _mapped_alone(X[0], [column[0] for column in mapping])]
+        return [failures.get(0) or _mapped_alone(X[0], [column[0] for column in mapping])]
     outcomes, flagged = _stack_records(X, *mapping)
     for k, error in failures.items():
         outcomes[k] = error

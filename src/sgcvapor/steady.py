@@ -18,10 +18,13 @@ by arithmetic whose value for a row does not depend on the other rows: a
 row's outcome is its outcome as a stack of one, wherever the chunks split
 a sequence. A failing row gets its SingularSystem or NonPhysicalState as
 its item of the result; a single SystemParams is the one-point case, and
-its exception is raised. The gates build no state: ``steady_state``
-unvectorizes each stack's unit-trace solutions X (N, 16) once, after its
-gates, and each state it hands out, good or carried by a
-NonPhysicalState, is a DensityMatrix on its row of that stack.
+its exception is raised. A solved stack is ``(stack, X, failures)``: its
+points, its unit-trace solutions X (N, 16), and one dict from row index
+to that row's SingularSystem or NonPhysicalState, each built by the gates
+(a NonPhysicalState's state on its row of one unvectorize of the stack's
+unphysical rows). ``steady_state`` hands each solved stack to its
+``_map``: by default ``_states``, which lays the failures over the
+DensityMatrix views of one unvectorize of X.
 
 A sequence of more than one chunk is double-buffered in one loop, the
 generator ``_double_buffered``, one pass per stack: one worker thread per
@@ -253,14 +256,16 @@ def _factor(pair: np.ndarray):
 
 
 def _gate(cond: list, X: np.ndarray, residual: np.ndarray, bound: np.ndarray):
-    """``(failures, unphysical)`` of a stack from its ``_factor`` and
-    residual ``bound``, X divided by each row's trace in place: the
-    SingularSystem of each row that fails a gate, by index, and the other
-    rows whose populations leave [0, 1], whose NonPhysicalState the caller
-    builds. Each gate's value for a row does not depend on the other rows,
-    so each row's outcome is bitwise that of its solve as a stack of one.
-    The caller ignores floating-point errors: a row with a non-finite or
-    huge x may overflow or give NaN, and the gates decide it on its values.
+    """The failures of a stack from its ``_factor`` and residual
+    ``bound``, X divided by each row's trace in place: one dict from the
+    index of each row that fails a gate to its SingularSystem, or to its
+    NonPhysicalState where only its populations leave [0, 1]. The states
+    of those are views on their rows of one unvectorize of those rows
+    alone, so they hold no other row of the stack. Each gate's value for
+    a row does not depend on the other rows, so each row's outcome is
+    bitwise that of its solve as a stack of one. The caller ignores
+    floating-point errors: a row with a non-finite or huge x may overflow
+    or give NaN, and the gates decide it on its values.
     """
     failures = {}
     for i, c in enumerate(cond):
@@ -285,10 +290,10 @@ def _gate(cond: list, X: np.ndarray, residual: np.ndarray, bound: np.ndarray):
     np.less(pops, -POPULATION_BOUND_TOL, out=gates[:, 17:21])
     np.greater(pops, 1.0 + POPULATION_BOUND_TOL, out=gates[:, 21:])
 
-    unphysical = []
     # a count, cheaper than the reduction, passes a stack whose rows all pass
     if not np.count_nonzero(gates):
-        return failures, unphysical
+        return failures
+    outside = []
     for k in np.logical_or.reduce(gates, axis=1).nonzero()[0].tolist():
         if k in failures:
             continue
@@ -298,11 +303,20 @@ def _gate(cond: list, X: np.ndarray, residual: np.ndarray, bound: np.ndarray):
             failures[k] = SingularSystem(
                 f"steady-state residual {residual[k]:.2e} exceeds {RESIDUAL_TOL:.0e} * ||L||")
         else:
-            unphysical.append(k)
-    return failures, unphysical
+            outside.append(k)
+    for k, m in zip(outside, unvectorize(X[outside])):
+        failures[k] = NonPhysicalState(None, DensityMatrix._view(m))
+    return failures
 
 
-def steady_state(params, _map=None):
+def _states(stack, X: np.ndarray, failures: dict) -> list:
+    """``steady_state``'s default ``_map``: each row's item of
+    ``failures``, or the DensityMatrix view on its row of one unvectorize
+    of the unit-trace stack ``X``."""
+    return [failures.get(i) or DensityMatrix._view(m) for i, m in enumerate(unvectorize(X))]
+
+
+def steady_state(params, _map=_states):
     """Steady-state density matrix at the given operating point.
 
     Raises SingularSystem if the trace-constrained system is degenerate and
@@ -313,28 +327,22 @@ def steady_state(params, _map=None):
     slicing, solved as stacks of at most CHUNK_POINTS points, each a slice
     of it: the result is then a list whose item i is the state of point i,
     or the exception it would raise alone, returned instead of raised.
-    With the private ``_map``, a stack's outcomes are the list
-    ``_map(stack, X, failures, unphysical)`` returns instead, given what
-    ``_stacks`` gives: no state is built.
+
+    Each stack's outcomes are the list that the private ``_map`` returns
+    for the ``(stack, X, failures)`` that ``_stacks`` solves: by default
+    ``_states``, each row's state or its error from ``failures``.
     """
     single = isinstance(params, SystemParams)
-    states = []
-    for stack, X, failures, unphysical in _stacks([params] if single else params):
-        if _map is None:
-            rho = unvectorize(X)
-            for k in unphysical:
-                failures[k] = NonPhysicalState(None, DensityMatrix._view(rho[k]))
-            # popped, so that no local refers to the exception _only may raise
-            states += [failures.pop(i, None) or DensityMatrix._view(m) for i, m in enumerate(rho)]
-        else:
-            states += _map(stack, X, failures, unphysical)
-    return _only(states) if single else states
+    # a comprehension: no local of this frame, which a one-point call's
+    # error passes through, refers to a stack's failures when _only raises
+    outcomes = [o for solved in _stacks([params] if single else params) for o in _map(*solved)]
+    return _only(outcomes) if single else outcomes
 
 
 def _stacks(points):
     """Solve ``points`` a stack of at most CHUNK_POINTS at a time: an
-    iterable of ``(stack, X, failures, unphysical)``, one per stack, with
-    the slice of ``points`` solved and the rest as ``_gate`` gives them.
+    iterable of ``(stack, X, failures)``, one per stack, with the slice of
+    ``points`` solved, its unit-trace solutions and ``_gate``'s failures.
 
     A call of one stack, every one-point call among them, is solved here,
     inline (``_factor``), with no thread and no generator: its one outcome
@@ -350,8 +358,8 @@ def _stacks(points):
     bound = _constrain(build_generator(stack, out=pair[0]))
     with np.errstate(all="ignore"):
         cond, X, residual = _factor(pair)
-        failures, unphysical = _gate(cond, X, residual, bound)
-    return ((stack, X, failures, unphysical),)
+        failures = _gate(cond, X, residual, bound)
+    return ((stack, X, failures),)
 
 
 def _double_buffered(points):
@@ -396,9 +404,9 @@ def _double_buffered(points):
                     norms = _one_norms(A, out=slots[1 - slot, :n])
                     solved = (stack, *_solve(A), bound)
                 if held:
-                    failures, unphysical = _gate(cond, *held[1:])
+                    failures = _gate(cond, *held[1:])
             if held:
-                yield held[0], held[1], failures, unphysical
+                yield held[0], held[1], failures
             held, solved = solved, None
     finally:
         worker.stop()

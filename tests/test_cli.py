@@ -324,8 +324,30 @@ class TestMain:
         assert "d42 must have a finite square" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_probe_rabi_frequency_that_overflows_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        config = tmp_path / "fast.cfg"
+        config.write_text("gamma_unit = 1e308\nomegap_bare = 10\nmode = sweep-p\n")
+        assert main(["--config", str(config), "--out", str(out)]) == 2
+        assert "omegap_bare * gamma_unit must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_missing_out_exit_two(self, capsys):
         assert main(["--mode", "point"]) == 2
+
+    @pytest.mark.parametrize("out", ["", "."], ids=["empty", "dot"])
+    def test_out_with_no_file_name_exit_two_before_any_solve(self, tmp_path, capsys,
+                                                             monkeypatch, out):
+        # from a flag and from a config file alike; the run would solve
+        # every point and only then fail to name its sidecar
+        monkeypatch.setattr(cli, "response_at", lambda params: pytest.fail("solved"))
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"out = {out}\n")
+        for argv in (["--out", out], ["--config", str(config)]):
+            assert main(["--mode", "point", *argv]) == 2
+            assert capsys.readouterr().err == f"sgcvapor: out must name a file, got {out!r}\n"
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_sidecar_bytes_do_not_depend_on_numpy_print_options(self, tmp_path):
         # a NonPhysicalState's message, which the sidecar records for each

@@ -72,6 +72,14 @@ class TestSystemParams:
             assert str(info.value) == (
                 f"d42 must have a finite square, below about 1.34e154, got {d42}")
 
+    def test_probe_rabi_frequency_that_overflows_is_rejected(self):
+        # an infinite omegap_si read as vacuum: the polarizabilities divide
+        # by it, and eps_r = mu_r = n = 1
+        with pytest.raises(ValidationError) as info:
+            SystemParams(gamma_unit=1e308, omegap_bare=10.0)
+        assert str(info.value) == "omegap_bare * gamma_unit must be finite, got 10.0 * 1e+308"
+        assert math.isfinite(SystemParams(gamma_unit=1e308, omegap_bare=1.0).omegap_si)
+
     def test_equation_variant_must_be_an_equation_variant(self):
         # the CLI turns its string into the enum; a direct caller must too
         with pytest.raises(ValidationError) as info:

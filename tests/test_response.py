@@ -307,15 +307,14 @@ class TestResponseAt:
 
     def test_one_point_unvectorizes_only_an_unphysical_state(self, monkeypatch):
         # a good point's coherences are read from the solution x; a
-        # NonPhysicalState's state is unvectorized from its row alone, with
-        # the bytes steady_state gives it from its whole stack
+        # NonPhysicalState's state is unvectorized by the solve's gates from
+        # its row alone, with the bytes steady_state gives it
         literal = SystemParams(p_align=0.5, equation_variant=EquationVariant.PAPER_LITERAL)
         expected = steady_state([literal])[0].state.m.tobytes()
         good = response_at(SystemParams(p_align=0.5, delta_p=3.0))
         calls = []
-        for module in (response, steady):
-            monkeypatch.setattr(module, "unvectorize",
-                                lambda x: calls.append(len(x)) or unvectorize(x))
+        monkeypatch.setattr(steady, "unvectorize",
+                            lambda x: calls.append(len(x)) or unvectorize(x))
         assert response_at(SystemParams(p_align=0.5, delta_p=3.0)) == good
         assert calls == []
         with pytest.raises(NonPhysicalState) as info:
@@ -333,20 +332,35 @@ class TestResponseAt:
         # N gamma_e is not finite there: each point fails at the local field
         assert [type(outcome) for outcome in outcomes] == [LocalFieldPole] * 3
 
-    @pytest.mark.parametrize("d42", [1.3e124, 1e150])
-    def test_overflowing_local_field_fails_the_point(self, d42):
-        # N gamma_e overflows, which read as a NaN eps_r and n with a
-        # handedness; the point fails instead, alone, in a list and in a sweep
-        point = SystemParams(d42=d42)
-        with pytest.raises(LocalFieldPole, match=r"^N\*gamma_e = .* is not finite$"):
+    @pytest.mark.parametrize("point, message, failing", [
+        (dict(d42=1.3e124), r"N\*gamma_e = .* is not finite", 41),
+        (dict(d42=1e150), r"N\*gamma_e = .* is not finite", 41),
+        # a finite N gamma whose relation overflows: 2 N gamma_m / 3 in
+        # mu_r, and Smith's division in eps_r
+        (dict(mu23=1.5e286, delta_p=3.0), r"N\*gamma_m = .* overflows the local-field relation",
+         27),
+        (dict(d42=1e124, p_align=0.0, delta_p=3.0),
+         r"N\*gamma_e = .* overflows the local-field relation", 38),
+    ], ids=["1.3e+124", "1e+150", "mu23-1.5e+286", "d42-1e+124"])
+    def test_overflowing_local_field_fails_the_point(self, point, message, failing):
+        # an N gamma that is not finite, or a relation that overflows, read
+        # as a NaN or infinite eps_r, mu_r and n with a handedness; the
+        # point fails instead, alone, in a list and in a sweep, and every
+        # record that is returned is finite
+        point = SystemParams(**point)
+        with pytest.raises(LocalFieldPole, match=f"^{message}$"):
             response_at(point)
         ordinary = SystemParams()
         outcomes = response_at([ordinary, point, ordinary])
         assert type(outcomes[1]) is LocalFieldPole and str(outcomes[1]) == str(_one(point))
         assert outcomes[0] == outcomes[2] == response_at(ordinary)
-        table = sweep_detuning(point, -1.0, 1.0, 3)
-        assert table.records == (None,) * 3
-        assert [f.kind for f in table.failures] == ["LocalFieldPole"] * 3
+        table = sweep_detuning(point, -20.0, 20.0, 41)
+        failed = {f.axis_value: f for f in table.failures}
+        assert {f.kind for f in failed.values()} == {"LocalFieldPole"}
+        assert failed[point.delta_p].message == str(outcomes[1])
+        records = [r for r in table.records if r is not None]
+        assert (len(failed), len(records)) == (failing, 41 - failing)
+        assert all(cmath.isfinite(z) for r in records for z in (r.eps_r, r.mu_r, r.n_index))
 
     def test_one_point_maps_with_its_own_probe_rabi_frequency(self):
         # the probe test's omegap_si is the one the mapping divides by: the
@@ -496,6 +510,11 @@ def _pair(z):
     return z.real, z.imag
 
 
+def _unphysical(x):
+    """The NonPhysicalState the solve's gates give the unit-trace row x."""
+    return NonPhysicalState(None, DensityMatrix(unvectorize(x), check=False))
+
+
 def _bits(outcome):
     """An exception's type and text, or a record's handedness and the bytes
     of each of its floats: a NaN's sign bit counts too."""
@@ -533,12 +552,12 @@ class TestStackMapping:
                       for d in (1e-16, 5.0)]
         stacked, alone = [], []
 
-        def each(stack, X, failures, unphysical):
+        def each(stack, X, failures):
             mapping = [stack.column(name) for name in MAPPING]
             records, flagged = response._stack_records(X, *mapping)
             # every row that did not fail the solve is mapped by the arrays
-            assert set(flagged) <= set(failures) | set(unphysical)
-            rows = [k for k in range(len(X)) if k not in failures and k not in unphysical]
+            assert set(flagged) <= set(failures)
+            rows = [k for k in range(len(X)) if k not in failures]
             stacked.extend(records[k] for k in rows)
             rho = unvectorize(X)
             alone.extend(_alone(rho, k, failures, mapping) for k in rows)
@@ -576,9 +595,11 @@ class TestStackMapping:
                 for other in (1e-4j, 0j):
                     rows.append((complex(r, 0.0), other, k / ge))
                     rows.append((other, complex(r, 0.0), k / gm))
-        # N gamma_m = 1.5e308 is finite, but 2 N gamma_m, in mu_r, is not
+        # N gamma_m = 1.5e308 is finite, but 2 N gamma_m, in mu_r, is not:
+        # the row fails
         gm = response._magnetic((1e300, 0.0), d42, mu23, omegap_si)[0]
         rows.append((1e-3, complex(1e300, 0.0), 1.5e308 / gm))
+        overflow = f"N*gamma_m = {complex(rows[-1][2] * gm, 0.0)} overflows the local-field relation"
         X = _stack([r[0] for r in rows], [r[1] for r in rows])
         n = len(rows)
         mapping = ([omegap_si] * n, [0.2] * n, [d42] * n, [mu23] * n, [r[2] for r in rows],
@@ -586,15 +607,18 @@ class TestStackMapping:
         with warnings.catch_warnings():
             # the scalar sqrt of a NaN or inf may warn
             warnings.simplefilter("ignore", RuntimeWarning)
-            stacked = response._map_stack(X, {}, [], *mapping)
+            stacked = response._map_stack(X, {}, *mapping)
             rho = unvectorize(X)
             alone = [_alone(rho, k, {}, mapping) for k in range(n)]
         assert list(map(_bits, stacked)) == list(map(_bits, alone))
         assert {type(o) for o in alone} == {response.ResponseRecord, DegenerateProbe,
                                             LocalFieldPole}
-        # a NaN in a record, and an N gamma that is not finite
-        assert any("nan" in repr(o) for o in alone if isinstance(o, response.ResponseRecord))
+        # an N gamma that is not finite, and one whose relation overflows
         assert any(str(o).endswith("is not finite") for o in alone)
+        assert type(alone[-1]) is LocalFieldPole and str(alone[-1]) == overflow
+        # no record holds a response that is not finite
+        records = [o for o in alone if isinstance(o, response.ResponseRecord)]
+        assert all(cmath.isfinite(z) for o in records for z in (o.eps_r, o.mu_r, o.n_index))
         # the rows the arrays map, signed zeros among them, and the rows
         # they leave to _record
         _, flagged = response._stack_records(X, *mapping)
@@ -611,22 +635,21 @@ class TestStackMapping:
         rho32[9], density[9] = 0.37, 3.0 / gm   # the magnetic pole
         X = _stack(rho24, rho32)
         X[14, :4] = (1.5, -0.5, 0.0, 0.0)   # its populations leave [0, 1]
-        failures = {2: SingularSystem("solution has non-finite entries")}
+        failures = {2: SingularSystem("solution has non-finite entries"), 14: _unphysical(X[14])}
         mapping = ([omegap_si] * 24, [0.2] * 24, [d42] * 24, [mu23] * 24, density,
                    np.linspace(-3.0, 3.0, 24).tolist(), [0.5] * 24)
-        stacked = response._map_stack(X, dict(failures), [14], *mapping)
+        stacked = response._map_stack(X, failures, *mapping)
         for k, outcome in enumerate(stacked):
             alone, = response._map_stack(X[k:k + 1], {0: failures[k]} if k in failures else {},
-                                         [0] if k == 14 else [],
                                          *[column[k:k + 1] for column in mapping])
             assert _bits(outcome) == _bits(alone)
-        # the unphysical row's state is its row of X unvectorized
-        assert stacked[14].state.m.tobytes() == unvectorize(X[14]).tobytes()
+        # the solve's errors are the rows' outcomes, as they were given
+        assert stacked[2] is failures[2] and stacked[14] is failures[14]
         assert [type(stacked[k]) for k in (2, 5, 9, 14)] == [
             SingularSystem, DegenerateProbe, LocalFieldPole, NonPhysicalState]
         rest = [k for k in range(24) if k not in (2, 5, 9, 14)]
-        without = response._map_stack(X[rest], {}, [], *[[column[k] for k in rest]
-                                                           for column in mapping])
+        without = response._map_stack(X[rest], {}, *[[column[k] for k in rest]
+                                                       for column in mapping])
         assert [_bits(stacked[k]) for k in rest] == [_bits(o) for o in without]
         assert all(isinstance(o, response.ResponseRecord) for o in without)
 
@@ -640,15 +663,19 @@ class TestStackMapping:
         mapping = ([0.0, probe, 0.0, probe], [0.0, 0.2, 0.0, 0.2], [1e-29] * 4,
                    [9.274e-24] * 4, [5e24] * 4, [0.0] * 4, [0.5] * 4)
         failures = {k: SingularSystem("solution has non-finite entries") for k in (0, 1)}
-        stacked = response._map_stack(X, dict(failures), [2, 3], *mapping)
+        failures.update((k, _unphysical(X[k])) for k in (2, 3))
+        given = dict(failures)
+        stacked = response._map_stack(X, failures, *mapping)
         assert [type(o) for o in stacked] == [DegenerateProbe, SingularSystem,
                                               DegenerateProbe, NonPhysicalState]
         assert str(stacked[0]) == "effective probe Rabi frequency is zero at omegap_bare = 0"
         for k, outcome in enumerate(stacked):
-            alone, = response._map_stack(X[k:k + 1], {0: failures[k]} if k in failures else {},
-                                         [0] if k in (2, 3) else [],
+            alone, = response._map_stack(X[k:k + 1], {0: failures[k]},
                                          *[column[k:k + 1] for column in mapping])
             assert _bits(outcome) == _bits(alone)
+        # the mapping drops entries from a dict of its own: the solve's is
+        # left as it was
+        assert failures == given
 
     def test_mixed_points_come_out_as_alone(self):
         # failures in the solve and in the mapping, between points that map

@@ -13,7 +13,7 @@ import types
 import warnings
 import weakref
 from _queue import Empty, SimpleQueue
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -171,7 +171,7 @@ class TestSteadyState:
             assert np.array(cond).tobytes() == expected.tobytes()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                solved.append(_states(rest[0], *steady._gate(cond, *rest)))
+                solved.append(_gated(cond, *rest))
         for rho, failures in solved:
             assert sorted(failures) == [0, 1, 2, 3, 4, 5]
             got = [_outcome(rho, failures, i) for i in range(6)]
@@ -194,9 +194,9 @@ class TestSteadyState:
         good = X[rest]
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("error")
-            rho, failures = _states(bad, *steady._gate(cond, bad, residual, bound))
-            expected, no_failures = _states(good, *steady._gate(
-                [cond[i] for i in rest], good, residual[rest], bound[rest]))
+            rho, failures = _gated(cond, bad, residual, bound)
+            expected, no_failures = _gated([cond[i] for i in rest], good, residual[rest],
+                                           bound[rest])
         assert list(failures) == [1]
         assert isinstance(failures[1], SingularSystem)
         assert str(failures[1]) == "solution has non-finite entries"
@@ -280,19 +280,34 @@ class TestSteadyState:
         assert any(np.linalg.norm(np.linalg.solve(_trace_constrained(stack[i]),
                                                   np.eye(16)[0])) > 7 for i in passed)
 
-    def test_one_unvectorize_for_good_and_unphysical_states(self, monkeypatch):
-        # a NonPhysicalState's state is a view on the same unit-trace stack
-        # as the good states, not a second unvectorize of its row
-        calls = []
-        monkeypatch.setattr(steady, "unvectorize",
-                            lambda x: calls.append(len(x)) or unvectorize(x))
-        good, error = steady_state([
-            SystemParams(p_align=0.5),
-            SystemParams(p_align=0.5, equation_variant=EquationVariant.PAPER_LITERAL)])
-        assert calls == [2]
-        assert isinstance(error, NonPhysicalState)
-        assert good.m.base is not None
-        assert error.state.m.base is good.m.base
+    def test_a_nonphysical_state_is_its_row_alone(self, monkeypatch):
+        # a NonPhysicalState's state is bitwise the unvectorize of its row
+        # of the stack's unit-trace X; from a sequence it is a view on one
+        # array of the stack's unphysical rows, not on the whole stack, so
+        # an error that is kept holds no good row's state
+        gated = []
+
+        def spy(cond, X, residual, bound, gate=steady._gate):
+            failures = gate(cond, X, residual, bound)
+            gated.append(X.copy())
+            return failures
+
+        monkeypatch.setattr(steady, "_gate", spy)
+        literal = SystemParams(p_align=0.5, equation_variant=EquationVariant.PAPER_LITERAL)
+        outcomes = steady_state([SystemParams(p_align=0.5), literal,
+                                 SystemParams(p_align=0.5, delta_p=3.0),
+                                 replace(literal, delta_p=3.0)])
+        with pytest.raises(NonPhysicalState) as info:
+            steady_state(literal)
+        assert [type(o) for o in outcomes] == [DensityMatrix, NonPhysicalState] * 2
+        rows = (gated[0][1], gated[0][3], gated[1][0])
+        for error, row in zip((outcomes[1], outcomes[3], info.value), rows):
+            assert error.state.m.tobytes() == unvectorize(row).tobytes()
+        # each array's elements: 16 per matrix
+        assert outcomes[0].m.base.size == 4 * 16
+        assert outcomes[1].state.m.base is outcomes[3].state.m.base
+        assert outcomes[1].state.m.base.size == 2 * 16
+        assert info.value.state.m.base.size == 16
 
     def test_raised_errors_leave_no_reference_cycles(self, monkeypatch):
         # a cycle through the traceback would keep every raised exception,
@@ -1044,11 +1059,10 @@ def _trace_constrained(L):
 def _solve_stack(L):
     """The generator stack ``L`` solved and gated as ``steady._stacks``
     solves and gates a stack inverted inline: ``(rho, failures)`` as
-    ``_states`` gives them."""
+    ``_gated`` gives them."""
     pair, bound = _constrained_pair(L)
     with np.errstate(all="ignore"):
-        cond, X, residual = steady._factor(pair)
-        return _states(X, *steady._gate(cond, X, residual, bound))
+        return _gated(*steady._factor(pair), bound)
 
 
 def _constrained_pair(L):
@@ -1061,14 +1075,12 @@ def _constrained_pair(L):
     return pair, steady._constrain(pair[0])
 
 
-def _states(X, failures, unphysical):
-    """``(rho, failures)`` of a stack gated to its unit-trace ``X``: rho is
-    ``unvectorize(X)``, and ``failures`` gains the NonPhysicalState of each
-    ``unphysical`` row, on its row of rho, as ``steady_state`` builds them."""
-    rho = unvectorize(X)
-    for k in unphysical:
-        failures[k] = NonPhysicalState(None, DensityMatrix._view(rho[k]))
-    return rho, failures
+def _gated(cond, X, residual, bound):
+    """``(rho, failures)`` of a stack that ``steady._gate`` gates: rho is
+    ``unvectorize`` of its unit-trace ``X``, as ``steady_state`` takes it
+    after the gates, and ``failures`` the gates' dict by row index."""
+    failures = steady._gate(cond, X, residual, bound)
+    return unvectorize(X), failures
 
 
 class _NoTakeBack(SimpleQueue):
